@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .expr import ExprError, PhaseSpace
@@ -20,6 +21,8 @@ from .geometry import PhasePoint, lie_derivative_mv
 from .spectral import SpectralError, mixed_wedge_ratios, secular_roots
 from .systems import SystemFileError, SystemSpec, builtin_system, load_system, run_report
 from .verify import CheckConfig, CheckReport, FlowError, conservation_drift, integrate_flow
+
+_DEFAULTS = CheckConfig()
 
 
 def _add_system_args(p: argparse.ArgumentParser):
@@ -29,13 +32,15 @@ def _add_system_args(p: argparse.ArgumentParser):
 
 
 def _add_config_args(p: argparse.ArgumentParser):
-    p.add_argument("--points", type=int, default=32, help="regular sample points per check")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9, help="relative residual tolerance")
-    p.add_argument("--box", type=float, default=2.0, help="sampling box half-width")
-    p.add_argument("--drift-tol", type=float, default=1e-6)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    # each dest is the CheckConfig field the flag sets
+    p.add_argument("--points", dest="samples", metavar="POINTS", type=int, default=_DEFAULTS.samples,
+                   help="regular sample points per check")
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument("--tol", type=float, default=_DEFAULTS.tol, help="relative residual tolerance")
+    p.add_argument("--box", type=float, default=_DEFAULTS.box, help="sampling box half-width")
+    p.add_argument("--drift-tol", type=float, default=_DEFAULTS.drift_tol)
+    p.add_argument("--t-end", type=float, default=_DEFAULTS.t_end)
+    p.add_argument("--dt", type=float, default=_DEFAULTS.dt)
 
 
 def _resolve_system(args) -> SystemSpec:
@@ -47,15 +52,7 @@ def _resolve_system(args) -> SystemSpec:
 
 
 def _config(args) -> CheckConfig:
-    return CheckConfig(
-        samples=args.points,
-        box=args.box,
-        seed=args.seed,
-        tol=args.tol,
-        t_end=args.t_end,
-        dt=args.dt,
-        drift_tol=args.drift_tol,
-    )
+    return CheckConfig(**{f.name: getattr(args, f.name) for f in fields(CheckConfig)})
 
 
 def _parse_point(text: str, space: PhaseSpace) -> PhasePoint:
@@ -135,7 +132,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_flow(args) -> int:
     spec = _resolve_system(args)
     x0 = _parse_point(args.start, spec.space)
-    cfg = CheckConfig(t_end=args.t_end, dt=args.dt, seed=args.seed)
+    cfg = CheckConfig(t_end=args.t_end, dt=args.dt)
     traj = integrate_flow(spec.W, spec.h, x0, cfg)
     stride = max(1, (len(traj) - 1) // 10)
     print(f"system: {spec.name}")
@@ -172,9 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     p_flow = sub.add_parser("flow", help="integrate the flow and audit conservation")
     _add_system_args(p_flow)
     p_flow.add_argument("--from", dest="start", required=True, metavar="q1=...,p1=...")
-    p_flow.add_argument("--t-end", type=float, default=10.0)
-    p_flow.add_argument("--dt", type=float, default=1e-3)
-    p_flow.add_argument("--seed", type=int, default=0)
+    p_flow.add_argument("--t-end", type=float, default=_DEFAULTS.t_end)
+    p_flow.add_argument("--dt", type=float, default=_DEFAULTS.dt)
     p_flow.set_defaults(fn=_cmd_flow)
 
     p_rep = sub.add_parser("report", help="run the full pipeline, emit the JSON report")

@@ -33,6 +33,11 @@ __all__ = [
     "SecularSpectrum",
     "InvariantVector",
     "pfaffian",
+    "pencil_coefficients",
+    "roots_from_coefficients",
+    "multiple_root_flags",
+    "y_from_coefficients",
+    "y_from_root_values",
     "mixed_wedge_ratios",
     "secular_roots",
     "y_from_roots",
@@ -227,6 +232,10 @@ def _require_regular(W: MultiVectorField, x) -> list[list[float]]:
     return rows
 
 
+def _regular_coefficients(W: MultiVectorField, What: MultiVectorField, x) -> list[float]:
+    return _pencil_coefficients(_require_regular(W, x), _matrix_rows(What, x))
+
+
 def _as_point(x) -> PhasePoint:
     return x if isinstance(x, PhasePoint) else PhasePoint(tuple(x))
 
@@ -235,25 +244,17 @@ def _as_point(x) -> PhasePoint:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def mixed_wedge_ratios(W: MultiVectorField, What: MultiVectorField, x) -> InvariantVector:
-    """Invariants Y^(l) = (coefficient of t^{n-l} in P) / C(n,l) for
-    l = 1..n, i.e. the top-wedge ratios W_hat^l ^ W^{n-l} / W^n."""
-    n = W.space.n
-    w_rows = _require_regular(W, x)
-    h_rows = _matrix_rows(What, x)
-    coeffs = _pencil_coefficients(w_rows, h_rows)
-    values = tuple(float(coeffs[n - l]) / math.comb(n, l) for l in range(1, n + 1))
-    return InvariantVector(_as_point(x), values)
+def pencil_coefficients(W: MultiVectorField, What: MultiVectorField, x) -> list[float]:
+    """Coefficients a_0..a_n of P(t) = Pf(W_hat + tW)/Pf(W) at x.  W is not
+    tested for regularity here: pass a regular point (`is_regular`), or use
+    `secular_roots` / `mixed_wedge_ratios`, which raise RegularityError."""
+    return _pencil_coefficients(_matrix_rows(W, x), _matrix_rows(What, x))
 
 
-def secular_roots(W: MultiVectorField, What: MultiVectorField, x) -> SecularSpectrum:
-    """The n roots of P(-c) = 0 - equivalently the eigenvalue pairs of the
-    generalized problem W_hat v = c W v - sorted ascending, with
-    near-coincident roots flagged."""
-    n = W.space.n
-    w_rows = _require_regular(W, x)
-    h_rows = _matrix_rows(What, x)
-    coeffs = _pencil_coefficients(w_rows, h_rows)
+def roots_from_coefficients(coeffs) -> np.ndarray:
+    """The n roots of P(-c) = 0 for coefficients a_0..a_n of P, real and
+    ascending; raises NonRealSpectrumError on a complex spectrum."""
+    n = len(coeffs) - 1
     # Q(c) = P(-c): coefficient of c^m is (-1)^m a_m; np.roots wants
     # highest-degree first (companion-matrix eigenvalues under the hood)
     desc = [((-1) ** m) * coeffs[m] for m in range(n, -1, -1)]
@@ -265,27 +266,61 @@ def secular_roots(W: MultiVectorField, What: MultiVectorField, x) -> SecularSpec
         raise NonRealSpectrumError(
             f"non-real spectrum: |Im| up to {worst:.3e} exceeds {ROOT_IMAG_TOL * scale:.3e}"
         )
-    roots = np.sort(raw.real)
+    return np.sort(raw.real)
+
+
+def multiple_root_flags(roots) -> tuple[bool, ...]:
+    """Flag each ascending root that lies within ROOT_CLUSTER_TOL (relative
+    to max(1, |c|max)) of a neighbour."""
+    n = len(roots)
+    scale = max(1.0, float(np.max(np.abs(roots))) if n else 0.0)
     multiple = [False] * n
     for i in range(n - 1):
         if roots[i + 1] - roots[i] < ROOT_CLUSTER_TOL * scale:
             multiple[i] = True
             multiple[i + 1] = True
-    return SecularSpectrum(_as_point(x), tuple(float(r) for r in roots), tuple(multiple))
+    return tuple(multiple)
 
 
-def y_from_roots(spectrum: SecularSpectrum) -> InvariantVector:
+def y_from_coefficients(coeffs) -> tuple:
+    """Y^(l) = a_{n-l} / C(n,l) for l = 1..n; the coefficients may be floats
+    or jets, and the invariants match their type."""
+    n = len(coeffs) - 1
+    return tuple(coeffs[n - l] / math.comb(n, l) for l in range(1, n + 1))
+
+
+def y_from_root_values(roots) -> tuple[float, ...]:
     """Y^(l) = e_l(c_1..c_n) / C(n,l): elementary symmetric functions of the
-    secular roots over strictly increasing index tuples."""
-    roots = spectrum.roots
+    roots over strictly increasing index tuples."""
     n = len(roots)
     # e_l via the coefficient recursion for prod (t + c_i)
     e = np.zeros(n + 1)
     e[0] = 1.0
     for c in roots:
         e[1:] = e[1:] + c * e[:-1]
-    values = tuple(float(e[l]) / math.comb(n, l) for l in range(1, n + 1))
-    return InvariantVector(spectrum.point, values)
+    return tuple(float(e[l]) / math.comb(n, l) for l in range(1, n + 1))
+
+
+def mixed_wedge_ratios(W: MultiVectorField, What: MultiVectorField, x) -> InvariantVector:
+    """Invariants Y^(l) = (coefficient of t^{n-l} in P) / C(n,l) for
+    l = 1..n, i.e. the top-wedge ratios W_hat^l ^ W^{n-l} / W^n."""
+    values = y_from_coefficients(_regular_coefficients(W, What, x))
+    return InvariantVector(_as_point(x), tuple(float(v) for v in values))
+
+
+def secular_roots(W: MultiVectorField, What: MultiVectorField, x) -> SecularSpectrum:
+    """The n roots of P(-c) = 0 - equivalently the eigenvalue pairs of the
+    generalized problem W_hat v = c W v - sorted ascending, with
+    near-coincident roots flagged."""
+    roots = roots_from_coefficients(_regular_coefficients(W, What, x))
+    return SecularSpectrum(
+        _as_point(x), tuple(float(r) for r in roots), multiple_root_flags(roots)
+    )
+
+
+def y_from_roots(spectrum: SecularSpectrum) -> InvariantVector:
+    """Y^(l) = e_l(c_1..c_n) / C(n,l) of the spectrum's roots."""
+    return InvariantVector(spectrum.point, y_from_root_values(spectrum.roots))
 
 
 def pencil_coefficient_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:
@@ -297,9 +332,7 @@ def pencil_coefficient_jets(W: MultiVectorField, What: MultiVectorField, x) -> l
 def invariant_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:
     """Jets of Y^(1)..Y^(n) at x, via forward-mode propagation through
     matrix assembly, the Pfaffian recursion, and the interpolation."""
-    n = W.space.n
-    coeffs = pencil_coefficient_jets(W, What, x)
-    return [coeffs[n - l] * (1.0 / math.comb(n, l)) for l in range(1, n + 1)]
+    return list(y_from_coefficients(pencil_coefficient_jets(W, What, x)))
 
 
 def invariant_gradient(W: MultiVectorField, E: MultiVectorField, l: int, x) -> np.ndarray:

@@ -4,14 +4,16 @@ audits under both Poisson structures.
 
 Residuals are reported raw together with the scale used to relativize them:
 a check passes when residual <= tol * scale, where scale is the largest
-absolute intermediate term at the worst sampled point, floored at 1.
+absolute intermediate term at the worst sampled point, floored at 1.  A
+non-finite residual or scale (NaN or inf) counts as the worst case and fails
+the check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,16 +28,18 @@ from .geometry import (
 )
 from .spectral import (
     REGULARITY_FACTOR,
-    ROOT_CLUSTER_TOL,
-    ROOT_IMAG_TOL,
-    NonRealSpectrumError,
+    multiple_root_flags,
     pencil_coefficient_jets,
+    pencil_coefficients,
     regularity_margin,
     root_gradients,
+    roots_from_coefficients,
+    y_from_coefficients,
+    y_from_root_values,
 )
-from .spectral import _pencil_coefficients, _matrix_rows  # shared pencil plumbing
 
 __all__ = [
+    "PAPER_ANCHORS",
     "CheckConfig",
     "CheckRecord",
     "CheckReport",
@@ -55,6 +59,22 @@ __all__ = [
     "conservation_drift",
     "check_involution",
 ]
+
+
+# check id -> the paper's claim it audits; shared by every record of that id,
+# error records included
+PAPER_ANCHORS = {
+    "jacobi": "[W,W] = 0",
+    "regularity": "W^n != 0",
+    "symmetry": "[E,W(h)] = 0",
+    "non_noether": "[E,W] != 0",
+    "yang_baxter": "[[E,[E,W]],W] = 0",
+    "compat_mixed": "[What,W] = 0",
+    "compat_deformed": "[What,What] = 0",
+    "spectral_routes": "Y^(l) = What^l^W^(n-l)/W^n = e_l(c)/C(n,l)",
+    "conservation_drift": "dc_i/dt = 0, dY^(l)/dt = 0 along the flow",
+    "involution": "{Y^(k),Y^(l)} = {Y^(k),Y^(l)}_hat = 0",
+}
 
 
 class SamplingError(Exception):
@@ -228,12 +248,6 @@ def sample_regular_points(W: MultiVectorField, cfg: CheckConfig) -> list[PhasePo
 # Residual helpers
 # ---------------------------------------------------------------------------
 
-def _max_abs_component(F: MultiVectorField, x) -> float:
-    if not F.components:
-        return 0.0
-    return max(abs(e.eval(x)) for e in F.components.values())
-
-
 def _component_diffs(F: MultiVectorField) -> dict[int, list[ScalarExpr]]:
     N = F.space.dim
     out: dict[int, list[ScalarExpr]] = {}
@@ -243,51 +257,57 @@ def _component_diffs(F: MultiVectorField) -> dict[int, list[ScalarExpr]]:
     return out
 
 
-def _max_eval(exprs: list[ScalarExpr], x) -> float:
+def _max_eval(exprs, x) -> float:
     return max((abs(e.eval(x)) for e in exprs), default=0.0)
 
 
-def _schouten_scale(Am, Bm, dA, dB, x) -> float:
-    """Largest |A^{li}(x) d_l B^{jk}(x)| (and the symmetric term) over the
-    products appearing in the bracket."""
-    N = Am.shape[0]
+def _bracket_scale(A: MultiVectorField, B: MultiVectorField, dA, dB, x) -> float:
+    """Largest |A^{l.}(x)| |d_l B(x)| (and the symmetric term) over the
+    products appearing in the bracket of A and B."""
+    Am, Bm = evaluate_mv(A, x), evaluate_mv(B, x)
     s = 0.0
-    for l in range(N):
-        a_row = float(np.max(np.abs(Am[l]))) if N else 0.0
-        b_row = float(np.max(np.abs(Bm[l]))) if N else 0.0
+    for l in range(A.space.dim):
+        a_row = float(np.max(np.abs(Am[l])))
+        b_row = float(np.max(np.abs(Bm[l])))
         s = max(s, a_row * _max_eval(dB[l], x), b_row * _max_eval(dA[l], x))
     return s
 
 
-def _worst_point(points, raw_fn, scale_fn):
-    """Track the point with the largest relative residual."""
-    worst = (-1.0, 0.0, 1.0)  # rel, raw, scale
-    for x in points:
-        raw = raw_fn(x)
-        scale = max(1.0, scale_fn(x))
-        rel = raw / scale
+def _worst_case(candidates):
+    """(rel, raw, scale, where) of the candidate (raw, scale, where) with the
+    largest relative residual rel = raw / max(1, scale).  A non-finite raw or
+    scale gets rel = inf, so it is the worst case and fails every tolerance."""
+    worst = (-1.0, 0.0, 1.0, None)
+    for raw, scale, where in candidates:
+        if math.isfinite(raw) and math.isfinite(scale):
+            scale = max(1.0, scale)
+            rel = raw / scale
+        else:
+            rel = math.inf
         if rel > worst[0]:
-            worst = (rel, raw, scale)
+            worst = (rel, raw, scale, where)
     return worst
+
+
+def _record(check_id: str, rel: float, raw: float, scale: float, tol: float, points: int,
+            notes: str = "") -> CheckRecord:
+    return CheckRecord(check_id, PAPER_ANCHORS[check_id], raw, scale, rel <= tol, points, notes)
 
 
 def _bracket_check(
     check_id: str,
-    anchor: str,
     T: MultiVectorField,
     A: MultiVectorField,
     B: MultiVectorField,
     points,
     tol: float,
-    notes: str = "",
 ) -> CheckRecord:
+    """Worst relative |T(x)| over the points, T being a bracket of A and B."""
     dA, dB = _component_diffs(A), _component_diffs(B)
-    rel, raw, scale = _worst_point(
-        points,
-        lambda x: _max_abs_component(T, x),
-        lambda x: _schouten_scale(evaluate_mv(A, x), evaluate_mv(B, x), dA, dB, x),
+    rel, raw, scale, _ = _worst_case(
+        (_max_eval(T.components.values(), x), _bracket_scale(A, B, dA, dB, x), x) for x in points
     )
-    return CheckRecord(check_id, anchor, raw, scale, rel <= tol, len(points), notes)
+    return _record(check_id, rel, raw, scale, tol, len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +317,7 @@ def _bracket_check(
 def check_jacobi(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """[W, W] = 0: the bracket induced by W satisfies the Jacobi identity."""
     points = sample_regular_points(W, cfg)
-    return _bracket_check("jacobi", "[W,W] = 0", schouten_bb(W, W), W, W, points, cfg.tol)
+    return _bracket_check("jacobi", schouten_bb(W, W), W, W, points, cfg.tol)
 
 
 def check_regularity(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
@@ -306,7 +326,7 @@ def check_regularity(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     margin = min(regularity_margin(evaluate_mv(W, x)) for x in points)
     return CheckRecord(
         "regularity",
-        "W^n != 0",
+        PAPER_ANCHORS["regularity"],
         margin,
         REGULARITY_FACTOR,
         margin > REGULARITY_FACTOR,
@@ -320,46 +340,21 @@ def check_symmetry(
 ) -> CheckRecord:
     """[E, W(h)] = 0: the generator commutes with the evolution operator."""
     X = hamiltonian_vf(W, h)
-    C = lie_derivative_mv(E, X)
-    dX, dE = _component_diffs(X), _component_diffs(E)
     points = sample_regular_points(W, cfg)
-
-    def scale_at(x):
-        Ev = evaluate_mv(E, x) if E.components else np.zeros(E.space.dim)
-        Xv = evaluate_mv(X, x) if X.components else np.zeros(X.space.dim)
-        s = 0.0
-        for m in range(E.space.dim):
-            s = max(s, abs(Ev[m]) * _max_eval(dX[m], x), abs(Xv[m]) * _max_eval(dE[m], x))
-        return s
-
-    rel, raw, scale = _worst_point(points, lambda x: _max_abs_component(C, x), scale_at)
-    return CheckRecord("symmetry", "[E,W(h)] = 0", raw, scale, rel <= cfg.tol, len(points))
+    return _bracket_check("symmetry", lie_derivative_mv(E, X), E, X, points, cfg.tol)
 
 
 def check_non_noether(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """Classify the symmetry: Noether when [E, W] vanishes, non-Noether
     otherwise.  Informational - the record always passes."""
-    What = lie_derivative_mv(E, W)
-    dW, dE = _component_diffs(W), _component_diffs(E)
     points = sample_regular_points(W, cfg)
-
-    def scale_at(x):
-        Ev = evaluate_mv(E, x) if E.components else np.zeros(E.space.dim)
-        Wm = evaluate_mv(W, x)
-        s = 0.0
-        for m in range(E.space.dim):
-            row = float(np.max(np.abs(Wm[m])))
-            s = max(s, abs(Ev[m]) * _max_eval(dW[m], x), row * _max_eval(dE[m], x))
-        return s
-
-    rel, raw, scale = _worst_point(points, lambda x: _max_abs_component(What, x), scale_at)
-    noether = rel <= cfg.tol
+    probe = _bracket_check("non_noether", lie_derivative_mv(E, W), E, W, points, cfg.tol)
     notes = (
         "Noether: generator preserves the Poisson bivector; downstream invariants are vacuous"
-        if noether
+        if probe.passed
         else "non-Noether: [E,W] != 0, deformation carries conserved quantities"
     )
-    return CheckRecord("non_noether", "[E,W] != 0", raw, scale, True, len(points), notes)
+    return replace(probe, passed=True, notes=notes)
 
 
 def check_yang_baxter(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
@@ -367,9 +362,7 @@ def check_yang_baxter(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig
     What = lie_derivative_mv(E, W)
     LLW = lie_derivative_mv(E, What)
     points = sample_regular_points(W, cfg)
-    return _bracket_check(
-        "yang_baxter", "[[E,[E,W]],W] = 0", schouten_bb(LLW, W), LLW, W, points, cfg.tol
-    )
+    return _bracket_check("yang_baxter", schouten_bb(LLW, W), LLW, W, points, cfg.tol)
 
 
 def check_compatibility(
@@ -378,17 +371,9 @@ def check_compatibility(
     """[W_hat, W] = 0 (compatible pair) and [W_hat, W_hat] = 0 (the deformed
     bivector is itself Poisson)."""
     points = sample_regular_points(W, cfg)
-    mixed = _bracket_check(
-        "compat_mixed", "[What,W] = 0", schouten_bb(What, W), What, W, points, cfg.tol
-    )
+    mixed = _bracket_check("compat_mixed", schouten_bb(What, W), What, W, points, cfg.tol)
     deformed = _bracket_check(
-        "compat_deformed",
-        "[What,What] = 0",
-        schouten_bb(What, What),
-        What,
-        What,
-        points,
-        cfg.tol,
+        "compat_deformed", schouten_bb(What, What), What, What, points, cfg.tol
     )
     return mixed, deformed
 
@@ -397,36 +382,6 @@ def check_compatibility(
 # Spectrum at samples (route cross-check)
 # ---------------------------------------------------------------------------
 
-def _coeffs_at(W, What, x):
-    return _pencil_coefficients(_matrix_rows(W, x), _matrix_rows(What, x))
-
-
-def _roots_from_coeffs(coeffs) -> np.ndarray:
-    n = len(coeffs) - 1
-    desc = [((-1) ** m) * coeffs[m] for m in range(n, -1, -1)]
-    raw = np.roots(desc)
-    scale = max(1.0, float(np.max(np.abs(raw))) if raw.size else 0.0)
-    if np.any(np.abs(raw.imag) > ROOT_IMAG_TOL * scale):
-        raise NonRealSpectrumError(
-            f"non-real spectrum: |Im| up to {float(np.max(np.abs(raw.imag))):.3e}"
-        )
-    return np.sort(raw.real)
-
-
-def _y_from_coeffs(coeffs) -> tuple[float, ...]:
-    n = len(coeffs) - 1
-    return tuple(coeffs[n - l] / math.comb(n, l) for l in range(1, n + 1))
-
-
-def _y_from_root_values(roots) -> tuple[float, ...]:
-    n = len(roots)
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for c in roots:
-        e[1:] = e[1:] + c * e[:-1]
-    return tuple(float(e[l]) / math.comb(n, l) for l in range(1, n + 1))
-
-
 def check_spectral_routes(
     W: MultiVectorField, What: MultiVectorField, cfg: CheckConfig
 ) -> tuple[CheckRecord, tuple[SpectrumSample, ...]]:
@@ -434,31 +389,16 @@ def check_spectral_routes(
     symmetric functions of the secular roots - and collect samples."""
     points = sample_regular_points(W, cfg)
     samples = []
-    worst = (0.0, 1.0)  # raw, scale with rel = raw/scale maximal
-    worst_rel = -1.0
+    gaps = []
     for x in points:
-        coeffs = _coeffs_at(W, What, x)
-        roots = _roots_from_coeffs(coeffs)
-        direct = tuple(float(v) for v in _y_from_coeffs(coeffs))
-        via_roots = _y_from_root_values(roots)
+        coeffs = pencil_coefficients(W, What, x)
+        roots = roots_from_coefficients(coeffs)
+        direct = tuple(float(v) for v in y_from_coefficients(coeffs))
         samples.append(SpectrumSample(tuple(x), tuple(float(r) for r in roots), direct))
-        for a, b in zip(direct, via_roots):
-            scale = max(1.0, abs(a), abs(b))
-            rel = abs(a - b) / scale
-            if rel > worst_rel:
-                worst_rel = rel
-                worst = (abs(a - b), scale)
-    return (
-        CheckRecord(
-            "spectral_routes",
-            "Y^(l) = What^l^W^(n-l)/W^n = e_l(c)/C(n,l)",
-            worst[0],
-            worst[1],
-            worst_rel <= cfg.tol,
-            len(points),
-        ),
-        tuple(samples),
-    )
+        gaps += [(abs(a - b), max(abs(a), abs(b)), x)
+                 for a, b in zip(direct, y_from_root_values(roots))]
+    rel, raw, scale, _ = _worst_case(gaps)
+    return _record("spectral_routes", rel, raw, scale, cfg.tol, len(points)), tuple(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -532,34 +472,22 @@ def conservation_drift(
     What = lie_derivative_mv(E, W)
     traj = integrate_flow(W, h, x0, cfg)
     m = len(traj)
-    roots = np.empty((m, n))
-    ys = np.empty((m, n))
+    series = np.empty((m, 2 * n))  # c_1..c_n, then Y^(1)..Y^(n)
     for k in range(m):
-        coeffs = _coeffs_at(W, What, traj.states[k])
-        roots[k] = _roots_from_coeffs(coeffs)
-        ys[k] = _y_from_coeffs(coeffs)
+        coeffs = pencil_coefficients(W, What, traj.states[k])
+        series[k, :n] = roots_from_coefficients(coeffs)
+        series[k, n:] = y_from_coefficients(coeffs)
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]
-    series = np.hstack([roots, ys])
-    worst = (-1.0, 0.0, 1.0, "")
-    parts = []
+    drifts = []
     for j, label in enumerate(labels):
         base = series[0, j]
-        raw = float(np.max(np.abs(series[:, j] - base)))
-        scale = max(1.0, abs(base))
-        rel = raw / scale
-        parts.append(f"{label}: {rel:.3e}")
-        if rel > worst[0]:
-            worst = (rel, raw, scale, label)
-    rel, raw, scale, label = worst
-    return CheckRecord(
-        "conservation_drift",
-        "dc_i/dt = 0, dY^(l)/dt = 0 along the flow",
-        raw,
-        scale,
-        rel <= cfg.drift_tol,
-        m,
-        f"worst: {label}; relative drifts over T={cfg.t_end:g}: " + ", ".join(parts),
+        drifts.append((float(np.max(np.abs(series[:, j] - base))), abs(base), label))
+    rel, raw, scale, label = _worst_case(drifts)
+    parts = ", ".join(f"{lab}: {d / max(1.0, b):.3e}" for d, b, lab in drifts)
+    return _record(
+        "conservation_drift", rel, raw, scale, cfg.drift_tol, m,
+        f"worst: {label}; relative drifts over T={cfg.t_end:g}: {parts}",
     )
 
 
@@ -580,47 +508,29 @@ def check_involution(
     n = W.space.n
     What = lie_derivative_mv(E, W)
     points = sample_regular_points(W, cfg)
-    worst = (-1.0, 0.0, 1.0)
+    brackets = []
     skipped = 0
     for x in points:
         coeff_jets = pencil_coefficient_jets(W, What, x)
-        grads = [coeff_jets[n - l].gradient / math.comb(n, l) for l in range(1, n + 1)]
-        matrices = (evaluate_mv(W, x), evaluate_mv(What, x))
-
-        coeff_values = [j.value for j in coeff_jets]
-        roots = _roots_from_coeffs(coeff_values)
-        scale_r = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 0.0)
-        simple = all(
-            roots[i + 1] - roots[i] >= ROOT_CLUSTER_TOL * scale_r for i in range(n - 1)
-        )
-        grad_sets = [grads]
-        if simple and n > 1:
-            grad_sets.append(root_gradients(coeff_jets, tuple(roots)))
-        elif n > 1:
+        grad_sets = [[y.gradient for y in y_from_coefficients(coeff_jets)]]
+        roots = roots_from_coefficients([j.value for j in coeff_jets])
+        if n > 1 and any(multiple_root_flags(roots)):
             skipped += 1
+        elif n > 1:
+            grad_sets.append(root_gradients(coeff_jets, tuple(roots)))
 
+        matrices = (evaluate_mv(W, x), evaluate_mv(What, x))
         for gset in grad_sets:
-            for a in range(len(gset)):
-                for b in range(a, len(gset)):
-                    ga, gb = gset[a], gset[b]
-                    for Vm in matrices:
-                        bracket = float(ga @ Vm @ gb)
-                        scale = max(1.0, float(np.max(np.abs(Vm * np.outer(ga, gb)))))
-                        rel = abs(bracket) / scale
-                        if rel > worst[0]:
-                            worst = (rel, abs(bracket), scale)
-    rel, raw, scale = worst
+            for a, ga in enumerate(gset):
+                for gb in gset[a:]:
+                    brackets += [
+                        (abs(float(ga @ Vm @ gb)), float(np.max(np.abs(Vm * np.outer(ga, gb)))), x)
+                        for Vm in matrices
+                    ]
+    rel, raw, scale, _ = _worst_case(brackets)
     notes = "pairs tested with gradients from forward-mode jets"
     if n == 1:
         notes = "single invariant: only the vanishing self-bracket is checked"
     if skipped:
         notes += f"; root-pair test skipped at {skipped} points with repeated roots"
-    return CheckRecord(
-        "involution",
-        "{Y^(k),Y^(l)} = {Y^(k),Y^(l)}_hat = 0",
-        raw,
-        scale,
-        rel <= tol,
-        len(points),
-        notes,
-    )
+    return _record("involution", rel, raw, scale, tol, len(points), notes)

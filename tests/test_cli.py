@@ -1,7 +1,10 @@
 from pathlib import Path
 
+import pytest
+
+from binoether import cli
 from binoether.cli import main
-from binoether.verify import CheckReport
+from binoether.verify import CheckConfig, CheckReport, FlowError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "systems"
 
@@ -66,6 +69,46 @@ class TestReport:
         report = CheckReport.from_json(out)
         assert report.verdict
         assert report.name == "canonical-noether-n1"
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], CheckConfig()),
+            (["--points", "9", "--seed", "4", "--tol", "1e-7", "--box", "1.5",
+              "--drift-tol", "1e-5", "--t-end", "3.0", "--dt", "0.01"],
+             CheckConfig(samples=9, seed=4, tol=1e-7, box=1.5, drift_tol=1e-5, t_end=3.0, dt=0.01)),
+        ],
+    )
+    def test_config_flags_map_to_check_config(self, flags, expected, monkeypatch, capsys):
+        seen = []
+
+        def fake_run_report(spec, cfg):
+            seen.append(cfg)
+            return CheckReport(spec.name, cfg, ())
+
+        monkeypatch.setattr(cli, "run_report", fake_run_report)
+        assert main(["report", "--builtin", "dissipative", "--n", "1", *flags]) == 0
+        assert seen == [expected]
+
+    def test_flow_flags_default_to_check_config(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_integrate_flow(W, h, x0, cfg):
+            seen.append(cfg)
+            raise FlowError("stop after parsing")
+
+        monkeypatch.setattr(cli, "integrate_flow", fake_integrate_flow)
+        assert main(["flow", "--builtin", "dissipative", "--n", "1", "--from", "q1=0,p1=1"]) == 1
+        assert seen == [CheckConfig()]
+
+    def test_flow_has_no_seed_flag(self, capsys):
+        # the flow samples nothing, so a seed would have no effect
+        with pytest.raises(SystemExit) as exit_info:
+            main(["flow", "--builtin", "dissipative", "--n", "1", "--from", "q1=0,p1=1",
+                  "--seed", "3"])
+        assert exit_info.value.code == 2
 
 
 class TestInvariants:

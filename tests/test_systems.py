@@ -3,9 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binoether.geometry import PhasePoint, evaluate_mv, lie_derivative_mv
-from binoether.systems import SystemFileError, builtin_system, load_system, run_report
-from binoether.verify import CheckConfig
+from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
+from binoether.systems import SystemFileError, SystemSpec, builtin_system, load_system, run_report
+from binoether.verify import CheckConfig, CheckReport
 from helpers import random_points
 
 FIXTURES = Path(__file__).resolve().parent.parent / "systems"
@@ -179,6 +179,22 @@ class TestRunReport:
         assert CheckReport.from_json(text) == report
         again = run_report(builtin_system("dissipative", 1), CheckConfig(samples=8, t_end=2.0, dt=5e-3))
         assert again.to_json() == text
+
+    def test_every_check_errors_into_its_own_record(self):
+        # W = 0 has no regular point, so every sampled check raises; each id
+        # (both compatibility records included) must still get a failing
+        # record under the anchor its success path uses
+        spec = builtin_system("dissipative", 1)
+        zero_w = SystemSpec(spec.space, MultiVectorField.zero(spec.space, 2), spec.h, spec.E, "zero-w")
+        report = run_report(zero_w, FAST)
+        golden = Path(__file__).resolve().parent / "golden" / "dissipative-n1.json"
+        success = CheckReport.from_json(golden.read_text(encoding="utf-8"))
+        assert [r.id for r in report.records] == [r.id for r in success.records]
+        assert len(report.records) == 10
+        for r in report.records:
+            assert not r.passed and r.notes.startswith("error: "), r.id
+            assert r.paper_anchor == success.record(r.id).paper_anchor, r.id
+        assert not report.verdict
 
     def test_explicit_start_point(self):
         spec = builtin_system("dissipative", 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from binoether.verify import (
     integrate_flow,
     sample_regular_points,
 )
+from binoether.verify import _worst_case
 from helpers import dissipative_fields, random_polynomial, var
 
 CFG = CheckConfig()
@@ -112,6 +115,17 @@ class TestCheckSymmetry:
         record = check_symmetry(E, W, h, CFG)
         assert not record.passed
         assert rel(record) > 1e-2
+
+    def test_nan_residual_fails_closed(self):
+        # (p1+q1)^2 * 1e400 overflows, so every residual is inf - inf = NaN;
+        # a NaN that slipped past the worst-case comparison would pass
+        space, W, h, _ = dissipative_fields(1)
+        q1, p1 = var(space, "q1"), var(space, "p1")
+        big = ((p1 + q1) * Num(1e200)) * ((p1 + q1) * Num(1e200))
+        E = MultiVectorField(space, 1, {(0,): big, (1,): -big})
+        record = check_symmetry(E, W, h, CFG)
+        assert not record.passed
+        assert math.isnan(record.residual)
 
     def test_translation_generator_commutes(self):
         # d/dq1 is a symmetry here (the evolution field depends only on the
@@ -378,3 +392,19 @@ class TestReportSerialization:
         informative = CheckRecord("note", "x", 1.0, 1.0, False, 10, mandatory=False)
         report3 = CheckReport("demo", CheckConfig(), report.records + (informative,))
         assert report3.verdict
+
+
+class TestWorstCase:
+    def test_nan_ratio_is_the_worst_case(self):
+        rel, raw, scale, where = _worst_case(
+            [(1e-12, 1.0, "a"), (math.nan, 1.0, "b"), (1e-3, 1.0, "c")]
+        )
+        assert where == "b" and math.isnan(raw)
+        assert not rel <= 1e-9
+
+    def test_non_finite_scale_fails(self):
+        rel, _, _, where = _worst_case([(0.0, 1.0, "a"), (1e-30, math.inf, "b")])
+        assert where == "b" and not rel <= 1e-9
+
+    def test_scale_floored_at_one(self):
+        assert _worst_case([(2e-10, 1e-3, "a"), (3e-10, 4.0, "b")]) == (2e-10, 2e-10, 1.0, "a")
