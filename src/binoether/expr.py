@@ -4,7 +4,9 @@ Expressions are immutable trees over decimal literals, coordinate names,
 ``+ - * /``, integer powers ``^``, unary minus, and the functions
 ``sin cos exp ln``.  They support exact evaluation, exact symbolic partial
 derivatives, and forward-mode jet evaluation (value plus full gradient in
-one pass).  Everything here is pure and safe to share across threads.
+one pass).  `evaluate_batch` evaluates a list of expressions at many points
+at once, with the same floating-point results as evaluating point by point.
+Everything here is pure and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "EvalDomainError",
     "parse",
     "evaluate",
+    "evaluate_batch",
     "diff",
     "evaluate_jet",
     "substitute",
@@ -197,6 +200,18 @@ class ScalarExpr:
     def eval(self, point) -> float:
         raise NotImplementedError
 
+    def eval_many(self, states: np.ndarray, memo: dict):
+        """Values at every row of a (m, dim) state array: an array of shape
+        (m,), or a float when the subtree is constant.  ``memo`` maps the id
+        of each subtree already computed in this pass to its value."""
+        key = id(self)
+        if key not in memo:
+            memo[key] = self._eval_many(states, memo)
+        return memo[key]
+
+    def _eval_many(self, states, memo):
+        raise NotImplementedError
+
     def jet(self, jets: list[Jet]) -> Jet:
         raise NotImplementedError
 
@@ -265,6 +280,9 @@ class Num(ScalarExpr):
     def eval(self, point) -> float:
         return self.value
 
+    def _eval_many(self, states, memo):
+        return self.value
+
     def jet(self, jets):
         return Jet.constant(self.value, len(jets[0].gradient))
 
@@ -294,6 +312,9 @@ class Var(ScalarExpr):
     def eval(self, point) -> float:
         return float(point[self.index])
 
+    def _eval_many(self, states, memo):
+        return states[:, self.index]
+
     def jet(self, jets):
         return jets[self.index]
 
@@ -316,6 +337,9 @@ class Add(ScalarExpr):
 
     def eval(self, point):
         return self.a.eval(point) + self.b.eval(point)
+
+    def _eval_many(self, states, memo):
+        return self.a.eval_many(states, memo) + self.b.eval_many(states, memo)
 
     def jet(self, jets):
         return self.a.jet(jets) + self.b.jet(jets)
@@ -340,6 +364,9 @@ class Sub(ScalarExpr):
     def eval(self, point):
         return self.a.eval(point) - self.b.eval(point)
 
+    def _eval_many(self, states, memo):
+        return self.a.eval_many(states, memo) - self.b.eval_many(states, memo)
+
     def jet(self, jets):
         return self.a.jet(jets) - self.b.jet(jets)
 
@@ -362,6 +389,9 @@ class Mul(ScalarExpr):
 
     def eval(self, point):
         return self.a.eval(point) * self.b.eval(point)
+
+    def _eval_many(self, states, memo):
+        return self.a.eval_many(states, memo) * self.b.eval_many(states, memo)
 
     def jet(self, jets):
         return self.a.jet(jets) * self.b.jet(jets)
@@ -389,6 +419,12 @@ class Div(ScalarExpr):
             raise EvalDomainError("division by zero", self)
         return self.a.eval(point) / d
 
+    def _eval_many(self, states, memo):
+        d = self.b.eval_many(states, memo)
+        if np.any(d == 0.0):
+            raise EvalDomainError("division by zero", self)
+        return self.a.eval_many(states, memo) / d
+
     def jet(self, jets):
         d = self.b.jet(jets)
         if d.value == 0.0:
@@ -415,6 +451,9 @@ class Neg(ScalarExpr):
     def eval(self, point):
         return -self.a.eval(point)
 
+    def _eval_many(self, states, memo):
+        return -self.a.eval_many(states, memo)
+
     def jet(self, jets):
         return -self.a.jet(jets)
 
@@ -440,10 +479,15 @@ class Pow(ScalarExpr):
             raise TypeError("exponent must be an integer")
 
     def eval(self, point):
-        b = self.base.eval(point)
+        return self._apply(self.base.eval(point))
+
+    def _apply(self, b: float) -> float:
         if b == 0.0 and self.exponent < 0:
             raise EvalDomainError("zero raised to a negative power", self)
         return b ** self.exponent
+
+    def _eval_many(self, states, memo):
+        return _elementwise(self._apply, self.base.eval_many(states, memo))
 
     def jet(self, jets):
         b = self.base.jet(jets)
@@ -476,7 +520,9 @@ class Call(ScalarExpr):
             raise ValueError(f"unsupported function '{self.fn}'")
 
     def eval(self, point):
-        v = self.arg.eval(point)
+        return self._apply(self.arg.eval(point))
+
+    def _apply(self, v: float) -> float:
         if self.fn == "sin":
             return math.sin(v)
         if self.fn == "cos":
@@ -489,6 +535,9 @@ class Call(ScalarExpr):
         if v <= 0.0:
             raise EvalDomainError("ln of a non-positive value", self)
         return math.log(v)
+
+    def _eval_many(self, states, memo):
+        return _elementwise(self._apply, self.arg.eval_many(states, memo))
 
     def jet(self, jets):
         v = self.arg.jet(jets)
@@ -511,6 +560,14 @@ class Call(ScalarExpr):
 
     def __repr__(self):
         return f"{self.fn}({self.arg!r})"
+
+
+def _elementwise(op, values):
+    """op applied to each element as the Python float that `eval` would see,
+    so that every result rounds exactly as on the point path."""
+    if isinstance(values, np.ndarray):
+        return np.array([op(v) for v in values.tolist()], dtype=float)
+    return op(values)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +784,28 @@ def parse(text: str, space: PhaseSpace) -> ScalarExpr:
 def evaluate(expr: ScalarExpr, point) -> float:
     """Evaluate at a point given in the space's coordinate order."""
     return expr.eval(point)
+
+
+def evaluate_batch(exprs, states) -> list[np.ndarray]:
+    """Evaluate each expression at every row of a (m, dim) state array.
+
+    The values equal `eval` row by row, bit for bit: numpy does ``+ - * /``
+    and negation, and powers and functions apply eval's own float operation
+    element by element.  Each subtree object is computed once per call.
+    Where `eval` would raise at some state, this raises what `eval` raises
+    at the first such state."""
+    states = np.asarray(states, dtype=float)
+    memo: dict = {}
+    try:
+        with np.errstate(all="ignore"):
+            values = [e.eval_many(states, memo) for e in exprs]
+    except (ExprError, ArithmeticError, ValueError):
+        # the point path meets the offending states in order
+        for x in states:
+            for e in exprs:
+                e.eval(x)
+        raise
+    return [np.array(np.broadcast_to(v, len(states)), dtype=float) for v in values]
 
 
 def diff(expr: ScalarExpr, coord: int | str, space: PhaseSpace | None = None) -> ScalarExpr:

@@ -13,7 +13,10 @@ elementary symmetric functions of the roots - cross-validate each other.
 
 Everything is computed at a point.  The generic Pfaffian recursion also runs
 on jet-valued matrices, which yields exact gradients of the invariants for
-the involution checks.
+the involution checks, and on matrices of arrays, one element per state:
+the `*_batch` functions and `regularity_margins` run the point route for a
+whole stack of states at once and return the point route's values, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Jet, evaluate_jet
+from .expr import Jet, evaluate_batch, evaluate_jet
 from .geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
 
 __all__ = [
@@ -34,7 +37,9 @@ __all__ = [
     "InvariantVector",
     "pfaffian",
     "pencil_coefficients",
+    "pencil_coefficients_batch",
     "roots_from_coefficients",
+    "roots_from_coefficients_batch",
     "multiple_root_flags",
     "y_from_coefficients",
     "y_from_root_values",
@@ -46,6 +51,7 @@ __all__ = [
     "pencil_coefficient_jets",
     "root_gradients",
     "regularity_margin",
+    "regularity_margins",
     "is_regular",
 ]
 
@@ -99,9 +105,17 @@ def _entry_is_zero(v) -> bool:
     return v == 0.0
 
 
-def _pfaffian_rec(rows, active: tuple[int, ...], memo: dict):
+def _absent(v) -> bool:
+    """Zero test of batched rows: arrays hold one value per state, and a
+    plain 0.0 stands where the field has no component."""
+    return type(v) is float
+
+
+def _pfaffian_rec(rows, active: tuple[int, ...], memo: dict, is_zero=_entry_is_zero):
     """First-row expansion Pf(M) = sum_j (-1)^pos M[i0,j] Pf(M minus i0,j),
-    memoized on the set of active indices.  Works for floats and jets."""
+    memoized on the set of active indices, skipping entries for which
+    is_zero holds.  Works for floats, jets and batched rows (with _absent).
+    Only the entries above the diagonal are read."""
     if not active:
         return 1.0
     hit = memo.get(active)
@@ -112,9 +126,9 @@ def _pfaffian_rec(rows, active: tuple[int, ...], memo: dict):
     total = None
     for pos, j in enumerate(rest):
         entry = rows[i0][j]
-        if _entry_is_zero(entry):
+        if is_zero(entry):
             continue
-        term = entry * _pfaffian_rec(rows, rest[:pos] + rest[pos + 1 :], memo)
+        term = entry * _pfaffian_rec(rows, rest[:pos] + rest[pos + 1 :], memo, is_zero)
         if pos % 2 == 1:
             term = -term
         total = term if total is None else total + term
@@ -152,6 +166,25 @@ def _frobenius(rows) -> float:
     return math.sqrt(sum(_value(v) ** 2 for row in rows for v in row))
 
 
+def _zero_deformation(n: int) -> list[float]:
+    """Coefficients of P(t) = Pf(tW)/Pf(W) = t^n, the pencil of H = 0."""
+    return [1.0 if m == n else 0.0 for m in range(n + 1)]
+
+
+def _node_scale(norm_w: float, norm_h: float) -> float:
+    """Spread s of the interpolation nodes, ||H|| / ||W|| clamped."""
+    s = norm_h / norm_w if norm_w > 0 else 1.0
+    if not math.isfinite(s) or s < 1e-12:
+        s = 1.0  # degenerate ratio: fall back to unit node spread
+    return min(max(s, 1e-100), 1e100)
+
+
+def _interpolation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n+1 Chebyshev nodes u_k on [-1, 1] and their Vandermonde matrix."""
+    u = np.array([math.cos(math.pi * (2 * k + 1) / (2 * (n + 1))) for k in range(n + 1)])
+    return u, np.vander(u, n + 1, increasing=True)
+
+
 def _pencil_coefficients(w_rows, h_rows):
     """Coefficients a_0..a_n of P(t) = Pf(H + tW)/Pf(W), found by evaluating
     the Pfaffian at n+1 Chebyshev nodes (scaled to ||H||/||W||) and solving
@@ -160,23 +193,15 @@ def _pencil_coefficients(w_rows, h_rows):
     N = len(w_rows)
     n = N // 2
     if all(_entry_is_zero(v) for row in h_rows for v in row):
-        # P(t) = Pf(tW)/Pf(W) = t^n identically: keep the zero deformation
-        # exact instead of amplifying solver noise through the roots
+        # P(t) = t^n identically: keep the zero deformation exact instead
+        # of amplifying solver noise through the roots
         if isinstance(w_rows[0][0], Jet):
             dim = len(w_rows[0][0].gradient)
-            return [Jet.constant(1.0 if m == n else 0.0, dim) for m in range(n + 1)]
-        return [1.0 if m == n else 0.0 for m in range(n + 1)]
-    memo_w: dict = {}
-    pf_w = _pfaffian_rec(w_rows, tuple(range(N)), memo_w)
-
-    norm_w = _frobenius(w_rows)
-    norm_h = _frobenius(h_rows)
-    s = norm_h / norm_w if norm_w > 0 else 1.0
-    if not math.isfinite(s) or s < 1e-12:
-        s = 1.0  # degenerate ratio: fall back to unit node spread
-    s = min(max(s, 1e-100), 1e100)
-
-    u = np.array([math.cos(math.pi * (2 * k + 1) / (2 * (n + 1))) for k in range(n + 1)])
+            return [Jet.constant(a, dim) for a in _zero_deformation(n)]
+        return _zero_deformation(n)
+    pf_w = _pfaffian_rec(w_rows, tuple(range(N)), {})
+    s = _node_scale(_frobenius(w_rows), _frobenius(h_rows))
+    u, vander = _interpolation_nodes(n)
     vals = []
     for uk in u:
         t = s * uk
@@ -185,7 +210,6 @@ def _pencil_coefficients(w_rows, h_rows):
         ]
         vals.append(_pfaffian_rec(pencil, tuple(range(N)), {}) / pf_w)
 
-    vander = np.vander(u, n + 1, increasing=True)
     if any(isinstance(v, Jet) for v in vals):
         inv = np.linalg.inv(vander)
         b = [sum(float(inv[m, k]) * vals[k] for k in range(n + 1)) for m in range(n + 1)]
@@ -210,6 +234,32 @@ def _jet_matrix_rows(V: MultiVectorField, x) -> list[list[Jet]]:
     return rows
 
 
+def _batch_rows(V: MultiVectorField, states: np.ndarray) -> list[list]:
+    """V's matrix at every state: an array over the states for each
+    component of V, the float 0.0 where V has none (see _absent)."""
+    N = V.space.dim
+    rows: list[list] = [[0.0] * N for _ in range(N)]
+    values = evaluate_batch(list(V.components.values()), states)
+    for (i, j), v in zip(V.components, values):
+        rows[i][j] = v
+        rows[j][i] = -v
+    return rows
+
+
+def _upper(rows) -> list[np.ndarray]:
+    """The arrays above the diagonal of batched rows."""
+    N = len(rows)
+    return [rows[i][j] for i in range(N) for j in range(i + 1, N) if not _absent(rows[i][j])]
+
+
+def _frobenius_batch(rows, m: int) -> list[float]:
+    """_frobenius at each of m states, over that state's entries."""
+    arrays = [v for row in rows for v in row if not _absent(v)]
+    if not arrays:
+        return [0.0] * m
+    return [_frobenius([entries]) for entries in np.array(arrays).T.tolist()]
+
+
 def regularity_margin(w_matrix: np.ndarray) -> float:
     """Scale-free regularity measure |Pf(W)| / ||W||_F^n (0 when W = 0)."""
     w_matrix = np.asarray(w_matrix, dtype=float)
@@ -219,6 +269,34 @@ def regularity_margin(w_matrix: np.ndarray) -> float:
         return 0.0
     pf = _pfaffian_rec(w_matrix.tolist(), tuple(range(2 * n)), {})
     return abs(pf) / norm ** n
+
+
+def regularity_margins(W: MultiVectorField, states) -> np.ndarray:
+    """regularity_margin(evaluate_mv(W, x)) at every row x of a (m, 2n)
+    state array, bit for bit; states where a component of W is exactly 0
+    take the point route."""
+    states = np.asarray(states, dtype=float)
+    m = len(states)
+    rows = _batch_rows(W, states)
+    N = len(rows)
+    n = N // 2
+    mats = np.zeros((m, N, N))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not _absent(v):
+                mats[:, i, j] = v
+    skipped = np.any([w == 0.0 for w in _upper(rows)], axis=0)
+    # sqrt(x.dot(x)) over the flattened matrix, as np.linalg.norm takes it
+    flat = mats.reshape(m, 1, N * N)
+    norms = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+    with np.errstate(all="ignore"):
+        pf = np.broadcast_to(_pfaffian_rec(rows, tuple(range(N)), {}, _absent), (m,))
+    margins = np.array([
+        0.0 if norm == 0.0 else abs(p) / norm ** n for p, norm in zip(pf.tolist(), norms.tolist())
+    ])
+    for k in np.flatnonzero(skipped):
+        margins[k] = regularity_margin(mats[k])
+    return margins
 
 
 def is_regular(W: MultiVectorField, x) -> bool:
@@ -251,6 +329,21 @@ def pencil_coefficients(W: MultiVectorField, What: MultiVectorField, x) -> list[
     return _pencil_coefficients(_matrix_rows(W, x), _matrix_rows(What, x))
 
 
+def _real_roots(raw: np.ndarray) -> np.ndarray:
+    """Ascending real parts of each row of raw roots; NonRealSpectrumError
+    at the first row with an imaginary part beyond tolerance."""
+    scale = np.fmax(1.0, np.max(np.abs(raw), axis=1, initial=0.0))
+    imag = np.abs(raw.imag)
+    bad = np.flatnonzero(np.any(imag > ROOT_IMAG_TOL * scale[:, None], axis=1))
+    if bad.size:
+        k = bad[0]
+        worst = float(np.max(imag[k]))
+        raise NonRealSpectrumError(
+            f"non-real spectrum: |Im| up to {worst:.3e} exceeds {ROOT_IMAG_TOL * scale[k]:.3e}"
+        )
+    return np.sort(raw.real, axis=1)
+
+
 def roots_from_coefficients(coeffs) -> np.ndarray:
     """The n roots of P(-c) = 0 for coefficients a_0..a_n of P, real and
     ascending; raises NonRealSpectrumError on a complex spectrum."""
@@ -259,14 +352,35 @@ def roots_from_coefficients(coeffs) -> np.ndarray:
     # highest-degree first (companion-matrix eigenvalues under the hood)
     desc = [((-1) ** m) * coeffs[m] for m in range(n, -1, -1)]
     raw = np.roots(desc) if n >= 1 else np.array([])
-    scale = max(1.0, float(np.max(np.abs(raw))) if raw.size else 0.0)
-    imag = np.abs(raw.imag)
-    if np.any(imag > ROOT_IMAG_TOL * scale):
-        worst = float(np.max(imag))
-        raise NonRealSpectrumError(
-            f"non-real spectrum: |Im| up to {worst:.3e} exceeds {ROOT_IMAG_TOL * scale:.3e}"
-        )
-    return np.sort(raw.real)
+    return _real_roots(raw[None, :])[0]
+
+
+def roots_from_coefficients_batch(coeffs) -> np.ndarray:
+    """roots_from_coefficients for every row of an (m, n+1) coefficient
+    array, as an (m, n) array, bit for bit.  The companion matrices of all
+    rows go to one stacked eigenvalue call, except for rows that np.roots
+    would strip (a zero leading or trailing coefficient) or not accept (a
+    non-finite one): those go through np.roots itself.  A zero leading
+    coefficient leaves fewer than n roots, and raises ValueError."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    # Q(c) = P(-c), highest degree first, as in roots_from_coefficients
+    desc = coeffs[:, ::-1] * np.where(np.arange(n, -1, -1) % 2, -1.0, 1.0)
+    plain = (desc[:, 0] != 0.0) & (desc[:, -1] != 0.0) & np.all(np.isfinite(desc), axis=1)
+    d = desc[plain]
+    companion = np.zeros((len(d), n, n))
+    companion[:, 1:, :-1] = np.eye(n - 1)
+    companion[:, 0, :] = -d[:, 1:] / d[:, :1]
+    raw = np.zeros((m, n), dtype=complex)
+    if len(d):
+        raw[plain] = np.linalg.eigvals(companion)
+    for k in np.flatnonzero(~plain):
+        stripped = np.roots(desc[k])
+        if len(stripped) != n:
+            raise ValueError(f"coefficient row {k} has a zero leading coefficient: "
+                             f"{len(stripped)} roots, not {n}")
+        raw[k] = stripped
+    return _real_roots(raw)
 
 
 def multiple_root_flags(roots) -> tuple[bool, ...]:
@@ -299,6 +413,53 @@ def y_from_root_values(roots) -> tuple[float, ...]:
     for c in roots:
         e[1:] = e[1:] + c * e[:-1]
     return tuple(float(e[l]) / math.comb(n, l) for l in range(1, n + 1))
+
+
+def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, states) -> np.ndarray:
+    """pencil_coefficients(W, What, x) at every row x of a (m, 2n) state
+    array, as an (m, n+1) array, bit for bit.
+
+    One Pfaffian recursion runs on arrays over all states, and the
+    interpolation systems go to one stacked solve.  A state where every
+    entry of What is 0 takes the zero-deformation shortcut, and a state
+    where the point route skips some other entry as exactly 0 takes the
+    point route.  Where pencil_coefficients would raise at some state, this
+    raises as well."""
+    states = np.asarray(states, dtype=float)
+    m = len(states)
+    w_rows, h_rows = _batch_rows(W, states), _batch_rows(What, states)
+    N = len(w_rows)
+    n = N // 2
+    full = tuple(range(N))
+    zero_deformation = np.ones(m, dtype=bool)
+    for h in _upper(h_rows):
+        zero_deformation &= h == 0.0
+    skipped = np.any([w == 0.0 for w in _upper(w_rows)], axis=0)
+
+    scales = [
+        _node_scale(norm_w, norm_h)
+        for norm_w, norm_h in zip(_frobenius_batch(w_rows, m), _frobenius_batch(h_rows, m))
+    ]
+    s = np.array(scales)
+    u, vander = _interpolation_nodes(n)
+    vals = np.empty((m, n + 1))
+    with np.errstate(all="ignore"):
+        pf_w = _pfaffian_rec(w_rows, full, {}, _absent)
+        for k, uk in enumerate(u):
+            t = s * uk
+            pencil: list[list] = [[0.0] * N for _ in range(N)]
+            for i in range(N):
+                for j in range(i + 1, N):
+                    if not (_absent(h_rows[i][j]) and _absent(w_rows[i][j])):
+                        pencil[i][j] = h_rows[i][j] + t * w_rows[i][j]
+            skipped |= np.any([e == 0.0 for e in _upper(pencil)], axis=0)
+            vals[:, k] = _pfaffian_rec(pencil, full, {}, _absent) / pf_w
+        b = np.linalg.solve(np.broadcast_to(vander, (m, n + 1, n + 1)), vals[:, :, None])[:, :, 0]
+        out = b / np.array([[sc ** p for p in range(n + 1)] for sc in scales]).reshape(m, n + 1)
+        out[zero_deformation] = _zero_deformation(n)
+        for k in np.flatnonzero(skipped & ~zero_deformation):
+            out[k] = pencil_coefficients(W, What, states[k])
+    return out
 
 
 def mixed_wedge_ratios(W: MultiVectorField, What: MultiVectorField, x) -> InvariantVector:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .expr import ScalarExpr
+from .expr import ExprError, ScalarExpr
 from .geometry import (
     MultiVectorField,
     PhasePoint,
@@ -28,12 +28,16 @@ from .geometry import (
 )
 from .spectral import (
     REGULARITY_FACTOR,
+    SpectralError,
     multiple_root_flags,
     pencil_coefficient_jets,
     pencil_coefficients,
+    pencil_coefficients_batch,
     regularity_margin,
+    regularity_margins,
     root_gradients,
     roots_from_coefficients,
+    roots_from_coefficients_batch,
     y_from_coefficients,
     y_from_root_values,
 )
@@ -75,6 +79,13 @@ PAPER_ANCHORS = {
     "conservation_drift": "dc_i/dt = 0, dY^(l)/dt = 0 along the flow",
     "involution": "{Y^(k),Y^(l)} = {Y^(k),Y^(l)}_hat = 0",
 }
+
+# flow states per batched pass of the regularity monitor and the drift audit
+TRAJECTORY_BLOCK = 256
+
+# what a batched pass over a block of states can raise; the block is then
+# redone state by state, so that the error met first along the flow wins
+_BATCH_ERRORS = (ArithmeticError, ValueError, ExprError, SpectralError)
 
 
 class SamplingError(Exception):
@@ -405,6 +416,20 @@ def check_spectral_routes(
 # Flow and conservation
 # ---------------------------------------------------------------------------
 
+def _monitor_regularity(W: MultiVectorField, times: np.ndarray, states: np.ndarray) -> None:
+    """FlowError at the first of the states where W is degenerate."""
+    for start in range(0, len(states), TRAJECTORY_BLOCK):
+        block = states[start:start + TRAJECTORY_BLOCK]
+        try:
+            margins = regularity_margins(W, block)
+        except _BATCH_ERRORS:
+            # lazily, so that a loss of regularity before the error wins
+            margins = (regularity_margin(evaluate_mv(W, x)) for x in block)
+        for k, margin in enumerate(margins, start):
+            if margin <= REGULARITY_FACTOR:
+                raise FlowError(f"regularity lost at t = {times[k]:.6g}")
+
+
 def integrate_flow(
     W: MultiVectorField,
     h: ScalarExpr,
@@ -415,10 +440,12 @@ def integrate_flow(
 ) -> Trajectory:
     """Classical fixed-step RK4 for dx/dt = W(h)(x).
 
-    Regularity of W is monitored at every step (disable with
-    require_regular=False to integrate through degenerate sets, e.g. fixed
-    points of the field); when max_step_error is set, a step-halving
-    estimate guards the local error per unit time.
+    Regularity of W is required at every state a step starts from (disable
+    with require_regular=False to integrate through degenerate sets, e.g.
+    fixed points of the field); when max_step_error is set, a step-halving
+    estimate guards the local error per unit time.  The states are checked
+    for regularity in batches once the steps are done; a loss of regularity
+    at or before the state where a step failed is the error raised.
     """
     X = hamiltonian_vf(W, h)
     dim = W.space.dim
@@ -442,20 +469,25 @@ def integrate_flow(
     states = np.empty((steps + 1, dim))
     y = np.asarray(tuple(x0), dtype=float)
     states[0] = y
-    for k in range(steps):
-        if require_regular and regularity_margin(evaluate_mv(W, y)) <= REGULARITY_FACTOR:
-            raise FlowError(f"regularity lost at t = {times[k]:.6g}")
-        full = rk4_step(y, cfg.dt)
-        if max_step_error is not None:
-            half = rk4_step(rk4_step(y, cfg.dt / 2), cfg.dt / 2)
-            est = float(np.max(np.abs(full - half))) / 15.0 / cfg.dt
-            if est > max_step_error:
-                raise FlowError(
-                    f"step error estimate {est:.3e}/unit time exceeds {max_step_error:.3e}"
-                    f" at t = {times[k]:.6g}"
-                )
-        y = full
-        states[k + 1] = y
+    try:
+        for k in range(steps):
+            full = rk4_step(y, cfg.dt)
+            if max_step_error is not None:
+                half = rk4_step(rk4_step(y, cfg.dt / 2), cfg.dt / 2)
+                est = float(np.max(np.abs(full - half))) / 15.0 / cfg.dt
+                if est > max_step_error:
+                    raise FlowError(
+                        f"step error estimate {est:.3e}/unit time exceeds {max_step_error:.3e}"
+                        f" at t = {times[k]:.6g}"
+                    )
+            y = full
+            states[k + 1] = y
+    except Exception:
+        if require_regular:
+            _monitor_regularity(W, times[:k + 1], states[:k + 1])
+        raise
+    if require_regular:
+        _monitor_regularity(W, times[:steps], states[:steps])
     return Trajectory(times, states)
 
 
@@ -473,10 +505,19 @@ def conservation_drift(
     traj = integrate_flow(W, h, x0, cfg)
     m = len(traj)
     series = np.empty((m, 2 * n))  # c_1..c_n, then Y^(1)..Y^(n)
-    for k in range(m):
-        coeffs = pencil_coefficients(W, What, traj.states[k])
-        series[k, :n] = roots_from_coefficients(coeffs)
-        series[k, n:] = y_from_coefficients(coeffs)
+    for start in range(0, m, TRAJECTORY_BLOCK):
+        block = traj.states[start:start + TRAJECTORY_BLOCK]
+        rows = series[start:start + TRAJECTORY_BLOCK]
+        try:
+            coeffs = pencil_coefficients_batch(W, What, block)
+            rows[:, :n] = roots_from_coefficients_batch(coeffs)
+            rows[:, n:] = np.column_stack(y_from_coefficients(coeffs.T))
+        except _BATCH_ERRORS:
+            # state by state, the error met first along the flow is raised
+            for row, x in zip(rows, block):
+                coeffs = pencil_coefficients(W, What, x)
+                row[:n] = roots_from_coefficients(coeffs)
+                row[n:] = y_from_coefficients(coeffs)
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]
     drifts = []

@@ -11,6 +11,7 @@ from binoether.expr import (
     PhaseSpace,
     diff,
     evaluate,
+    evaluate_batch,
     evaluate_jet,
     parse,
     substitute,
@@ -102,6 +103,41 @@ class TestEvaluate:
     def test_ln_domain(self):
         with pytest.raises(EvalDomainError, match="ln"):
             evaluate(parse("ln(q1)", S1), (-1.0, 0.0))
+
+
+class TestEvaluateBatch:
+    def test_matches_eval_bit_for_bit(self):
+        texts = (
+            "q1*p2 - q2/p1",
+            "(q1 + p1)^3 - 2.5",
+            "sin(q1)*exp(p2) + cos(q2)",
+            "ln(p1^2 + 1) / (q2 - 7)",
+            "-(p2^-2)",
+            "4 + 0.5",
+        )
+        exprs = [parse(t, S2) for t in texts]
+        states = np.random.default_rng(3).uniform(-2, 2, size=(200, 4))
+        for e, values in zip(exprs, evaluate_batch(exprs, states)):
+            assert values.shape == (200,)
+            assert np.array_equal(values, [e.eval(x) for x in states])
+
+    def test_each_shared_subtree_once(self):
+        # 2^200 paths through 201 objects: eval would never finish
+        e = parse("q1", S1)
+        for _ in range(200):
+            e = e + e
+        (values,) = evaluate_batch([e], [[1.5, 0.0], [-3.0, 0.0]])
+        assert np.array_equal(values, [1.5 * 2.0**200, -3.0 * 2.0**200])
+
+    def test_domain_error_of_the_first_offending_state(self):
+        # state 1 divides by zero in the second expression, state 2 takes
+        # ln(-1) in the first: eval meets state 1 first
+        exprs = [parse("ln(p1)", S1), parse("1/q1", S1)]
+        states = [[1.0, 1.0], [0.0, 2.0], [1.0, -1.0]]
+        with pytest.raises(EvalDomainError, match="division by zero in '1.0 / q1'"):
+            evaluate_batch(exprs, states)
+        with pytest.raises(EvalDomainError, match="ln of a non-positive value in 'ln[(]p1[)]'"):
+            evaluate_batch(exprs, states[2:])
 
 
 class TestDiff:

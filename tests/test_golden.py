@@ -25,6 +25,8 @@ CASES = {
     "dissipative-n1": lambda: builtin_system("dissipative", 1),
     "dissipative-n2": lambda: builtin_system("dissipative", 2),
     "dissipative-n3": lambda: builtin_system("dissipative", 3),
+    # the only golden case that runs the 12x12 pencil path
+    "dissipative-n6": lambda: builtin_system("dissipative", 6),
     "canonical-noether-n1": lambda: builtin_system("canonical-noether", 1),
     "canonical-noether-n2": lambda: builtin_system("canonical-noether", 2),
     "sys-dissipative-n2": lambda: load_system(ROOT / "systems" / "dissipative-n2.sys"),

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from binoether.expr import parse
 from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
 from binoether.systems import SystemFileError, SystemSpec, builtin_system, load_system, run_report
 from binoether.verify import CheckConfig, CheckReport
@@ -153,6 +154,18 @@ class TestRunReport:
         ):
             assert report.record(check_id).passed, check_id
         assert len(report.spectrum_samples) == FAST.samples
+
+    def test_drift_domain_error_keeps_its_message(self):
+        # What holds ln(p1 - 0.5); the flow from p1 = 1 drives p1 below 0.5
+        # at t = ln 2 while W = -p1 stays regular
+        spec = builtin_system("dissipative", 1)
+        E = MultiVectorField(spec.space, 1, {(1,): parse("ln(p1 - 0.5)", spec.space)})
+        report = run_report(
+            SystemSpec(spec.space, spec.W, spec.h, E, "ln-generator"), FAST, PhasePoint((0.0, 1.0))
+        )
+        record = report.record("conservation_drift")
+        assert not record.passed
+        assert record.notes == "error: ln of a non-positive value in 'ln(p1 - 0.5)'"
 
     def test_noether_control_report(self):
         report = run_report(builtin_system("canonical-noether", 2), FAST)

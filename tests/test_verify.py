@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from binoether.expr import Num, PhaseSpace, Var
+from binoether.expr import Num, PhaseSpace, Var, parse
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
+    evaluate_mv,
     hamiltonian_vf,
     lie_derivative_mv,
     poisson_bracket,
 )
+from binoether.spectral import REGULARITY_FACTOR, regularity_margin
 from binoether.verify import (
     CheckConfig,
     CheckReport,
@@ -285,6 +287,60 @@ class TestIntegrateFlow:
             )
         assert 12.0 <= errs[0] / errs[1] <= 20.0
         assert 12.0 <= errs[1] / errs[2] <= 20.0
+
+
+class TestFlowMonitorOrder:
+    """Regularity is checked in batches once the steps are done; the error
+    raised, and its time, must be those of a check before every step."""
+
+    # margin |p1| / (2 (p1^2 + 1)): lost once p1 < 2e-6 or p1 > 5e5, which
+    # |p1| = exp(10 t) or exp(-10 t) from p1 = 1 reaches at t = 1.3122
+    SPACE = PhaseSpace.canonical(2)
+    W = MultiVectorField(SPACE, 2, {(0, 2): -var(SPACE, "p1"), (1, 3): Num(-1.0)})
+
+    def flow(self, h_text, t_end, W=None, **kwargs):
+        cfg = CheckConfig(t_end=t_end, dt=1e-3)
+        x0 = PhasePoint((0.0, 0.0, 1.0, 1.0))
+        W = self.W if W is None else W
+        return integrate_flow(W, parse(h_text, self.SPACE), x0, cfg, **kwargs)
+
+    def test_regularity_lost_mid_trajectory(self):
+        with pytest.raises(FlowError) as err:
+            self.flow("10*q1 + p2", 2.0)
+        assert str(err.value) == "regularity lost at t = 1.313"
+
+    def test_loss_before_a_step_error(self):
+        # p1 grows; the step error passes 1e-3 near t = 1.68, after the loss
+        with pytest.raises(FlowError) as err:
+            self.flow("-10*q1 + p2", 2.0, max_step_error=1e-3)
+        assert str(err.value) == "regularity lost at t = 1.313"
+
+    def test_loss_before_an_error_inside_a_step(self):
+        # q1' holds ln(p1 - 1e-6), out of its domain from t = 1.38 on
+        with pytest.raises(FlowError) as err:
+            self.flow("10*q1 + p2 + p1*ln(p1 - 0.000001)", 2.0)
+        assert str(err.value) == "regularity lost at t = 1.313"
+
+    def test_loss_before_an_error_in_w(self):
+        # W itself leaves its domain where p1 < 1e-6 (t = 1.382), in the
+        # same block of states as the loss; X = W(h) never reads that entry
+        term = parse("ln(p1 - 0.000001) - ln(p1 - 0.000001)", self.SPACE)
+        W = MultiVectorField(self.SPACE, 2, {(0, 2): -var(self.SPACE, "p1"), (1, 3): term - 1.0})
+        with pytest.raises(FlowError) as err:
+            self.flow("10*q1", 2.0, W)
+        assert str(err.value) == "regularity lost at t = 1.313"
+
+    def test_step_error_before_any_loss(self):
+        with pytest.raises(FlowError) as err:
+            self.flow("-10*q1 + p2", 2.0)
+        assert str(err.value) == (
+            "step error estimate 1.004e-08/unit time exceeds 1.000e-08 at t = 0.526"
+        )
+
+    def test_final_state_is_not_monitored(self):
+        traj = self.flow("10*q1 + p2", 1.313)
+        assert len(traj) == 1314
+        assert regularity_margin(evaluate_mv(self.W, traj.states[-1])) <= REGULARITY_FACTOR
 
 
 class TestConservationDrift:
