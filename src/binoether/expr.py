@@ -5,7 +5,9 @@ Expressions are immutable trees over decimal literals, coordinate names,
 ``sin cos exp ln``.  They support exact evaluation, exact symbolic partial
 derivatives, and forward-mode jet evaluation (value plus full gradient in
 one pass).  `evaluate_batch` evaluates a list of expressions at many points
-at once, with the same floating-point results as evaluating point by point.
+at once, and `compile_kernel` turns a list of expressions into one
+straight-line Python function of the coordinates, both with the same
+floating-point results and errors as evaluating point by point.
 Everything here is pure and safe to share across threads.
 """
 
@@ -27,6 +29,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_batch",
+    "compile_kernel",
     "diff",
     "evaluate_jet",
     "substitute",
@@ -806,6 +809,48 @@ def evaluate_batch(exprs, states) -> list[np.ndarray]:
                 e.eval(x)
         raise
     return [np.array(np.broadcast_to(v, len(states)), dtype=float) for v in values]
+
+
+def compile_kernel(exprs, dim: int):
+    """Compile expressions into one straight-line function ``f(x0, ...,
+    x{dim-1}) -> tuple[float, ...]`` of float coordinates: one temporary per
+    distinct subtree object, in `eval`'s visit order (a denominator is tested
+    before its numerator is computed; powers and functions call the node's
+    ``_apply``), so the values and the first error are `eval`'s, bit for bit."""
+    body: list[str] = []
+    env: dict = {"EvalDomainError": EvalDomainError}
+    names: dict = {}  # id of each subtree emitted -> its value's name or literal
+
+    def emit(node) -> str:
+        key = id(node)
+        if key in names:
+            return names[key]
+        if isinstance(node, (Num, Var)):
+            names[key] = repr(node.value) if isinstance(node, Num) else f"x{node.index}"
+        else:
+            # a name carries its node's id, so no two temporaries share one
+            if isinstance(node, Div):
+                b = emit(node.b)
+                env[f"n{key}"] = node
+                body.append(f"if {b} == 0.0: raise EvalDomainError('division by zero', n{key})")
+                value = f"{emit(node.a)} / {b}"
+            elif isinstance(node, (Pow, Call)):
+                env[f"f{key}"] = node._apply
+                value = f"f{key}({emit(node.base if isinstance(node, Pow) else node.arg)})"
+            elif isinstance(node, Neg):
+                value = f"-{emit(node.a)}"
+            else:
+                op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
+                value = f"{emit(node.a)} {op} {emit(node.b)}"
+            body.append(f"t{key} = {value}")
+            names[key] = f"t{key}"
+        return names[key]
+
+    outputs = "".join(emit(e) + ", " for e in exprs)
+    args = ", ".join(f"x{i}" for i in range(dim))
+    exec(compile("\n    ".join([f"def kernel({args}):", *body, f"return ({outputs})"]),
+                 "<kernel>", "exec"), env)
+    return env["kernel"]
 
 
 def diff(expr: ScalarExpr, coord: int | str, space: PhaseSpace | None = None) -> ScalarExpr:

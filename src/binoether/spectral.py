@@ -346,12 +346,15 @@ def _real_roots(raw: np.ndarray) -> np.ndarray:
 
 def roots_from_coefficients(coeffs) -> np.ndarray:
     """The n roots of P(-c) = 0 for coefficients a_0..a_n of P, real and
-    ascending; raises NonRealSpectrumError on a complex spectrum."""
+    ascending; raises NonRealSpectrumError on a complex spectrum, and
+    SpectralError when a zero leading coefficient leaves fewer than n."""
     n = len(coeffs) - 1
     # Q(c) = P(-c): coefficient of c^m is (-1)^m a_m; np.roots wants
     # highest-degree first (companion-matrix eigenvalues under the hood)
     desc = [((-1) ** m) * coeffs[m] for m in range(n, -1, -1)]
     raw = np.roots(desc) if n >= 1 else np.array([])
+    if len(raw) != n:
+        raise SpectralError(f"zero leading coefficient leaves {len(raw)} of {n} roots")
     return _real_roots(raw[None, :])[0]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from binoether.expr import Num, PhaseSpace, ScalarExpr, Var, substitute
-from binoether.geometry import MultiVectorField, PhasePoint, lie_derivative_mv
+from binoether.geometry import MultiVectorField, PhasePoint, hamiltonian_vf, lie_derivative_mv
 
 
 def var(space: PhaseSpace, name: str) -> Var:
@@ -90,6 +90,30 @@ def block_action_system(rng, n: int, lam: float | None = None):
     return space, W, What
 
 
+def pullback_mapping(space: PhaseSpace, matrix: np.ndarray) -> dict[int, ScalarExpr]:
+    """The substitution that pulls a function back through x -> A x: old
+    coordinate m = sum_j inv(A)[m, j] * new_j."""
+    inv = np.linalg.inv(matrix)
+    mapping = {}
+    for m in range(space.dim):
+        acc: ScalarExpr = Num(0.0)
+        for j in range(space.dim):
+            if inv[m, j] != 0.0:
+                acc = acc + float(inv[m, j]) * Var(space.names[j], j)
+        mapping[m] = acc
+    return mapping
+
+
+def dense_frame_dissipative(n: int, seed: int):
+    """The linear-friction model in dense coordinates x -> A x, A seeded
+    near the identity: W pushed forward, h pulled back.  Returns (space, W, h)."""
+    rng = np.random.default_rng(seed)
+    space, W, h, _ = dissipative_fields(n)
+    matrix = np.eye(space.dim) + rng.uniform(-0.3, 0.3, size=(space.dim, space.dim))
+    dense_W = linear_coordinate_change(rng, space, W, matrix)
+    return space, dense_W, substitute(h, pullback_mapping(space, matrix))
+
+
 def linear_coordinate_change(rng, space: PhaseSpace, field: MultiVectorField,
                              matrix: np.ndarray | None = None) -> MultiVectorField:
     """Push a multivector field forward through x -> A x (A constant and
@@ -101,15 +125,7 @@ def linear_coordinate_change(rng, space: PhaseSpace, field: MultiVectorField,
             matrix = rng.uniform(-1, 1, size=(N, N)) + np.eye(N)
             if abs(np.linalg.det(matrix)) > 0.3:
                 break
-    inv = np.linalg.inv(matrix)
-    # coordinate substitution: old coordinate m = sum_j inv[m, j] * new_j
-    mapping = {}
-    for m in range(N):
-        acc: ScalarExpr = Num(0.0)
-        for j in range(N):
-            if inv[m, j] != 0.0:
-                acc = acc + float(inv[m, j]) * Var(space.names[j], j)
-        mapping[m] = acc
+    mapping = pullback_mapping(space, matrix)
 
     k = field.degree
     out: dict[tuple[int, ...], ScalarExpr] = {}
@@ -147,3 +163,32 @@ def max_component_at(field: MultiVectorField, pt) -> float:
     if not field.components:
         return 0.0
     return max(abs(e.eval(pt)) for e in field.components.values())
+
+
+def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, dt: float):
+    """The states of classical RK4 for dx/dt = W(h)(x) with the field
+    evaluated tree by tree into numpy arrays: the oracle that
+    `integrate_flow`'s compiled right-hand side must match bit for bit."""
+    X = hamiltonian_vf(W, h)
+    dim = W.space.dim
+    comps = list(X.components.items())
+
+    def f(y):
+        out = np.zeros(dim)
+        for (i,), e in comps:
+            out[i] = e.eval(y)
+        return out
+
+    def rk4_step(y, dt):
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    steps = int(round(t_end / dt))
+    states = np.empty((steps + 1, dim))
+    states[0] = np.asarray(tuple(x0), dtype=float)
+    for k in range(steps):
+        states[k + 1] = rk4_step(states[k], dt)
+    return states

@@ -13,6 +13,7 @@ from binoether.expr import Num, PhaseSpace, parse
 from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
 from binoether.spectral import (
     NonRealSpectrumError,
+    SpectralError,
     pencil_coefficients,
     pencil_coefficients_batch,
     regularity_margin,
@@ -29,7 +30,7 @@ from binoether.verify import (
     integrate_flow,
     sample_regular_points,
 )
-from helpers import dissipative_fields
+from helpers import dense_frame_dissipative, dissipative_fields, reference_flow_states
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -77,6 +78,22 @@ def test_batched_route_matches_point_route(case, m):
     assert same(
         regularity_margins(W, states), [regularity_margin(evaluate_mv(W, x)) for x in states]
     )
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["dense-frame-dissipative-n2"])
+def test_compiled_flow_matches_the_tree_evaluated_flow(case):
+    # the compiled right-hand side and the float RK4 give the states of the
+    # numpy RK4 over tree evaluation, bit for bit
+    if case in CASES:
+        spec = CASES[case]()
+        W, h, t_end = spec.W, spec.h, 1.0
+    else:
+        _, W, h = dense_frame_dissipative(2, seed=7)
+        t_end = 0.2
+    cfg = CheckConfig(t_end=t_end, dt=1e-3)
+    x0 = sample_regular_points(W, cfg)[0]
+    states = integrate_flow(W, h, x0, cfg).states
+    assert same(states, reference_flow_states(W, h, x0, cfg.t_end, cfg.dt))
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -149,9 +166,14 @@ class TestPerStateEdgeCases:
         # np.roots strips a zero leading coefficient and returns n - 1
         # roots, which cannot fill a row of n
         row = [1.0, 2.0, 0.0]
-        assert len(roots_from_coefficients(row)) == 1
+        with pytest.raises(SpectralError, match="zero leading coefficient leaves 1 of 2 roots"):
+            roots_from_coefficients(row)
         with pytest.raises(ValueError, match="zero leading coefficient"):
             roots_from_coefficients_batch([[2.0, -3.0, 1.0], row])
+        with pytest.raises(SpectralError, match="zero leading coefficient leaves 2 of 3 roots"):
+            roots_from_coefficients([1.0, 2.0, 3.0, 0.0])
+        with pytest.raises(ValueError, match="zero leading coefficient"):
+            roots_from_coefficients_batch([[-6.0, 11.0, -6.0, 1.0], [1.0, 2.0, 3.0, 0.0]])
 
     def test_non_real_spectrum_raises_the_point_message(self):
         rows = [[2.0, -3.0, 1.0], [1.0, 0.0, 1.0]]  # the second: c^2 + 1 = 0

@@ -5,10 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binoether.expr import (
+    Add,
+    Call,
+    Div,
     EvalDomainError,
     Jet,
+    Mul,
+    Neg,
+    Num,
     ParseError,
     PhaseSpace,
+    Pow,
+    Sub,
+    Var,
+    compile_kernel,
     diff,
     evaluate,
     evaluate_batch,
@@ -138,6 +148,64 @@ class TestEvaluateBatch:
             evaluate_batch(exprs, states)
         with pytest.raises(EvalDomainError, match="ln of a non-positive value in 'ln[(]p1[)]'"):
             evaluate_batch(exprs, states[2:])
+
+
+@st.composite
+def shared_dags(draw):
+    """Output expressions over S2 built bottom-up from a pool: each new node
+    takes its children from the pool, so subtree objects are shared, and
+    every node type appears with some probability."""
+    pool = [Var(name, i) for i, name in enumerate(S2.names)]
+    pool += [Num(v) for v in draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 3.0, 1e200]), min_size=1, max_size=3))]
+    pick = st.integers(0, 10**6)
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["add", "sub", "mul", "div", "neg", "pow", "call"]))
+        a, b = (pool[draw(pick) % len(pool)] for _ in range(2))
+        if kind == "neg":
+            pool.append(Neg(a))
+        elif kind == "pow":
+            pool.append(Pow(a, draw(st.integers(-3, 4))))
+        elif kind == "call":
+            pool.append(Call(draw(st.sampled_from(["sin", "cos", "exp", "ln"])), a))
+        else:
+            pool.append({"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](a, b))
+    # compound nodes first, so that shrinking keeps them
+    return draw(st.lists(st.sampled_from(pool[4:] + pool[:4]), min_size=1, max_size=4))
+
+
+def outcome(evaluate_all):
+    """The values, as bytes so that NaNs and signed zeros compare, or the
+    type and message of the first error."""
+    try:
+        return np.array(evaluate_all(), dtype=float).tobytes()
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return type(err), str(err)
+
+
+class TestCompileKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(shared_dags(), st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 800.0, 1e155, -1e155])
+        | st.floats(-3.0, 3.0, allow_nan=False), min_size=4, max_size=4))
+    def test_matches_eval_bit_for_bit_and_error_for_error(self, exprs, point):
+        kernel = compile_kernel(exprs, S2.dim)
+        assert outcome(lambda: kernel(*point)) == outcome(lambda: [e.eval(point) for e in exprs])
+
+    def test_each_shared_subtree_once(self):
+        # 2^200 paths through 201 objects: one temporary per object
+        e = parse("q1", S1)
+        for _ in range(200):
+            e = e + e
+        assert compile_kernel([e, Num(0.5)], S1.dim)(1.5, 0.0) == (1.5 * 2.0**200, 0.5)
+
+    def test_denominator_before_numerator(self):
+        # both operands leave the domain at (0, -1): eval tests q1 first
+        e = parse("ln(p1) / q1", S1)
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            e.eval((0.0, -1.0))
+        with pytest.raises(EvalDomainError, match="division by zero in 'ln[(]p1[)] / q1'"):
+            compile_kernel([e], S1.dim)(0.0, -1.0)
 
 
 class TestDiff:

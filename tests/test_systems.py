@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binoether.expr import parse
+from binoether.expr import Num, parse
 from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
 from binoether.systems import SystemFileError, SystemSpec, builtin_system, load_system, run_report
 from binoether.verify import CheckConfig, CheckReport
@@ -166,6 +166,18 @@ class TestRunReport:
         record = report.record("conservation_drift")
         assert not record.passed
         assert record.notes == "error: ln of a non-positive value in 'ln(p1 - 0.5)'"
+
+    def test_drift_nan_step_error_is_an_error_record(self):
+        # the flow's right-hand side overflows to -inf in the first step
+        spec = builtin_system("dissipative", 1)
+        W = MultiVectorField(spec.space, 2, {(0, 1): Num(1.0)})
+        h = parse("p1*p1*1e300*1e300", spec.space)
+        report = run_report(
+            SystemSpec(spec.space, W, h, spec.E, "overflow"), FAST, PhasePoint((0.5, 3.0))
+        )
+        record = report.record("conservation_drift")
+        assert not record.passed
+        assert record.notes == "error: step error estimate nan/unit time exceeds 1.000e-08 at t = 0"
 
     def test_noether_control_report(self):
         report = run_report(builtin_system("canonical-noether", 2), FAST)

@@ -274,6 +274,17 @@ class TestIntegrateFlow:
         with pytest.raises(FlowError, match="step error"):
             integrate_flow(W, h, PhasePoint((0.0, 1.0)), cfg, max_step_error=1e-12)
 
+    def test_nan_step_error_estimate_fails(self):
+        # X^q1 = -2e600 p1 overflows to -inf: the full step and the two half
+        # steps both reach -inf, so their difference, the estimate, is NaN
+        space = PhaseSpace.canonical(1)
+        W = MultiVectorField(space, 2, {(0, 1): Num(1.0)})
+        h = parse("p1*p1*1e300*1e300", space)
+        cfg = CheckConfig(t_end=0.01, dt=1e-3)
+        with pytest.raises(FlowError) as err:
+            integrate_flow(W, h, PhasePoint((0.5, 3.0)), cfg)
+        assert str(err.value) == "step error estimate nan/unit time exceeds 1.000e-08 at t = 0"
+
     def test_fourth_order_convergence(self):
         space, W, h, _ = dissipative_fields(1)
         errs = []
