@@ -199,6 +199,7 @@ class ScalarExpr:
     """Base class for expression nodes; construction folds trivial algebra."""
 
     _prec = _PREC_ATOM
+    _diffs = None  # index -> derivative, set per node by `diff`
 
     def eval(self, point) -> float:
         raise NotImplementedError
@@ -219,6 +220,16 @@ class ScalarExpr:
         raise NotImplementedError
 
     def diff(self, index: int) -> "ScalarExpr":
+        """Exact partial derivative, derived once per (node, index) and kept
+        on the node outside the dataclass fields, so that a repeated
+        derivative is one object and the trees built from it share it."""
+        if self._diffs is None:
+            object.__setattr__(self, "_diffs", {})
+        if index not in self._diffs:
+            self._diffs[index] = self._diff(index)
+        return self._diffs[index]
+
+    def _diff(self, index: int) -> "ScalarExpr":
         raise NotImplementedError
 
     def _fmt(self, min_prec: int) -> str:
@@ -347,7 +358,7 @@ class Add(ScalarExpr):
     def jet(self, jets):
         return self.a.jet(jets) + self.b.jet(jets)
 
-    def diff(self, index):
+    def _diff(self, index):
         return self.a.diff(index) + self.b.diff(index)
 
     def _fmt_raw(self):
@@ -373,7 +384,7 @@ class Sub(ScalarExpr):
     def jet(self, jets):
         return self.a.jet(jets) - self.b.jet(jets)
 
-    def diff(self, index):
+    def _diff(self, index):
         return self.a.diff(index) - self.b.diff(index)
 
     def _fmt_raw(self):
@@ -399,7 +410,7 @@ class Mul(ScalarExpr):
     def jet(self, jets):
         return self.a.jet(jets) * self.b.jet(jets)
 
-    def diff(self, index):
+    def _diff(self, index):
         return self.a.diff(index) * self.b + self.a * self.b.diff(index)
 
     def _fmt_raw(self):
@@ -434,7 +445,7 @@ class Div(ScalarExpr):
             raise EvalDomainError("division by zero", self)
         return self.a.jet(jets) / d
 
-    def diff(self, index):
+    def _diff(self, index):
         # (a/b)' = a'/b - a*b'/b^2
         return self.a.diff(index) / self.b - self.a * self.b.diff(index) / (self.b * self.b)
 
@@ -460,7 +471,7 @@ class Neg(ScalarExpr):
     def jet(self, jets):
         return -self.a.jet(jets)
 
-    def diff(self, index):
+    def _diff(self, index):
         return -self.a.diff(index)
 
     def _fmt_raw(self):
@@ -498,7 +509,7 @@ class Pow(ScalarExpr):
             raise EvalDomainError("zero raised to a negative power", self)
         return b ** self.exponent
 
-    def diff(self, index):
+    def _diff(self, index):
         return float(self.exponent) * _pow(self.base, self.exponent - 1) * self.base.diff(index)
 
     def _fmt_raw(self):
@@ -548,7 +559,7 @@ class Call(ScalarExpr):
             raise EvalDomainError("ln of a non-positive value", self)
         return getattr(v, self.fn)()
 
-    def diff(self, index):
+    def _diff(self, index):
         inner = self.arg.diff(index)
         if self.fn == "sin":
             return Call("cos", self.arg) * inner

@@ -364,7 +364,7 @@ def roots_from_coefficients_batch(coeffs) -> np.ndarray:
     rows go to one stacked eigenvalue call, except for rows that np.roots
     would strip (a zero leading or trailing coefficient) or not accept (a
     non-finite one): those go through np.roots itself.  A zero leading
-    coefficient leaves fewer than n roots, and raises ValueError."""
+    coefficient leaves fewer than n roots, and raises SpectralError."""
     coeffs = np.asarray(coeffs, dtype=float)
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     # Q(c) = P(-c), highest degree first, as in roots_from_coefficients
@@ -380,8 +380,8 @@ def roots_from_coefficients_batch(coeffs) -> np.ndarray:
     for k in np.flatnonzero(~plain):
         stripped = np.roots(desc[k])
         if len(stripped) != n:
-            raise ValueError(f"coefficient row {k} has a zero leading coefficient: "
-                             f"{len(stripped)} roots, not {n}")
+            raise SpectralError(f"zero leading coefficient leaves {len(stripped)} of {n} roots"
+                                f" in coefficient row {k}")
         raw[k] = stripped
     return _real_roots(raw)
 

@@ -2,6 +2,10 @@
 regular points, flow integration with a conservation audit, and involution
 audits under both Poisson structures.
 
+Each identity check evaluates its bracket, and the terms of its scale, over
+all sampled points in one `evaluate_batch` call; where no value is NaN, its
+record equals the point-by-point one bit for bit.
+
 Residuals are reported raw together with the scale used to relativize them:
 a check passes when residual <= tol * scale, where scale is the largest
 absolute intermediate term at the worst sampled point, floored at 1.  A
@@ -17,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .expr import ExprError, ScalarExpr, compile_kernel
+from .expr import ExprError, ScalarExpr, compile_kernel, evaluate_batch
 from .geometry import (
     MultiVectorField,
     PhasePoint,
@@ -268,22 +272,6 @@ def _component_diffs(F: MultiVectorField) -> dict[int, list[ScalarExpr]]:
     return out
 
 
-def _max_eval(exprs, x) -> float:
-    return max((abs(e.eval(x)) for e in exprs), default=0.0)
-
-
-def _bracket_scale(A: MultiVectorField, B: MultiVectorField, dA, dB, x) -> float:
-    """Largest |A^{l.}(x)| |d_l B(x)| (and the symmetric term) over the
-    products appearing in the bracket of A and B."""
-    Am, Bm = evaluate_mv(A, x), evaluate_mv(B, x)
-    s = 0.0
-    for l in range(A.space.dim):
-        a_row = float(np.max(np.abs(Am[l])))
-        b_row = float(np.max(np.abs(Bm[l])))
-        s = max(s, a_row * _max_eval(dB[l], x), b_row * _max_eval(dA[l], x))
-    return s
-
-
 def _worst_case(candidates):
     """(rel, raw, scale, where) of the candidate (raw, scale, where) with the
     largest relative residual rel = raw / max(1, scale).  A non-finite raw or
@@ -313,12 +301,36 @@ def _bracket_check(
     points,
     tol: float,
 ) -> CheckRecord:
-    """Worst relative |T(x)| over the points, T being a bracket of A and B."""
+    """Worst relative |T(x)| over the points, T being a bracket of A and B.
+
+    At each point the residual is max |T^I(x)| and the scale is the largest
+    |A^{l.}(x)| |d_l B(x)| (and the symmetric term) over the products in the
+    bracket.  Every expression is evaluated over all points in one
+    `evaluate_batch` call, in the order a point-by-point pass would meet
+    them (T, A, B, then d_l B and d_l A for each l), so an evaluation error
+    is the one met first at the first offending point.  A NaN anywhere in a
+    maximum makes it NaN, so the check fails closed."""
+    dim, m = A.space.dim, len(points)
     dA, dB = _component_diffs(A), _component_diffs(B)
-    rel, raw, scale, _ = _worst_case(
-        (_max_eval(T.components.values(), x), _bracket_scale(A, B, dA, dB, x), x) for x in points
-    )
-    return _record(check_id, rel, raw, scale, tol, len(points))
+    groups = [list(F.components.values()) for F in (T, A, B)]
+    groups += [d[l] for l in range(dim) for d in (dB, dA)]
+    values = iter(evaluate_batch([e for g in groups for e in g], [x.coords for x in points]))
+    # |values| of each group under a row of zeros, so an empty group reads 0
+    t_abs, a_abs, b_abs, *d_abs = [np.abs([np.zeros(m), *(next(values) for _ in g)])
+                                   for g in groups]
+
+    def row_max(F, F_abs, l):
+        # max |F^{l.}(x)| per point: row l of the antisymmetric array F(x)
+        return np.max(F_abs[[0] + [k for k, idx in enumerate(F.components, 1) if l in idx]], axis=0)
+
+    terms = []
+    with np.errstate(all="ignore"):  # inf * 0 gives NaN, which fails closed
+        for l in range(dim):
+            terms += [row_max(A, a_abs, l) * np.max(d_abs[2 * l], axis=0),
+                      row_max(B, b_abs, l) * np.max(d_abs[2 * l + 1], axis=0)]
+    residuals, scales = np.max(t_abs, axis=0), np.max(terms, axis=0)
+    rel, raw, scale, _ = _worst_case(zip(residuals.tolist(), scales.tolist(), points))
+    return _record(check_id, rel, raw, scale, tol, m)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +346,7 @@ def check_jacobi(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
 def check_regularity(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """W^n != 0 on the sampled box: minimum scale-free Pfaffian margin."""
     points = sample_regular_points(W, cfg)
-    margin = min(regularity_margin(evaluate_mv(W, x)) for x in points)
+    margin = float(np.min(regularity_margins(W, [x.coords for x in points])))
     return CheckRecord(
         "regularity",
         PAPER_ANCHORS["regularity"],
@@ -431,15 +443,16 @@ def _monitor_regularity(W: MultiVectorField, times: np.ndarray, states: np.ndarr
 
 
 def _rk4_stepper(kernel, dim: int):
-    """``step(dt, x0, ..., x{dim-1})``: one classical RK4 step for dx/dt =
-    kernel(x), unrolled over the coordinates, in numpy RK4's order of
-    operations: y + (0.5 dt) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)."""
+    """``step(dt, k1, x0, ..., x{dim-1})``: one classical RK4 step for dx/dt =
+    kernel(x) from x, given k1 = kernel(x), unrolled over the coordinates, in
+    numpy RK4's order of operations: y + (0.5 dt) k and
+    y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)."""
     ys = [f"x{i}" for i in range(dim)]
     ks = [[f"k{s}_{i}" for i in range(dim)] for s in range(4)]
-    lines = [f"def step(dt, {', '.join(ys)}):", "half, sixth = 0.5 * dt, dt / 6.0"]
-    args = [ys] + [[f"{y} + {c} * {v}" for y, v in zip(ys, k)]
-                   for k, c in zip(ks, ("half", "half", "dt"))]
-    lines += [f"[{', '.join(k)}] = kernel({', '.join(a)})" for k, a in zip(ks, args)]
+    lines = [f"def step(dt, k1, {', '.join(ys)}):", "half, sixth = 0.5 * dt, dt / 6.0",
+             f"[{', '.join(ks[0])}] = k1"]
+    args = [[f"{y} + {c} * {v}" for y, v in zip(ys, k)] for k, c in zip(ks, ("half", "half", "dt"))]
+    lines += [f"[{', '.join(k)}] = kernel({', '.join(a)})" for k, a in zip(ks[1:], args)]
     lines.append("return [" + ", ".join(f"{y} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
                                         for y, a, b, c, d in zip(ys, *ks)) + "]")
     env = {"kernel": kernel}
@@ -470,7 +483,8 @@ def integrate_flow(
     X = hamiltonian_vf(W, h)
     dim = W.space.dim
     # components in X.components order; an absent one is the literal 0.0
-    step = _rk4_stepper(compile_kernel([X.component((i,)) for i in range(dim)], dim), dim)
+    kernel = compile_kernel([X.component((i,)) for i in range(dim)], dim)
+    step = _rk4_stepper(kernel, dim)
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
     times = np.arange(steps + 1) * dt
@@ -479,9 +493,11 @@ def integrate_flow(
     states[0] = y
     try:
         for k in range(steps):
-            full = step(dt, *y)
+            k1 = kernel(*y)  # shared by the full step and the first half step
+            full = step(dt, k1, *y)
             if max_step_error is not None:
-                half = step(dt / 2, *step(dt / 2, *y))
+                mid = step(dt / 2, k1, *y)
+                half = step(dt / 2, kernel(*mid), *mid)
                 errors = [abs(a - b) / 15.0 / dt for a, b in zip(full, half)]
                 if not all(e <= max_step_error for e in errors):  # so NaN fails too
                     raise FlowError(

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from binoether.expr import Num, PhaseSpace, ScalarExpr, Var, substitute
-from binoether.geometry import MultiVectorField, PhasePoint, hamiltonian_vf, lie_derivative_mv
+from binoether.geometry import (
+    MultiVectorField,
+    PhasePoint,
+    evaluate_mv,
+    hamiltonian_vf,
+    lie_derivative_mv,
+    schouten_bb,
+)
+from binoether.verify import _component_diffs, _record, _worst_case
 
 
 def var(space: PhaseSpace, name: str) -> Var:
@@ -107,11 +115,19 @@ def pullback_mapping(space: PhaseSpace, matrix: np.ndarray) -> dict[int, ScalarE
 def dense_frame_dissipative(n: int, seed: int):
     """The linear-friction model in dense coordinates x -> A x, A seeded
     near the identity: W pushed forward, h pulled back.  Returns (space, W, h)."""
+    space, W, h, _ = dense_frame_fields(n, seed)
+    return space, W, h
+
+
+def dense_frame_fields(n: int, seed: int):
+    """`dense_frame_dissipative` plus the generator E pushed forward through
+    the same A.  Returns (space, W, h, E)."""
     rng = np.random.default_rng(seed)
-    space, W, h, _ = dissipative_fields(n)
+    space, W, h, E = dissipative_fields(n)
     matrix = np.eye(space.dim) + rng.uniform(-0.3, 0.3, size=(space.dim, space.dim))
     dense_W = linear_coordinate_change(rng, space, W, matrix)
-    return space, dense_W, substitute(h, pullback_mapping(space, matrix))
+    dense_E = linear_coordinate_change(rng, space, E, matrix)
+    return space, dense_W, substitute(h, pullback_mapping(space, matrix)), dense_E
 
 
 def linear_coordinate_change(rng, space: PhaseSpace, field: MultiVectorField,
@@ -192,3 +208,45 @@ def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, 
     for k in range(steps):
         states[k + 1] = rk4_step(states[k], dt)
     return states
+
+
+def bracket_checks(W: MultiVectorField, h: ScalarExpr, E: MultiVectorField):
+    """(check id, T, A, B) of every identity check of a system, T being the
+    bracket of A and B that the check evaluates."""
+    X = hamiltonian_vf(W, h)
+    What = lie_derivative_mv(E, W)
+    LLW = lie_derivative_mv(E, What)
+    return [
+        ("jacobi", schouten_bb(W, W), W, W),
+        ("symmetry", lie_derivative_mv(E, X), E, X),
+        ("non_noether", What, E, W),
+        ("yang_baxter", schouten_bb(LLW, W), LLW, W),
+        ("compat_mixed", schouten_bb(What, W), What, W),
+        ("compat_deformed", schouten_bb(What, What), What, What),
+    ]
+
+
+def pointwise_bracket_check(check_id: str, T: MultiVectorField, A: MultiVectorField,
+                            B: MultiVectorField, points, tol: float):
+    """An identity check evaluated point by point, tree by tree: the oracle
+    that the batched `verify._bracket_check` must match record for record
+    wherever no value is NaN (Python's max drops a NaN that follows a
+    finite value, so this oracle can pass a NaN residual)."""
+    dA, dB = _component_diffs(A), _component_diffs(B)
+
+    def max_eval(exprs, x):
+        return max((abs(e.eval(x)) for e in exprs), default=0.0)
+
+    def scale(x):
+        Am, Bm = evaluate_mv(A, x), evaluate_mv(B, x)
+        s = 0.0
+        for l in range(A.space.dim):
+            a_row = float(np.max(np.abs(Am[l])))
+            b_row = float(np.max(np.abs(Bm[l])))
+            s = max(s, a_row * max_eval(dB[l], x), b_row * max_eval(dA[l], x))
+        return s
+
+    rel, raw, scale_at_worst, _ = _worst_case(
+        (max_eval(T.components.values(), x), scale(x), x) for x in points
+    )
+    return _record(check_id, rel, raw, scale_at_worst, tol, len(points))

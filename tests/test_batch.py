@@ -168,11 +168,13 @@ class TestPerStateEdgeCases:
         row = [1.0, 2.0, 0.0]
         with pytest.raises(SpectralError, match="zero leading coefficient leaves 1 of 2 roots"):
             roots_from_coefficients(row)
-        with pytest.raises(ValueError, match="zero leading coefficient"):
+        with pytest.raises(SpectralError, match="zero leading coefficient leaves 1 of 2 roots"
+                                                " in coefficient row 1"):
             roots_from_coefficients_batch([[2.0, -3.0, 1.0], row])
         with pytest.raises(SpectralError, match="zero leading coefficient leaves 2 of 3 roots"):
             roots_from_coefficients([1.0, 2.0, 3.0, 0.0])
-        with pytest.raises(ValueError, match="zero leading coefficient"):
+        with pytest.raises(SpectralError, match="zero leading coefficient leaves 2 of 3 roots"
+                                                " in coefficient row 1"):
             roots_from_coefficients_batch([[-6.0, 11.0, -6.0, 1.0], [1.0, 2.0, 3.0, 0.0]])
 
     def test_non_real_spectrum_raises_the_point_message(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -228,6 +229,25 @@ class TestDiff:
         pt = (0.9, -1.3)
         g = np.array([evaluate(diff(e, i), pt) for i in range(2)])
         assert np.allclose(g, central_gradient(e, pt), rtol=1e-6, atol=1e-6)
+
+    def test_derivative_is_kept_per_node_and_index(self):
+        e = parse("sin(q1)/q1 + cos(p1)*exp(q1)^2 - ln(q1 * p1)", S1)
+        for i in range(S1.dim):
+            assert e.diff(i) is e.diff(i)
+            assert e.a.diff(i) is e.a.diff(i)  # every inner node keeps its own
+        assert e.diff(0) is not e.diff(1)
+        # the cache is no dataclass field: equality, hashing and fields stay
+        fresh = parse("sin(q1)/q1 + cos(p1)*exp(q1)^2 - ln(q1 * p1)", S1)
+        assert fresh == e and hash(fresh) == hash(e)
+        assert [f.name for f in dataclasses.fields(e)] == ["a", "b"]
+
+    def test_a_shared_subtree_has_one_derivative(self):
+        # base occurs three times in e; its derivative cos(q1) * p1 is built
+        # once, and all three occurrences in d/dq1 are that one object
+        base = parse("sin(q1) * p1", S1)
+        d = (base * base + base).diff(0)
+        assert repr(d.b) == "(cos(Var(q1)) * Var(p1))"
+        assert d.a.a.a is d.b and d.a.b.b is d.b
 
 
 class TestJets:

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from binoether.systems import builtin_system, load_system, run_report
+from binoether.systems import SystemSpec, builtin_system, load_system, run_report
 from binoether.verify import CheckConfig
+from helpers import dense_frame_fields
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -31,6 +32,8 @@ CASES = {
     "canonical-noether-n2": lambda: builtin_system("canonical-noether", 2),
     "sys-dissipative-n2": lambda: load_system(ROOT / "systems" / "dissipative-n2.sys"),
     "sys-broken-generator-n1": lambda: load_system(ROOT / "systems" / "broken-generator-n1.sys"),
+    # the only golden case whose trees are large and share subtree objects
+    "dense-frame-n2": lambda: SystemSpec(*dense_frame_fields(2, seed=7), "dense-frame-n2"),
 }
 
 

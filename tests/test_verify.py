@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from binoether.expr import Num, PhaseSpace, Var, parse
+from binoether.expr import EvalDomainError, Num, PhaseSpace, Var, evaluate_batch, parse
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
@@ -31,8 +32,16 @@ from binoether.verify import (
     integrate_flow,
     sample_regular_points,
 )
-from binoether.verify import _worst_case
-from helpers import dissipative_fields, random_polynomial, var
+from binoether.systems import SystemSpec, builtin_system, load_system, run_report
+from binoether.verify import _bracket_check, _worst_case
+from helpers import (
+    bracket_checks,
+    dense_frame_fields,
+    dissipative_fields,
+    pointwise_bracket_check,
+    random_polynomial,
+    var,
+)
 
 CFG = CheckConfig()
 
@@ -234,6 +243,85 @@ class TestCheckCompatibility:
 
         mixed, _ = check_compatibility(W, V, CFG)
         assert not mixed.passed
+
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+
+BRACKET_SYSTEMS = {
+    **{f"dissipative-n{n}": (lambda n=n: builtin_system("dissipative", n)) for n in (1, 2, 3, 6)},
+    **{f"canonical-noether-n{n}": (lambda n=n: builtin_system("canonical-noether", n))
+       for n in (1, 2)},
+    **{f"sys-{p.stem}": (lambda p=p: load_system(p)) for p in sorted(SYSTEMS.glob("*.sys"))},
+    # large trees whose subtrees are shared objects
+    "dense-frame-n2": lambda: SystemSpec(*dense_frame_fields(2, seed=7), "dense-frame-n2"),
+}
+
+
+class TestBatchedBracketCheck:
+    """Each identity check evaluates its bracket and scale over all sample
+    points in one batched pass, record for record equal to the point route."""
+
+    @pytest.mark.parametrize("case", sorted(BRACKET_SYSTEMS))
+    def test_records_equal_the_pointwise_oracle(self, case):
+        spec = BRACKET_SYSTEMS[case]()
+        points = sample_regular_points(spec.W, CFG)
+        if case == "dense-frame-n2":
+            # the oracle walks the 1.2e6-node Yang-Baxter trivector at each
+            # point (0.25 s); the golden report covers all 32 samples
+            points = points[:4]
+        for check_id, T, A, B in bracket_checks(spec.W, spec.h, spec.E):
+            batched = _bracket_check(check_id, T, A, B, points, CFG.tol)
+            assert batched == pointwise_bracket_check(check_id, T, A, B, points, CFG.tol)
+
+    @staticmethod
+    def _nan_field(space, nan_first: bool):
+        # one component is 0, the other inf - inf = NaN at every sample
+        zero = parse("q1 - q1", space)
+        nan = parse("p1*1e200*1e200 - p1*1e200*1e200", space)
+        first, second = (nan, zero) if nan_first else (zero, nan)
+        return MultiVectorField(space, 1, {(0,): first, (1,): second})
+
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_a_nan_residual_fails_in_either_component_order(self, nan_first):
+        # Python's max keeps a finite value met before a NaN, so the point
+        # route passed the zero-first order with residual 0.0
+        space, W, _, _ = dissipative_fields(1)
+        points = sample_regular_points(W, CFG)
+        record = _bracket_check("symmetry", self._nan_field(space, nan_first), W, W, points,
+                                CFG.tol)
+        assert not record.passed
+        assert math.isnan(record.residual)
+
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_a_nan_scale_fails_in_either_component_order(self, nan_first):
+        # one component of A and its derivatives are 0, the other's are
+        # inf - inf = NaN; the point route's max(0.0, nan, ...) kept 0.0
+        space, W, _, _ = dissipative_fields(1)
+        q1, p1 = var(space, "q1"), var(space, "p1")
+        big = parse("q1*p1*1e200*1e200 - q1*p1*1e200*1e200", space)
+        A = MultiVectorField(space, 1, {(0,): p1 * (q1 - q1), (1,): p1 + big} if nan_first
+                             else {(0,): p1 + big, (1,): p1 * (q1 - q1)})
+        T = MultiVectorField(space, 1, {(0,): q1 - q1})
+        points = sample_regular_points(W, CFG)
+        record = _bracket_check("symmetry", T, A, A, points, CFG.tol)
+        assert record.residual == 0.0
+        assert not record.passed
+        assert math.isnan(record.scale)
+
+    def test_the_first_error_met_point_by_point_is_raised(self):
+        # at the first sample (q1 = 0.548, p1 = -0.921) ln(0.5 - q1) in E,
+        # a scale term, is out of its domain while [E, X] is finite; the
+        # bracket's own ln(p1 + 1.5) fails only at the second (p1 = -1.934)
+        space, W, h, _ = dissipative_fields(1)
+        E = MultiVectorField(space, 1, {(0,): parse("ln(0.5 - q1)", space),
+                                        (1,): parse("ln(p1 + 1.5)", space)})
+        points = sample_regular_points(W, CFG)
+        T = lie_derivative_mv(E, hamiltonian_vf(W, h))
+        with pytest.raises(EvalDomainError, match=r"in 'ln\(p1 \+ 1.5\)'"):
+            evaluate_batch(T.components.values(), [x.coords for x in points])
+        record = run_report(SystemSpec(space, W, h, E, "ln-generator"), CFG).record("symmetry")
+        assert record.notes == "error: ln of a non-positive value in 'ln(0.5 - q1)'"
+        assert not record.passed
 
 
 class TestIntegrateFlow:
