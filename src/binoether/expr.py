@@ -301,7 +301,7 @@ class Num(ScalarExpr):
         return Jet.constant(self.value, len(jets[0].gradient))
 
     def diff(self, index):
-        return Num(0.0)
+        return _ZERO
 
     def _fmt(self, min_prec):
         s = repr(self.value)
@@ -333,7 +333,7 @@ class Var(ScalarExpr):
         return jets[self.index]
 
     def diff(self, index):
-        return Num(1.0) if index == self.index else Num(0.0)
+        return _ONE if index == self.index else _ZERO
 
     def _fmt_raw(self):
         return self.name
@@ -596,9 +596,26 @@ def _coerce(x) -> ScalarExpr:
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
+# shared literals of the folding constructors and of `diff` (nodes are
+# immutable, so one object serves every tree)
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def _folded(value: float, a: Num, b: Num) -> Num:
+    """Num(value), or an operand that holds exactly that value (the same
+    bits, so -0.0 and 0.0 stay apart): derivatives of long sums fold
+    mostly zeros, and the per-node derivative cache keeps what they fold to."""
+    sign = math.copysign(1.0, value)
+    for operand in (a, b):
+        if operand.value == value and math.copysign(1.0, operand.value) == sign:
+            return operand
+    return Num(value)
+
+
 def _add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
+        return _folded(a.value + b.value, a, b)
     if a.is_zero():
         return b
     if b.is_zero():
@@ -608,7 +625,7 @@ def _add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 def _sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
+        return _folded(a.value - b.value, a, b)
     if b.is_zero():
         return a
     if a.is_zero():
@@ -618,9 +635,9 @@ def _sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 def _mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
+        return _folded(a.value * b.value, a, b)
     if a.is_zero() or b.is_zero():
-        return Num(0.0)
+        return _ZERO
     if isinstance(a, Num) and a.value == 1.0:
         return b
     if isinstance(b, Num) and b.value == 1.0:
@@ -819,7 +836,11 @@ def evaluate_batch(exprs, states) -> list[np.ndarray]:
             for e in exprs:
                 e.eval(x)
         raise
-    return [np.array(np.broadcast_to(v, len(states)), dtype=float) for v in values]
+    # one (len(exprs), m) block: a row assignment broadcasts a constant
+    out = np.empty((len(values), len(states)))
+    for k, v in enumerate(values):
+        out[k] = v
+    return list(out)
 
 
 def compile_kernel(exprs, dim: int):

@@ -29,6 +29,7 @@ __all__ = [
     "schouten_bb",
     "hamiltonian_vf",
     "poisson_bracket",
+    "component_diffs",
     "evaluate_mv",
 ]
 
@@ -248,6 +249,17 @@ def poisson_bracket(V: MultiVectorField, f: ScalarExpr, g: ScalarExpr) -> Scalar
     for (i, j), v in V.components.items():
         acc = acc + v * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
     return acc
+
+
+def component_diffs(F: MultiVectorField) -> list[dict[tuple[int, ...], ScalarExpr]]:
+    """The partial derivatives of F's components, one dict per coordinate l:
+    entry l maps each index tuple I whose component depends on x_l to
+    d_l F^I, in the order of F.components."""
+    out = []
+    for l in range(F.space.dim):
+        ds = {idx: e.diff(l) for idx, e in F.components.items()}
+        out.append({idx: d for idx, d in ds.items() if not d.is_zero()})
+    return out
 
 
 def evaluate_mv(A: MultiVectorField, x) -> np.ndarray | float:

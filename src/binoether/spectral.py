@@ -8,15 +8,22 @@ pencil polynomial
 carries everything this module extracts: the coefficient of t^{n-l} equals
 C(n,l) * Y^(l), where Y^(l) is the ratio of the top wedge power
 W_hat^l ^ W^{n-l} to W^n, and the n roots of P(-c) are the secular roots of
-the pencil (W_hat - c W)^n = 0.  Two independent routes - coefficients versus
-elementary symmetric functions of the roots - cross-validate each other.
+the pencil (W_hat - c W)^n = 0.
 
-Everything is computed at a point.  The generic Pfaffian recursion also runs
-on jet-valued matrices, which yields exact gradients of the invariants for
-the involution checks, and on matrices of arrays, one element per state:
-the `*_batch` functions and `regularity_margins` run the point route for a
-whole stack of states at once and return the point route's values, bit for
-bit.
+A second, independent route goes through the recursion operator
+N = W^{-1} W_hat, whose eigenvalues are the secular roots, each twice
+(Magri, J. Math. Phys. 19 (1978) 1156).  Newton's identities on the traces
+tr(N^k) give the Y^(l) again, and the derivatives
+dN = W^{-1} (dW_hat - dW N) give their exact gradients, and the gradients
+of simple roots through the spectral projectors of N, for the involution
+audit.  `recursion_operator_batch` builds N and dN for a stack of states
+from one batched evaluation.
+
+The Pfaffian recursion runs on floats, on matrices of arrays, one element
+per state (the `*_batch` functions and `regularity_margins` return the
+point route's values bit for bit), and on forward-mode jets
+(`pencil_coefficient_jets`, `root_gradients`), which the tests keep as an
+independent oracle of the recursion-operator gradients.
 """
 
 from __future__ import annotations
@@ -27,7 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Jet, evaluate_batch, evaluate_jet
-from .geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
+from .geometry import (
+    MultiVectorField,
+    PhasePoint,
+    component_diffs,
+    evaluate_mv,
+    lie_derivative_mv,
+)
 
 __all__ = [
     "SpectralError",
@@ -46,6 +59,9 @@ __all__ = [
     "mixed_wedge_ratios",
     "secular_roots",
     "y_from_roots",
+    "recursion_operator_batch",
+    "trace_invariants",
+    "root_pair_gradients",
     "invariant_gradient",
     "invariant_jets",
     "pencil_coefficient_jets",
@@ -487,16 +503,94 @@ def y_from_roots(spectrum: SecularSpectrum) -> InvariantVector:
     return InvariantVector(spectrum.point, y_from_root_values(spectrum.roots))
 
 
+# ---------------------------------------------------------------------------
+# Recursion operator
+# ---------------------------------------------------------------------------
+
+def recursion_operator_batch(W: MultiVectorField, What: MultiVectorField, states) -> tuple:
+    """(W, W_hat, N, dN) at every row of a (m, 2n) state array: W, W_hat and
+    the recursion operator N = W^{-1} W_hat as (m, 2n, 2n) arrays, and its
+    partial derivatives dN_l = W^{-1} (d_l W_hat - d_l W N) as an
+    (m, 2n, 2n, 2n) array, l second.  The components of W and W_hat and
+    their first derivatives go to one `evaluate_batch` call; W must be
+    regular at every state."""
+    states = np.asarray(states, dtype=float)
+    m, N = len(states), W.space.dim
+    diffs = [component_diffs(F) for F in (W, What)]
+    # W, What, then d_l W and d_l What for each l
+    groups = [W.components, What.components] + [d[l] for l in range(N) for d in diffs]
+    slots = [(g, i, j) for g, group in enumerate(groups) for i, j in group]
+    g, i, j = np.array(slots, dtype=int).reshape(-1, 3).T
+    mats = np.zeros((len(groups), N, N, m))
+    mats[g, i, j] = evaluate_batch([e for group in groups for e in group.values()], states)
+    mats[g, j, i] = -mats[g, i, j]
+    mats = mats.transpose(0, 3, 1, 2)
+    w, what = mats[0], mats[1]
+    dw, dwhat = mats[2::2].transpose(1, 0, 2, 3), mats[3::2].transpose(1, 0, 2, 3)
+    w_inv = np.linalg.inv(w)
+    op = w_inv @ what
+    rhs = dw @ op[:, None]
+    np.subtract(dwhat, rhs, out=rhs)
+    return w, what, op, w_inv[:, None] @ rhs
+
+
+def trace_invariants(op: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y^(1)..Y^(n) and their gradients at each state, arrays of shape
+    (m, n) and (m, n, 2n), from N and dN (`recursion_operator_batch`).
+    Each secular root is a double eigenvalue of N, so the power sums of the
+    roots are p_k = tr(N^k)/2, with gradients d p_k = (k/2) tr(N^{k-1} dN);
+    Newton's identities turn them into the elementary symmetric functions
+    e_l = C(n,l) Y^(l).  Repeated roots need no special treatment."""
+    m, N = op.shape[:2]
+    n = N // 2
+    powers = [np.broadcast_to(np.eye(N), op.shape)]  # N^0 .. N^n
+    for _ in range(n):
+        powers.append(powers[-1] @ op)
+    p = [np.trace(P, axis1=1, axis2=2) / 2 for P in powers[1:]]
+    dp = [k / 2 * np.einsum("mab,mlba->ml", P, grad) for k, P in enumerate(powers[:-1], 1)]
+    # l e_l = sum_{k=1..l} (-1)^(k-1) e_{l-k} p_k, and its gradient
+    e, de = [np.ones(m)], [np.zeros((m, N))]
+    for l in range(1, n + 1):
+        total, d_total = np.zeros(m), np.zeros((m, N))
+        for k in range(1, l + 1):
+            sign = (-1) ** (k - 1)
+            total += sign * e[l - k] * p[k - 1]
+            d_total += sign * (de[l - k] * p[k - 1][:, None] + e[l - k][:, None] * dp[k - 1])
+        e.append(total / l)
+        de.append(d_total / l)
+    binom = np.array([math.comb(n, l) for l in range(1, n + 1)], dtype=float)
+    return np.stack(e[1:], axis=1) / binom, np.stack(de[1:], axis=1) / binom[:, None]
+
+
+def root_pair_gradients(op: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradients of the secular roots c_1 <= .. <= c_n at each state, an
+    (m, n, 2n) array, from N and dN: dc_i = tr(P_i dN)/2, where P_i is the
+    spectral projector of N on c_i's 2-dimensional eigenspace (the sum of
+    v_j w_j^T over the two eigenvalues of N nearest c_i).  Valid where the
+    roots are simple."""
+    lam, vecs = np.linalg.eig(op)
+    order = np.argsort(lam.real, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    # diagonal of V^{-1} dN_l V: the eigenvalue derivatives, ascending
+    diag = np.einsum("mja,mlab,mbj->mlj", np.linalg.inv(vecs), grad, vecs).real
+    return (diag[:, :, 0::2] + diag[:, :, 1::2]).transpose(0, 2, 1) / 2
+
+
 def pencil_coefficient_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:
-    """Jets of the pencil coefficients a_0..a_n at x (value + gradient)."""
+    """Jets of the pencil coefficients a_0..a_n at x (value + gradient),
+    by forward-mode propagation through matrix assembly, the Pfaffian
+    recursion and the interpolation: the independent oracle of the
+    recursion-operator gradients."""
     _require_regular(W, x)
     return _pencil_coefficients(_jet_matrix_rows(W, x), _jet_matrix_rows(What, x))
 
 
 def invariant_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:
-    """Jets of Y^(1)..Y^(n) at x, via forward-mode propagation through
-    matrix assembly, the Pfaffian recursion, and the interpolation."""
-    return list(y_from_coefficients(pencil_coefficient_jets(W, What, x)))
+    """Jets of Y^(1)..Y^(n) at x: values and exact gradients from the
+    recursion operator (`recursion_operator_batch`, `trace_invariants`)."""
+    _require_regular(W, x)
+    values, grads = trace_invariants(*recursion_operator_batch(W, What, [tuple(x)])[2:])
+    return [Jet(v, g) for v, g in zip(values[0].tolist(), grads[0])]
 
 
 def invariant_gradient(W: MultiVectorField, E: MultiVectorField, l: int, x) -> np.ndarray:

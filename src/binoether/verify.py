@@ -25,6 +25,7 @@ from .expr import ExprError, ScalarExpr, compile_kernel, evaluate_batch
 from .geometry import (
     MultiVectorField,
     PhasePoint,
+    component_diffs,
     evaluate_mv,
     hamiltonian_vf,
     lie_derivative_mv,
@@ -34,17 +35,21 @@ from .spectral import (
     REGULARITY_FACTOR,
     SpectralError,
     multiple_root_flags,
-    pencil_coefficient_jets,
     pencil_coefficients,
     pencil_coefficients_batch,
+    recursion_operator_batch,
     regularity_margin,
     regularity_margins,
-    root_gradients,
+    root_pair_gradients,
     roots_from_coefficients,
     roots_from_coefficients_batch,
+    trace_invariants,
     y_from_coefficients,
-    y_from_root_values,
 )
+
+# The forward-mode jet route, no longer called here; perfbench/tracing.py
+# still wraps these names in this module.
+from .spectral import pencil_coefficient_jets, root_gradients  # noqa: F401
 
 __all__ = [
     "PAPER_ANCHORS",
@@ -263,15 +268,6 @@ def sample_regular_points(W: MultiVectorField, cfg: CheckConfig) -> list[PhasePo
 # Residual helpers
 # ---------------------------------------------------------------------------
 
-def _component_diffs(F: MultiVectorField) -> dict[int, list[ScalarExpr]]:
-    N = F.space.dim
-    out: dict[int, list[ScalarExpr]] = {}
-    for l in range(N):
-        ds = [e.diff(l) for e in F.components.values()]
-        out[l] = [d for d in ds if not d.is_zero()]
-    return out
-
-
 def _worst_case(candidates):
     """(rel, raw, scale, where) of the candidate (raw, scale, where) with the
     largest relative residual rel = raw / max(1, scale).  A non-finite raw or
@@ -311,9 +307,9 @@ def _bracket_check(
     is the one met first at the first offending point.  A NaN anywhere in a
     maximum makes it NaN, so the check fails closed."""
     dim, m = A.space.dim, len(points)
-    dA, dB = _component_diffs(A), _component_diffs(B)
+    dA, dB = component_diffs(A), component_diffs(B)
     groups = [list(F.components.values()) for F in (T, A, B)]
-    groups += [d[l] for l in range(dim) for d in (dB, dA)]
+    groups += [list(d[l].values()) for l in range(dim) for d in (dB, dA)]
     values = iter(evaluate_batch([e for g in groups for e in g], [x.coords for x in points]))
     # |values| of each group under a row of zeros, so an empty group reads 0
     t_abs, a_abs, b_abs, *d_abs = [np.abs([np.zeros(m), *(next(values) for _ in g)])
@@ -408,18 +404,22 @@ def check_compatibility(
 def check_spectral_routes(
     W: MultiVectorField, What: MultiVectorField, cfg: CheckConfig
 ) -> tuple[CheckRecord, tuple[SpectrumSample, ...]]:
-    """Cross-validate the two routes to Y^(l) - pencil coefficients versus
-    symmetric functions of the secular roots - and collect samples."""
+    """Cross-validate two independent routes to Y^(l) - the Pfaffian pencil
+    coefficients against Newton's identities on the traces of the
+    recursion operator N = W^{-1} W_hat (`spectral.trace_invariants`),
+    which share only the evaluation of W and W_hat - and collect the
+    samples: the secular roots and Y^(l) of the pencil at each point."""
     points = sample_regular_points(W, cfg)
     samples = []
-    gaps = []
     for x in points:
         coeffs = pencil_coefficients(W, What, x)
         roots = roots_from_coefficients(coeffs)
         direct = tuple(float(v) for v in y_from_coefficients(coeffs))
         samples.append(SpectrumSample(tuple(x), tuple(float(r) for r in roots), direct))
-        gaps += [(abs(a - b), max(abs(a), abs(b)), x)
-                 for a, b in zip(direct, y_from_root_values(roots))]
+    _, _, op, grad = recursion_operator_batch(W, What, [x.coords for x in points])
+    traces, _ = trace_invariants(op, grad)
+    gaps = [(abs(a - b), max(abs(a), abs(b)), s.point)
+            for s, row in zip(samples, traces.tolist()) for a, b in zip(s.y, row)]
     rel, raw, scale, _ = _worst_case(gaps)
     return _record("spectral_routes", rel, raw, scale, cfg.tol, len(points)), tuple(samples)
 
@@ -560,42 +560,50 @@ def conservation_drift(
 # Involution
 # ---------------------------------------------------------------------------
 
+def _pair_brackets(grads: np.ndarray, w: np.ndarray, what: np.ndarray, points) -> list[tuple]:
+    """(|g_a . V g_b|, max_{d,e} |V_de g_a,d g_b,e|, x) for every pair a <= b
+    of the gradients (m, K, dim) at each of the m points x, under V = W and
+    V = W_hat (stacked (m, dim, dim) arrays), in that order."""
+    a, b = np.triu_indices(grads.shape[1])
+    ga, gb = grads[:, a], grads[:, b]
+    raw = np.stack([np.abs(np.einsum("mpd,mde,mpe->mp", ga, V, gb)) for V in (w, what)], axis=-1)
+    # one pair at a time, so that no (m, pairs, dim, dim) product is held
+    scale = np.array([[np.max(np.abs(V * ga[:, p, :, None] * gb[:, p, None, :]), axis=(1, 2))
+                       for V in (w, what)] for p in range(len(a))]).transpose(2, 0, 1)
+    return [(r, s, x) for k, x in enumerate(points)
+            for r, s in zip(raw[k].ravel().tolist(), scale[k].ravel().tolist())]
+
+
 def check_involution(
     W: MultiVectorField,
     E: MultiVectorField,
     cfg: CheckConfig,
     tol: float | None = None,
 ) -> CheckRecord:
-    """{Y^(k), Y^(l)} = 0 under both Poisson structures (W and W_hat), via
-    exact jet gradients; secular-root pairs are audited too wherever the
-    spectrum is simple."""
+    """{Y^(k), Y^(l)} = 0 under both Poisson structures (W and W_hat), and
+    {c_i, c_j} = 0 wherever the secular spectrum is simple.  The gradients
+    are exact, from the recursion operator N = W^{-1} W_hat, built over
+    all sampled points at once: Newton's identities on tr(N^k) for the
+    Y^(l), spectral projectors of N for the roots (`spectral`).  Which
+    points have repeated roots is decided from the pencil's roots."""
     tol = cfg.tol if tol is None else tol
     n = W.space.n
     What = lie_derivative_mv(E, W)
     points = sample_regular_points(W, cfg)
-    brackets = []
-    skipped = 0
-    for x in points:
-        coeff_jets = pencil_coefficient_jets(W, What, x)
-        grad_sets = [[y.gradient for y in y_from_coefficients(coeff_jets)]]
-        roots = roots_from_coefficients([j.value for j in coeff_jets])
-        if n > 1 and any(multiple_root_flags(roots)):
-            skipped += 1
-        elif n > 1:
-            grad_sets.append(root_gradients(coeff_jets, tuple(roots)))
-
-        matrices = (evaluate_mv(W, x), evaluate_mv(What, x))
-        for gset in grad_sets:
-            for a, ga in enumerate(gset):
-                for gb in gset[a:]:
-                    brackets += [
-                        (abs(float(ga @ Vm @ gb)), float(np.max(np.abs(Vm * np.outer(ga, gb)))), x)
-                        for Vm in matrices
-                    ]
-    rel, raw, scale, _ = _worst_case(brackets)
-    notes = "pairs tested with gradients from forward-mode jets"
+    states = [x.coords for x in points]
+    w, what, op, grad = recursion_operator_batch(W, What, states)
+    brackets = _pair_brackets(trace_invariants(op, grad)[1], w, what, points)
+    notes = "pairs tested with gradients from the recursion operator N = W^-1 What"
     if n == 1:
         notes = "single invariant: only the vanishing self-bracket is checked"
-    if skipped:
-        notes += f"; root-pair test skipped at {skipped} points with repeated roots"
+    else:
+        roots = roots_from_coefficients_batch(pencil_coefficients_batch(W, What, states))
+        simple = [k for k, r in enumerate(roots) if not any(multiple_root_flags(r))]
+        if simple:
+            brackets += _pair_brackets(root_pair_gradients(op[simple], grad[simple]),
+                                       w[simple], what[simple], [points[k] for k in simple])
+        skipped = len(points) - len(simple)
+        if skipped:
+            notes += f"; root-pair test skipped at {skipped} points with repeated roots"
+    rel, raw, scale, _ = _worst_case(brackets)
     return _record("involution", rel, raw, scale, tol, len(points), notes)

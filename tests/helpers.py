@@ -8,12 +8,13 @@ from binoether.expr import Num, PhaseSpace, ScalarExpr, Var, substitute
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
+    component_diffs,
     evaluate_mv,
     hamiltonian_vf,
     lie_derivative_mv,
     schouten_bb,
 )
-from binoether.verify import _component_diffs, _record, _worst_case
+from binoether.verify import _record, _worst_case
 
 
 def var(space: PhaseSpace, name: str) -> Var:
@@ -232,7 +233,7 @@ def pointwise_bracket_check(check_id: str, T: MultiVectorField, A: MultiVectorFi
     that the batched `verify._bracket_check` must match record for record
     wherever no value is NaN (Python's max drops a NaN that follows a
     finite value, so this oracle can pass a NaN residual)."""
-    dA, dB = _component_diffs(A), _component_diffs(B)
+    dA, dB = component_diffs(A), component_diffs(B)
 
     def max_eval(exprs, x):
         return max((abs(e.eval(x)) for e in exprs), default=0.0)
@@ -243,7 +244,7 @@ def pointwise_bracket_check(check_id: str, T: MultiVectorField, A: MultiVectorFi
         for l in range(A.space.dim):
             a_row = float(np.max(np.abs(Am[l])))
             b_row = float(np.max(np.abs(Bm[l])))
-            s = max(s, a_row * max_eval(dB[l], x), b_row * max_eval(dA[l], x))
+            s = max(s, a_row * max_eval(dB[l].values(), x), b_row * max_eval(dA[l].values(), x))
         return s
 
     rel, raw, scale_at_worst, _ = _worst_case(

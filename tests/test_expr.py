@@ -249,6 +249,17 @@ class TestDiff:
         assert repr(d.b) == "(cos(Var(q1)) * Var(p1))"
         assert d.a.a.a is d.b and d.a.b.b is d.b
 
+    def test_constant_folds_reuse_an_operand_of_the_same_bits(self):
+        # the derivative of a linear form folds to its coefficient without
+        # a new literal per summand
+        two, zero, negzero = Num(2.0), Num(0.0), Num(-0.0)
+        assert (two + zero) is two and (zero - two).value == -2.0
+        assert (two * Num(1.0)) is two
+        assert diff(parse("3*q1 + 0*p1 - q1", S1), "q1", S1) == Num(2.0)
+        # 0.0 + -0.0 is +0.0: only the operand with the same sign is reused
+        assert (zero + negzero) is zero and (negzero + zero) is zero
+        assert math.copysign(1.0, (negzero + negzero).value) == -1.0
+
 
 class TestJets:
     def test_hand_examples(self):

@@ -12,14 +12,23 @@ from binoether.spectral import (
     invariant_jets,
     is_regular,
     mixed_wedge_ratios,
+    multiple_root_flags,
     pencil_coefficient_jets,
     pfaffian,
+    recursion_operator_batch,
     root_gradients,
+    root_pair_gradients,
+    roots_from_coefficients,
     secular_roots,
+    trace_invariants,
+    y_from_coefficients,
     y_from_roots,
 )
+from binoether.systems import builtin_system
+from binoether.verify import CheckConfig, sample_regular_points
 from helpers import (
     block_action_system,
+    dense_frame_fields,
     dissipative_fields,
     linear_coordinate_change,
     random_points,
@@ -274,3 +283,108 @@ class TestRootGradients:
         (g,) = root_gradients(coeffs, spec.roots)
         # c1 = -2 (p+q)
         assert np.allclose(g, [-2.0, -2.0], rtol=1e-9)
+
+
+def _builtin(name, n):
+    spec = builtin_system(name, n)
+    return spec.W, spec.E
+
+
+# system (W, E) -> number of sampled points the oracles are compared at
+ORACLE_SYSTEMS = {
+    "dissipative-n1": (lambda: _builtin("dissipative", 1), 6),
+    "dissipative-n2": (lambda: _builtin("dissipative", 2), 6),
+    "dissipative-n3": (lambda: _builtin("dissipative", 3), 4),
+    "dissipative-n6": (lambda: _builtin("dissipative", 6), 2),
+    "dense-frame-n2": (lambda: dense_frame_fields(2, seed=7)[1::2], 4),
+    "canonical-noether-n2": (lambda: _builtin("canonical-noether", 2), 4),
+}
+
+
+def _oracle_case(key):
+    build, count = ORACLE_SYSTEMS[key]
+    W, E = build()
+    points = sample_regular_points(W, CheckConfig(samples=8))[:count]
+    return W, lie_derivative_mv(E, W), points
+
+
+def _central_difference(f, x, h=1e-6):
+    """d f / d x_i for i = 0..dim-1, f returning a vector."""
+    base = np.asarray(tuple(x))
+    columns = []
+    for i in range(len(base)):
+        up, dn = base.copy(), base.copy()
+        up[i] += h
+        dn[i] -= h
+        columns.append((np.asarray(f(up)) - np.asarray(f(dn))) / (2 * h))
+    return np.array(columns).T
+
+
+def _close(got, want, tol):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(np.asarray(got) - want))) / scale <= tol
+
+
+class TestRecursionOperatorRoute:
+    """The trace route against the forward-mode jets through the Pfaffian
+    (an independent oracle) and central finite differences."""
+
+    @pytest.mark.parametrize("key", sorted(ORACLE_SYSTEMS))
+    def test_invariant_gradients_match_jets_and_differences(self, key):
+        W, What, points = _oracle_case(key)
+        _, _, op, grad = recursion_operator_batch(W, What, [x.coords for x in points])
+        values, grads = trace_invariants(op, grad)
+        for x, y, dy in zip(points, values, grads):
+            jets = y_from_coefficients(pencil_coefficient_jets(W, What, x))
+            _close(y, [j.value for j in jets], 1e-10)
+            _close(dy, np.array([j.gradient for j in jets]), 1e-10)
+            fd = _central_difference(lambda z: mixed_wedge_ratios(W, What, z).values, x)
+            _close(dy, fd, 1e-5)
+
+    @pytest.mark.parametrize("key", sorted(ORACLE_SYSTEMS))
+    def test_simple_root_gradients_match_jets_and_differences(self, key):
+        W, What, points = _oracle_case(key)
+        _, _, op, grad = recursion_operator_batch(W, What, [x.coords for x in points])
+        grads = root_pair_gradients(op, grad)
+        compared = 0
+        for x, dc in zip(points, grads):
+            coeff_jets = pencil_coefficient_jets(W, What, x)
+            roots = roots_from_coefficients([j.value for j in coeff_jets])
+            if any(multiple_root_flags(roots)):
+                continue  # repeated roots: only the invariant gradients count
+            # the jets carry interpolation rounding through 1/P'(-c)
+            _close(dc, np.array(root_gradients(coeff_jets, tuple(roots))), 1e-6)
+            _close(dc, _central_difference(lambda z: secular_roots(W, What, z).roots, x), 1e-5)
+            compared += 1
+        assert compared == (0 if key.startswith("canonical-noether") else len(points))
+
+    def test_dissipative_root_gradients_exact(self):
+        # c_i = -2 (q_i + p_i): each root gradient is -2 at q_i and p_i
+        n = 6
+        spec = builtin_system("dissipative", n)
+        What = lie_derivative_mv(spec.E, spec.W)
+        for seed in (0, 2, 16):
+            points = sample_regular_points(spec.W, CheckConfig(seed=seed))
+            states = np.array([x.coords for x in points])
+            grads = root_pair_gradients(*recursion_operator_batch(spec.W, What, states)[2:])
+            c = -2.0 * (states[:, :n] + states[:, n:])
+            for dc, order in zip(grads, np.argsort(c, axis=1)):
+                want = np.zeros((n, 2 * n))
+                want[np.arange(n), order] = want[np.arange(n), n + order] = -2.0
+                assert np.max(np.abs(dc - want)) <= 1e-12
+
+    def test_jets_are_one_row_of_the_route(self):
+        spec = builtin_system("dissipative", 3)
+        What = lie_derivative_mv(spec.E, spec.W)
+        points = sample_regular_points(spec.W, CheckConfig(samples=8))
+        _, _, op, grad = recursion_operator_batch(spec.W, What, [x.coords for x in points])
+        values, grads = trace_invariants(op, grad)
+        for x, y, dy in zip(points, values, grads):
+            jets = invariant_jets(spec.W, What, x)
+            assert [j.value for j in jets] == y.tolist()
+            assert np.array_equal([j.gradient for j in jets], dy)
+
+    def test_jets_raise_at_a_degenerate_point(self):
+        _, W, _, E = dissipative_fields(1)
+        with pytest.raises(RegularityError):
+            invariant_jets(W, lie_derivative_mv(E, W), PhasePoint((1.0, 0.0)))

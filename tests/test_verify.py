@@ -13,7 +13,13 @@ from binoether.geometry import (
     lie_derivative_mv,
     poisson_bracket,
 )
-from binoether.spectral import REGULARITY_FACTOR, regularity_margin
+from binoether.spectral import (
+    REGULARITY_FACTOR,
+    pencil_coefficients,
+    regularity_margin,
+    roots_from_coefficients,
+    y_from_coefficients,
+)
 from binoether.verify import (
     CheckConfig,
     CheckReport,
@@ -26,6 +32,7 @@ from binoether.verify import (
     check_involution,
     check_jacobi,
     check_non_noether,
+    check_spectral_routes,
     check_symmetry,
     check_yang_baxter,
     conservation_drift,
@@ -485,6 +492,20 @@ class TestDriftRefinement:
         assert drifts[-1] <= CheckConfig().drift_tol
 
 
+def _with_nan(grads):
+    grads = grads.copy()
+    grads[3, 1, 0] = math.nan
+    return grads
+
+
+# gradient route used by check_involution -> the same route with one NaN
+# gradient entry at the fourth point
+NAN_POISONS = {
+    "trace_invariants": lambda route: lambda *args: (route(*args)[0], _with_nan(route(*args)[1])),
+    "root_pair_gradients": lambda route: lambda *args: _with_nan(route(*args)),
+}
+
+
 class TestCheckInvolution:
     def test_friction_n2_passes_both_brackets(self):
         _, W, _, E = dissipative_fields(2)
@@ -505,6 +526,48 @@ class TestCheckInvolution:
         record = check_involution(W, E_noether, CFG)
         assert record.passed
         assert "skipped" in record.notes
+
+    def test_n6_passes_for_every_sampling_seed(self):
+        # the verdict must not depend on where the points fall: root pairs
+        # close together once made the jet-based brackets exceed tol
+        spec = builtin_system("dissipative", 6)
+        failing = [seed for seed in range(100)
+                   if not check_involution(spec.W, spec.E, CheckConfig(seed=seed)).passed]
+        assert failing == []
+
+    @pytest.mark.parametrize("route", sorted(NAN_POISONS))
+    def test_nan_gradient_fails(self, monkeypatch, route):
+        import binoether.verify as verify
+
+        monkeypatch.setattr(verify, route, NAN_POISONS[route](getattr(verify, route)))
+        _, W, _, E = dissipative_fields(2)
+        record = check_involution(W, E, CFG)
+        assert not record.passed
+        assert math.isnan(record.residual)
+
+
+class TestCheckSpectralRoutes:
+    def test_samples_come_from_the_pencil(self):
+        spec = builtin_system("dissipative", 3)
+        What = lie_derivative_mv(spec.E, spec.W)
+        record, samples = check_spectral_routes(spec.W, What, CFG)
+        assert record.passed and rel(record) <= 1e-12
+        for s in samples:
+            coeffs = pencil_coefficients(spec.W, What, s.point)
+            assert s.c == tuple(roots_from_coefficients(coeffs).tolist())
+            assert s.y == tuple(float(v) for v in y_from_coefficients(coeffs))
+
+    def test_a_wrong_trace_route_fails(self, monkeypatch):
+        # the second route is independent of the pencil: perturbing it
+        # alone must show up as a route gap
+        import binoether.verify as verify
+
+        original = verify.trace_invariants
+        monkeypatch.setattr(verify, "trace_invariants",
+                            lambda *args: (original(*args)[0] * (1 + 1e-6), None))
+        spec = builtin_system("dissipative", 3)
+        record, _ = check_spectral_routes(spec.W, lie_derivative_mv(spec.E, spec.W), CFG)
+        assert not record.passed
 
 
 class TestTheoremChainSoundness:
