@@ -7,13 +7,16 @@ derivatives, and forward-mode jet evaluation (value plus full gradient in
 one pass).  `evaluate_batch` evaluates a list of expressions at many points
 at once, and `compile_kernel` turns a list of expressions into one
 straight-line Python function of the coordinates, both with the same
-floating-point results and errors as evaluating point by point.
+floating-point results and errors as evaluating point by point.  The four
+binary nodes share one base: each names its Python operator, which
+batched evaluation, jets and `substitute` apply, and its printed symbol.
 Everything here is pure and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -343,89 +346,59 @@ class Var(ScalarExpr):
 
 
 @dataclass(frozen=True, repr=False)
-class Add(ScalarExpr):
+class _Binary(ScalarExpr):
+    """A binary node: ``_op`` is its Python operator, which works alike on
+    floats, numpy arrays, jets and expressions, and ``_sym`` its symbol.
+    Each node keeps its own `eval`, written out, for tree-evaluation speed."""
+
     a: ScalarExpr
     b: ScalarExpr
 
-    _prec = _PREC_ADD
+    def _eval_many(self, states, memo):
+        return self._op(self.a.eval_many(states, memo), self.b.eval_many(states, memo))
+
+    def jet(self, jets):
+        return self._op(self.a.jet(jets), self.b.jet(jets))
+
+    def _fmt_raw(self):
+        return f"{self.a._fmt(self._prec)} {self._sym} {self.b._fmt(self._prec + 1)}"
+
+    def __repr__(self):
+        return f"({self.a!r} {self._sym} {self.b!r})"
+
+
+class Add(_Binary):
+    _prec, _op, _sym = _PREC_ADD, operator.add, "+"
 
     def eval(self, point):
         return self.a.eval(point) + self.b.eval(point)
 
-    def _eval_many(self, states, memo):
-        return self.a.eval_many(states, memo) + self.b.eval_many(states, memo)
-
-    def jet(self, jets):
-        return self.a.jet(jets) + self.b.jet(jets)
-
     def _diff(self, index):
         return self.a.diff(index) + self.b.diff(index)
 
-    def _fmt_raw(self):
-        return f"{self.a._fmt(_PREC_ADD)} + {self.b._fmt(_PREC_ADD + 1)}"
 
-    def __repr__(self):
-        return f"({self.a!r} + {self.b!r})"
-
-
-@dataclass(frozen=True, repr=False)
-class Sub(ScalarExpr):
-    a: ScalarExpr
-    b: ScalarExpr
-
-    _prec = _PREC_ADD
+class Sub(_Binary):
+    _prec, _op, _sym = _PREC_ADD, operator.sub, "-"
 
     def eval(self, point):
         return self.a.eval(point) - self.b.eval(point)
 
-    def _eval_many(self, states, memo):
-        return self.a.eval_many(states, memo) - self.b.eval_many(states, memo)
-
-    def jet(self, jets):
-        return self.a.jet(jets) - self.b.jet(jets)
-
     def _diff(self, index):
         return self.a.diff(index) - self.b.diff(index)
 
-    def _fmt_raw(self):
-        return f"{self.a._fmt(_PREC_ADD)} - {self.b._fmt(_PREC_ADD + 1)}"
 
-    def __repr__(self):
-        return f"({self.a!r} - {self.b!r})"
-
-
-@dataclass(frozen=True, repr=False)
-class Mul(ScalarExpr):
-    a: ScalarExpr
-    b: ScalarExpr
-
-    _prec = _PREC_MUL
+class Mul(_Binary):
+    _prec, _op, _sym = _PREC_MUL, operator.mul, "*"
 
     def eval(self, point):
         return self.a.eval(point) * self.b.eval(point)
 
-    def _eval_many(self, states, memo):
-        return self.a.eval_many(states, memo) * self.b.eval_many(states, memo)
-
-    def jet(self, jets):
-        return self.a.jet(jets) * self.b.jet(jets)
-
     def _diff(self, index):
         return self.a.diff(index) * self.b + self.a * self.b.diff(index)
 
-    def _fmt_raw(self):
-        return f"{self.a._fmt(_PREC_MUL)} * {self.b._fmt(_PREC_MUL + 1)}"
 
-    def __repr__(self):
-        return f"({self.a!r} * {self.b!r})"
-
-
-@dataclass(frozen=True, repr=False)
-class Div(ScalarExpr):
-    a: ScalarExpr
-    b: ScalarExpr
-
-    _prec = _PREC_MUL
+class Div(_Binary):
+    _prec, _op, _sym = _PREC_MUL, operator.truediv, "/"
 
     def eval(self, point):
         d = self.b.eval(point)
@@ -448,12 +421,6 @@ class Div(ScalarExpr):
     def _diff(self, index):
         # (a/b)' = a'/b - a*b'/b^2
         return self.a.diff(index) / self.b - self.a * self.b.diff(index) / (self.b * self.b)
-
-    def _fmt_raw(self):
-        return f"{self.a._fmt(_PREC_MUL)} / {self.b._fmt(_PREC_MUL + 1)}"
-
-    def __repr__(self):
-        return f"({self.a!r} / {self.b!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -872,8 +839,7 @@ def compile_kernel(exprs, dim: int):
             elif isinstance(node, Neg):
                 value = f"-{emit(node.a)}"
             else:
-                op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
-                value = f"{emit(node.a)} {op} {emit(node.b)}"
+                value = f"{emit(node.a)} {node._sym} {emit(node.b)}"
             body.append(f"t{key} = {value}")
             names[key] = f"t{key}"
         return names[key]
@@ -908,14 +874,9 @@ def substitute(expr: ScalarExpr, mapping: dict[int, ScalarExpr]) -> ScalarExpr:
         return mapping.get(expr.index, expr)
     if isinstance(expr, Num):
         return expr
-    if isinstance(expr, Add):
-        return substitute(expr.a, mapping) + substitute(expr.b, mapping)
-    if isinstance(expr, Sub):
-        return substitute(expr.a, mapping) - substitute(expr.b, mapping)
-    if isinstance(expr, Mul):
-        return substitute(expr.a, mapping) * substitute(expr.b, mapping)
-    if isinstance(expr, Div):
-        return substitute(expr.a, mapping) / substitute(expr.b, mapping)
+    if isinstance(expr, _Binary):
+        # through the operator, so the folding constructors apply
+        return expr._op(substitute(expr.a, mapping), substitute(expr.b, mapping))
     if isinstance(expr, Neg):
         return -substitute(expr.a, mapping)
     if isinstance(expr, Pow):

@@ -21,7 +21,8 @@ from one batched evaluation.
 
 The Pfaffian recursion runs on floats, on matrices of arrays, one element
 per state (the `*_batch` functions and `regularity_margins` return the
-point route's values bit for bit), and on forward-mode jets
+point route's values bit for bit; `roots_from_coefficients` is the one-row
+call of its batch), and on forward-mode jets
 (`pencil_coefficient_jets`, `root_gradients`), which the tests keep as an
 independent oracle of the recursion-operator gradients.
 """
@@ -29,7 +30,9 @@ independent oracle of the recursion-operator gradients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -179,7 +182,8 @@ def _value(v) -> float:
 
 
 def _frobenius(rows) -> float:
-    return math.sqrt(sum(_value(v) ** 2 for row in rows for v in row))
+    # square by square, as _frobenius_batch adds (sum() compensates from Python 3.12 on)
+    return math.sqrt(reduce(operator.add, (_value(v) ** 2 for row in rows for v in row), 0.0))
 
 
 def _zero_deformation(n: int) -> list[float]:
@@ -268,12 +272,18 @@ def _upper(rows) -> list[np.ndarray]:
     return [rows[i][j] for i in range(N) for j in range(i + 1, N) if not _absent(rows[i][j])]
 
 
-def _frobenius_batch(rows, m: int) -> list[float]:
-    """_frobenius at each of m states, over that state's entries."""
-    arrays = [v for row in rows for v in row if not _absent(v)]
-    if not arrays:
-        return [0.0] * m
-    return [_frobenius([entries]) for entries in np.array(arrays).T.tolist()]
+def _frobenius_batch(rows, live: np.ndarray) -> list[float]:
+    """_frobenius at each state, bit for bit (np.float_power rounds as ``** 2``
+    does), raising its OverflowError where a finite entry's square overflows
+    at a state where ``live`` holds."""
+    entries = np.array([v for row in rows for v in row if not _absent(v)]).reshape(-1, len(live))
+    with np.errstate(over="ignore"):
+        squares = np.float_power(entries, 2.0)
+    overflow = np.isinf(squares) & np.isfinite(entries) & live
+    if overflow.any():
+        float(entries[overflow][0]) ** 2
+    total = reduce(np.add, squares, np.zeros(len(live)))  # _frobenius's order, not np.sum's
+    return np.sqrt(total).tolist()
 
 
 def regularity_margin(w_matrix: np.ndarray) -> float:
@@ -364,14 +374,7 @@ def roots_from_coefficients(coeffs) -> np.ndarray:
     """The n roots of P(-c) = 0 for coefficients a_0..a_n of P, real and
     ascending; raises NonRealSpectrumError on a complex spectrum, and
     SpectralError when a zero leading coefficient leaves fewer than n."""
-    n = len(coeffs) - 1
-    # Q(c) = P(-c): coefficient of c^m is (-1)^m a_m; np.roots wants
-    # highest-degree first (companion-matrix eigenvalues under the hood)
-    desc = [((-1) ** m) * coeffs[m] for m in range(n, -1, -1)]
-    raw = np.roots(desc) if n >= 1 else np.array([])
-    if len(raw) != n:
-        raise SpectralError(f"zero leading coefficient leaves {len(raw)} of {n} roots")
-    return _real_roots(raw[None, :])[0]
+    return roots_from_coefficients_batch([coeffs])[0]
 
 
 def roots_from_coefficients_batch(coeffs) -> np.ndarray:
@@ -383,7 +386,7 @@ def roots_from_coefficients_batch(coeffs) -> np.ndarray:
     coefficient leaves fewer than n roots, and raises SpectralError."""
     coeffs = np.asarray(coeffs, dtype=float)
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
-    # Q(c) = P(-c), highest degree first, as in roots_from_coefficients
+    # Q(c) = P(-c): coefficient of c^p is (-1)^p a_p, highest degree first
     desc = coeffs[:, ::-1] * np.where(np.arange(n, -1, -1) % 2, -1.0, 1.0)
     plain = (desc[:, 0] != 0.0) & (desc[:, -1] != 0.0) & np.all(np.isfinite(desc), axis=1)
     d = desc[plain]
@@ -397,7 +400,7 @@ def roots_from_coefficients_batch(coeffs) -> np.ndarray:
         stripped = np.roots(desc[k])
         if len(stripped) != n:
             raise SpectralError(f"zero leading coefficient leaves {len(stripped)} of {n} roots"
-                                f" in coefficient row {k}")
+                                + (f" in coefficient row {k}" if m > 1 else ""))
         raw[k] = stripped
     return _real_roots(raw)
 
@@ -455,9 +458,10 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
         zero_deformation &= h == 0.0
     skipped = np.any([w == 0.0 for w in _upper(w_rows)], axis=0)
 
+    live = ~zero_deformation  # the point route takes no norms at the others
     scales = [
         _node_scale(norm_w, norm_h)
-        for norm_w, norm_h in zip(_frobenius_batch(w_rows, m), _frobenius_batch(h_rows, m))
+        for norm_w, norm_h in zip(_frobenius_batch(w_rows, live), _frobenius_batch(h_rows, live))
     ]
     s = np.array(scales)
     u, vander = _interpolation_nodes(n)

@@ -93,7 +93,7 @@ PAPER_ANCHORS = {
 TRAJECTORY_BLOCK = 256
 
 # what a batched pass over a block of states can raise; the block is then
-# redone state by state, so that the error met first along the flow wins
+# redone state by state, so that the first error in the states' order wins
 _BATCH_ERRORS = (ArithmeticError, ValueError, ExprError, SpectralError)
 
 
@@ -244,19 +244,30 @@ class Trajectory:
 # Sampling
 # ---------------------------------------------------------------------------
 
+def _margins(W: MultiVectorField, states: np.ndarray):
+    """regularity_margins(W, states), or where that pass raises the point
+    margins, lazily, so that the first error met in the states' order wins."""
+    try:
+        return regularity_margins(W, states)
+    except _BATCH_ERRORS:
+        return (regularity_margin(evaluate_mv(W, x)) for x in states)
+
+
 def sample_regular_points(W: MultiVectorField, cfg: CheckConfig) -> list[PhasePoint]:
     """Draw cfg.samples points uniformly from the box, rejecting those where
-    W is numerically degenerate."""
+    W is numerically degenerate, in at most 200 * cfg.samples draws.  Each round
+    screens the missing draws in one batched pass; a block of draws is the stream of
+    single draws, so points, draw count and first error match one draw at a time."""
     rng = np.random.default_rng(cfg.seed)
-    dim = W.space.dim
     points: list[PhasePoint] = []
     attempts = 0
     limit = 200 * cfg.samples
     while len(points) < cfg.samples and attempts < limit:
-        attempts += 1
-        x = rng.uniform(-cfg.box, cfg.box, size=dim)
-        if regularity_margin(evaluate_mv(W, x)) > REGULARITY_FACTOR:
-            points.append(PhasePoint(tuple(x)))
+        k = min(cfg.samples - len(points), limit - attempts)
+        block = rng.uniform(-cfg.box, cfg.box, size=(k, W.space.dim))
+        attempts += k
+        points += [PhasePoint(tuple(x)) for x, margin in zip(block, _margins(W, block))
+                   if margin > REGULARITY_FACTOR]
     if len(points) < cfg.samples:
         raise SamplingError(
             f"found only {len(points)}/{cfg.samples} regular points in {attempts} draws"
@@ -401,6 +412,19 @@ def check_compatibility(
 # Spectrum at samples (route cross-check)
 # ---------------------------------------------------------------------------
 
+def _pencil_roots(W: MultiVectorField, What: MultiVectorField, states):
+    """Pencil coefficients and secular roots at the states in one batched
+    pass; where that raises, by the point routes state by state, so that the
+    first error met in the states' order is raised."""
+    try:
+        coeffs = pencil_coefficients_batch(W, What, states)
+        return coeffs, roots_from_coefficients_batch(coeffs)
+    except _BATCH_ERRORS:
+        points = (pencil_coefficients(W, What, x) for x in states)
+        coeffs, roots = zip(*[(c, roots_from_coefficients(c)) for c in points])
+        return np.array(coeffs), np.array(roots)
+
+
 def check_spectral_routes(
     W: MultiVectorField, What: MultiVectorField, cfg: CheckConfig
 ) -> tuple[CheckRecord, tuple[SpectrumSample, ...]]:
@@ -408,20 +432,18 @@ def check_spectral_routes(
     coefficients against Newton's identities on the traces of the
     recursion operator N = W^{-1} W_hat (`spectral.trace_invariants`),
     which share only the evaluation of W and W_hat - and collect the
-    samples: the secular roots and Y^(l) of the pencil at each point."""
+    samples: the secular roots and Y^(l) of the pencil at each point, all in one batched pass."""
     points = sample_regular_points(W, cfg)
-    samples = []
-    for x in points:
-        coeffs = pencil_coefficients(W, What, x)
-        roots = roots_from_coefficients(coeffs)
-        direct = tuple(float(v) for v in y_from_coefficients(coeffs))
-        samples.append(SpectrumSample(tuple(x), tuple(float(r) for r in roots), direct))
-    _, _, op, grad = recursion_operator_batch(W, What, [x.coords for x in points])
-    traces, _ = trace_invariants(op, grad)
+    states = [x.coords for x in points]
+    coeffs, roots = _pencil_roots(W, What, states)
+    direct = np.column_stack(y_from_coefficients(coeffs.T))
+    traces, _ = trace_invariants(*recursion_operator_batch(W, What, states)[2:])
+    samples = tuple(SpectrumSample(tuple(x), tuple(c), tuple(y))
+                    for x, c, y in zip(points, roots.tolist(), direct.tolist()))
     gaps = [(abs(a - b), max(abs(a), abs(b)), s.point)
             for s, row in zip(samples, traces.tolist()) for a, b in zip(s.y, row)]
     rel, raw, scale, _ = _worst_case(gaps)
-    return _record("spectral_routes", rel, raw, scale, cfg.tol, len(points)), tuple(samples)
+    return _record("spectral_routes", rel, raw, scale, cfg.tol, len(points)), samples
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +454,7 @@ def _monitor_regularity(W: MultiVectorField, times: np.ndarray, states: np.ndarr
     """FlowError at the first of the states where W is degenerate."""
     for start in range(0, len(states), TRAJECTORY_BLOCK):
         block = states[start:start + TRAJECTORY_BLOCK]
-        try:
-            margins = regularity_margins(W, block)
-        except _BATCH_ERRORS:
-            # lazily, so that a loss of regularity before the error wins
-            margins = (regularity_margin(evaluate_mv(W, x)) for x in block)
-        for k, margin in enumerate(margins, start):
+        for k, margin in enumerate(_margins(W, block), start):
             if margin <= REGULARITY_FACTOR:
                 raise FlowError(f"regularity lost at t = {times[k]:.6g}")
 
@@ -532,16 +549,8 @@ def conservation_drift(
     for start in range(0, m, TRAJECTORY_BLOCK):
         block = traj.states[start:start + TRAJECTORY_BLOCK]
         rows = series[start:start + TRAJECTORY_BLOCK]
-        try:
-            coeffs = pencil_coefficients_batch(W, What, block)
-            rows[:, :n] = roots_from_coefficients_batch(coeffs)
-            rows[:, n:] = np.column_stack(y_from_coefficients(coeffs.T))
-        except _BATCH_ERRORS:
-            # state by state, the error met first along the flow is raised
-            for row, x in zip(rows, block):
-                coeffs = pencil_coefficients(W, What, x)
-                row[:n] = roots_from_coefficients(coeffs)
-                row[n:] = y_from_coefficients(coeffs)
+        coeffs, rows[:, :n] = _pencil_roots(W, What, block)
+        rows[:, n:] = np.column_stack(y_from_coefficients(coeffs.T))
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]
     drifts = []

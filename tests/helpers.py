@@ -14,7 +14,8 @@ from binoether.geometry import (
     lie_derivative_mv,
     schouten_bb,
 )
-from binoether.verify import _record, _worst_case
+from binoether.spectral import REGULARITY_FACTOR, SpectralError, _real_roots, regularity_margin
+from binoether.verify import SamplingError, _record, _worst_case
 
 
 def var(space: PhaseSpace, name: str) -> Var:
@@ -180,6 +181,38 @@ def max_component_at(field: MultiVectorField, pt) -> float:
     if not field.components:
         return 0.0
     return max(abs(e.eval(pt)) for e in field.components.values())
+
+
+def reference_sample_points(W: MultiVectorField, cfg):
+    """Regular points drawn and tested one at a time: the oracle that the
+    round-by-round `verify.sample_regular_points` must match point for
+    point, draw count and first error included."""
+    rng = np.random.default_rng(cfg.seed)
+    points = []
+    attempts = 0
+    limit = 200 * cfg.samples
+    while len(points) < cfg.samples and attempts < limit:
+        attempts += 1
+        x = rng.uniform(-cfg.box, cfg.box, size=W.space.dim)
+        if regularity_margin(evaluate_mv(W, x)) > REGULARITY_FACTOR:
+            points.append(PhasePoint(tuple(x)))
+    if len(points) < cfg.samples:
+        raise SamplingError(
+            f"found only {len(points)}/{cfg.samples} regular points in {attempts} draws"
+        )
+    return points
+
+
+def reference_roots(coeffs):
+    """The n roots of P(-c) = 0 for coefficients a_0..a_n of P, by np.roots,
+    real and ascending: the oracle that `spectral.roots_from_coefficients_batch`
+    must match row by row, bit for bit."""
+    n = len(coeffs) - 1
+    # Q(c) = P(-c): coefficient of c^m is (-1)^m a_m, highest degree first
+    raw = np.roots([((-1) ** m) * coeffs[m] for m in range(n, -1, -1)])
+    if len(raw) != n:
+        raise SpectralError(f"zero leading coefficient leaves {len(raw)} of {n} roots")
+    return _real_roots(raw[None, :])[0]
 
 
 def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, dt: float):

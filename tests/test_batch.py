@@ -2,13 +2,14 @@
 secular roots, invariants and regularity margins must equal the point route
 state by state, bit for bit."""
 
+import math
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from binoether import verify
+from binoether import spectral, verify
 from binoether.expr import Num, PhaseSpace, parse
 from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
 from binoether.spectral import (
@@ -22,15 +23,24 @@ from binoether.spectral import (
     roots_from_coefficients_batch,
     y_from_coefficients,
 )
-from binoether.systems import builtin_system, load_system
+from binoether.systems import SystemSpec, builtin_system, load_system, run_report
 from binoether.verify import (
     TRAJECTORY_BLOCK,
     CheckConfig,
+    SamplingError,
+    check_spectral_routes,
     conservation_drift,
     integrate_flow,
     sample_regular_points,
 )
-from helpers import dense_frame_dissipative, dissipative_fields, reference_flow_states
+from helpers import (
+    dense_frame_dissipative,
+    dense_frame_fields,
+    dissipative_fields,
+    reference_flow_states,
+    reference_roots,
+    reference_sample_points,
+)
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -184,3 +194,137 @@ class TestPerStateEdgeCases:
         with pytest.raises(NonRealSpectrumError) as batched:
             roots_from_coefficients_batch(rows)
         assert str(batched.value) == str(point.value)
+
+    def test_norms_add_one_square_at_a_time(self):
+        # 1 + 8 * 2^-54 stays 1 when the squares are added one at a time, but
+        # not in a compensated sum, which sum() of floats is from Python 3.12
+        # on: both norms must fold, on every interpreter
+        entries = [1.0] + [2.0 ** -27] * 8
+        assert math.fsum(v ** 2 for v in entries) > 1.0
+        assert spectral._frobenius([entries]) == 1.0
+        assert spectral._frobenius_batch([[np.array([v]) for v in entries]], np.array([True])) == [1.0]
+
+    def test_overflowing_square_raises_as_the_point_route_does(self):
+        # W_hat^{q1 p1} = 5e199 at (0.5, 0.1): its square overflows, where
+        # Python's ** 2 raises OverflowError in the point route's norm
+        space = PhaseSpace.canonical(1)
+        W = MultiVectorField(space, 2, {(0, 1): Num(-1.0)})
+        What = MultiVectorField(space, 2, {(0, 1): parse("q1 * 1e200", space)})
+        with pytest.raises(OverflowError) as point:
+            pencil_coefficients(W, What, (0.5, 0.1))
+        with pytest.raises(OverflowError) as batched:
+            pencil_coefficients_batch(W, What, [[0.5, 0.1]])
+        assert str(batched.value) == str(point.value)
+        # the same What as L_E W, in a report: the spectral routes keep the note
+        E = MultiVectorField(space, 1, {(0,): parse("5e199 * q1^2", space)})
+        assert lie_derivative_mv(E, W).component((0, 1)).eval((0.5, 0.1)) == 5e199
+        cfg = CheckConfig(t_end=0.01)
+        with pytest.raises(OverflowError) as first:
+            pencil_coefficients(W, lie_derivative_mv(E, W), sample_regular_points(W, cfg)[0])
+        report = run_report(SystemSpec(space, W, parse("p1", space), E, "overflow"), cfg)
+        assert report.record("spectral_routes").notes == f"error: {first.value}"
+        # where W_hat is 0 the point route returns P(t) = t before any norm
+        big = MultiVectorField(space, 2, {(0, 1): parse("q1 * 1e200", space)})
+        What = MultiVectorField(space, 2, {(0, 1): parse("p1", space)})
+        states = [[0.5, 0.0], [-0.2, 0.0]]
+        assert same(pencil_coefficients_batch(big, What, states),
+                    [pencil_coefficients(big, What, x) for x in states])
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["zero-trailing-coefficients", "non-real"])
+def test_batched_roots_match_np_roots(case):
+    # roots_from_coefficients is the one-row batch call, so np.roots itself
+    # is the independent oracle
+    if case in CASES:
+        W, What, states = flow(case)
+        coeffs = pencil_coefficients_batch(W, What, states)
+    elif case == "non-real":  # the second row: c^2 + 1 = 0
+        coeffs = np.array([[2.0, -3.0, 1.0], [1.0, 0.0, 1.0]])
+    else:  # np.roots strips these and appends roots at 0
+        coeffs = np.array([[0.0, 3.0, 1.0], [2.0, -3.0, 1.0], [0.0, 0.0, 1.0]])
+    batched = outcome(lambda: roots_from_coefficients_batch(coeffs))
+    reference = outcome(lambda: [reference_roots(c) for c in coeffs])
+    if case == "non-real":
+        assert reference[0] is NonRealSpectrumError and batched == reference
+    else:
+        assert same(batched, reference)
+
+
+def outcome(fn):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return type(err), str(err)
+
+
+def _sampling_fields():
+    space = PhaseSpace.canonical(2)
+    fields = {f"dissipative-n{n}": dissipative_fields(n)[1] for n in range(1, 7)}
+    fields["dense-frame-n2"] = dense_frame_fields(2, seed=7)[1]
+    # degenerate where q1 < -1.4 or so: a share of the draws is rejected
+    fields["partly-degenerate"] = MultiVectorField(space, 2, {
+        (0, 2): Num(1.0), (1, 3): parse("exp(10 * q1)", space)})
+    fields["zero"] = MultiVectorField(space, 2, {})
+    fields["ln-domain"] = MultiVectorField(PhaseSpace.canonical(1), 2, {
+        (0, 1): parse("ln(q1 + 1)", PhaseSpace.canonical(1))})
+    return fields
+
+
+SAMPLING_FIELDS = _sampling_fields()
+
+
+@pytest.mark.parametrize("seed, box", [(1, 2.0), (17, 0.5), (2024, 3.0)])
+@pytest.mark.parametrize("name", sorted(SAMPLING_FIELDS))
+def test_sampling_matches_the_draw_by_draw_loop(name, seed, box):
+    W = SAMPLING_FIELDS[name]
+    cfg = CheckConfig(seed=seed, box=box)
+    reference = outcome(lambda: reference_sample_points(W, cfg))
+    batched = outcome(lambda: sample_regular_points(W, cfg))
+    assert batched == reference  # the points, or the error's type and message
+    if isinstance(reference, list):
+        assert same([x.coords for x in batched], [x.coords for x in reference])
+
+
+def test_sampling_error_text():
+    with pytest.raises(SamplingError, match="^found only 0/32 regular points in 6400 draws$"):
+        sample_regular_points(SAMPLING_FIELDS["zero"], CheckConfig())
+
+
+@pytest.mark.parametrize("seed", [5, 99])
+@pytest.mark.parametrize("case", ["dissipative-n3", "dissipative-n6", "dense-frame-n2"])
+def test_spectral_route_samples_match_a_point_loop(case, seed):
+    if case in CASES:
+        spec = CASES[case]()
+    else:
+        spec = SystemSpec(*dense_frame_fields(2, seed=7), case)
+    What = lie_derivative_mv(spec.E, spec.W)
+    cfg = CheckConfig(seed=seed)
+    _, samples = check_spectral_routes(spec.W, What, cfg)
+    expected = []
+    for x in sample_regular_points(spec.W, cfg):
+        coeffs = pencil_coefficients(spec.W, What, x)
+        expected.append((x.coords, reference_roots(coeffs), y_from_coefficients(coeffs)))
+    assert len(samples) == len(expected)
+    for sample, (point, c, y) in zip(samples, expected):
+        assert same(sample.point, point) and same(sample.c, c) and same(sample.y, y)
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_spectral_routes_raise_the_first_error_of_a_point_loop(seed):
+    # W_hat^{q2 p2} = -exp(400 q1): the spectrum is non-real where that is
+    # not tiny, and its square overflows the norm where q1 > 0.89.  At seed 2
+    # the second sample is non-real and the fifth overflows, so the batched
+    # pencil alone would raise the OverflowError; at seed 4 the first overflows
+    space = PhaseSpace.canonical(2)
+    W = MultiVectorField(space, 2, {(0, 2): Num(-1.0), (1, 3): Num(-1.0)})
+    What = MultiVectorField(space, 2, {(0, 1): Num(1.0), (2, 3): parse("-exp(400 * q1)", space)})
+    cfg = CheckConfig(seed=seed, box=1.5)
+
+    def point_loop():
+        for x in sample_regular_points(W, cfg):
+            roots_from_coefficients(pencil_coefficients(W, What, x))
+
+    expected = outcome(point_loop)
+    assert expected[0] is {2: NonRealSpectrumError, 4: OverflowError}[seed]
+    assert outcome(lambda: check_spectral_routes(W, What, cfg)) == expected

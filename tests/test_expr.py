@@ -384,7 +384,43 @@ def test_diff_is_linear(f, g, a, b):
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
-def test_substitute_linear_change():
-    e = parse("q1*p1", S1)
-    sub = substitute(e, {0: parse("q1 + 2*p1", S1)})
-    assert evaluate(sub, (1.0, 3.0)) == (1.0 + 6.0) * 3.0
+@pytest.mark.parametrize("text, replacement, printed", [
+    ("q1*p1", "q1 + 2*p1", "(q1 + 2.0 * p1) * p1"),
+    ("q1 + p1", "q1 + 2*p1", "q1 + 2.0 * p1 + p1"),
+    ("p1 - q1", "q1 + 2*p1", "p1 - (q1 + 2.0 * p1)"),
+    ("p1 / q1", "q1 + 2*p1", "p1 / (q1 + 2.0 * p1)"),
+    ("-q1", "q1 + 2*p1", "-(q1 + 2.0 * p1)"),
+    ("q1^3", "q1 + 2*p1", "(q1 + 2.0 * p1)^3"),
+    ("ln(q1)", "q1 + 2*p1", "ln(q1 + 2.0 * p1)"),
+    # the folding constructors apply to every rebuilt node
+    ("q1 + p1", "0", "p1"),
+    ("q1 - p1", "0", "-p1"),
+    ("q1 * p1", "0", "0.0"),
+    ("q1 / p1", "0", "0.0"),
+    ("p1 / q1", "1", "p1"),
+    ("-q1", "2", "-2.0"),
+    ("q1^2", "3", "9.0"),
+    ("sin(q1)", "0", "sin(0.0)"),
+])
+def test_substitute_every_node_type(text, replacement, printed):
+    e = parse(text, S1)
+    sub = substitute(e, {0: parse(replacement, S1)})
+    assert str(sub) == printed
+    x = (0.7, 3.0)
+    assert evaluate(sub, x) == evaluate(e, (evaluate(parse(replacement, S1), x), x[1]))
+
+
+@pytest.mark.parametrize("node, sym, printed, swapped", [
+    (Add, "+", "q1 + p1 + sin(p1)", "sin(p1) + (q1 + p1)"),
+    (Sub, "-", "q1 + p1 - sin(p1)", "sin(p1) - (q1 + p1)"),
+    (Mul, "*", "(q1 + p1) * sin(p1)", "sin(p1) * (q1 + p1)"),
+    (Div, "/", "(q1 + p1) / sin(p1)", "sin(p1) / (q1 + p1)"),
+])
+def test_binary_nodes_keep_their_identity_and_printing(node, sym, printed, swapped):
+    a, b = parse("q1 + p1", S1), parse("sin(p1)", S1)
+    e = node(a, b)
+    assert [f.name for f in dataclasses.fields(e)] == ["a", "b"]
+    assert e == node(parse("q1 + p1", S1), b) and hash(e) == hash((a, b))
+    assert all(e != other(a, b) for other in (Add, Sub, Mul, Div) if other is not node)
+    assert repr(e) == f"((Var(q1) + Var(p1)) {sym} sin(Var(p1)))"
+    assert str(e) == printed and str(node(b, a)) == swapped
