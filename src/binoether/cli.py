@@ -20,7 +20,7 @@ from .expr import ExprError, PhaseSpace
 from .geometry import PhasePoint, lie_derivative_mv
 from .spectral import SpectralError, mixed_wedge_ratios, secular_roots
 from .systems import SystemFileError, SystemSpec, builtin_system, load_system, run_report
-from .verify import CheckConfig, CheckReport, FlowError, conservation_drift, integrate_flow
+from .verify import CheckConfig, CheckReport, FlowError, integrate_flow, trajectory_drift
 
 _DEFAULTS = CheckConfig()
 
@@ -140,7 +140,7 @@ def _cmd_flow(args) -> int:
     for k in range(0, len(traj), stride):
         row = "  ".join(f"{v:12.6g}" for v in traj.states[k])
         print(f"{traj.times[k]:<8.4g} {row}")
-    record = conservation_drift(spec.W, spec.E, spec.h, x0, cfg)
+    record = trajectory_drift(spec.W, lie_derivative_mv(spec.E, spec.W), traj, cfg)
     status = "PASS" if record.passed else "FAIL"
     print(f"conservation drift: {status}  (max |dQ| {record.residual:.3e}, scale {record.scale:.3e})")
     print(f"  {record.notes}")

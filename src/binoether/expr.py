@@ -9,8 +9,11 @@ at once, and `compile_kernel` turns a list of expressions into one
 straight-line Python function of the coordinates, both with the same
 floating-point results and errors as evaluating point by point.  The four
 binary nodes share one base: each names its Python operator, which
-batched evaluation, jets and `substitute` apply, and its printed symbol.
-Everything here is pure and safe to share across threads.
+batched evaluation, jets and `substitute` apply, and its printed symbol,
+which the parser reads.  Powers and functions share another, `_Unary`:
+each applies one float operation, with its domain check, to one argument;
+each function is one row of `_FUNCTIONS`.  Everything here is pure and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -160,29 +163,6 @@ class Jet:
     def __neg__(self):
         return Jet(-self.value, -self.gradient)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("jet powers must have integer exponents")
-        if k < 0 and self.value == 0.0:
-            raise ZeroDivisionError("zero raised to a negative power")
-        v = self.value ** k
-        return Jet(v, k * self.value ** (k - 1) * self.gradient if k != 0 else 0.0 * self.gradient)
-
-    def sin(self):
-        return Jet(math.sin(self.value), math.cos(self.value) * self.gradient)
-
-    def cos(self):
-        return Jet(math.cos(self.value), -math.sin(self.value) * self.gradient)
-
-    def exp(self):
-        v = math.exp(self.value)
-        return Jet(v, v * self.gradient)
-
-    def ln(self):
-        if self.value <= 0.0:
-            raise ValueError("ln of a non-positive jet value")
-        return Jet(math.log(self.value), self.gradient / self.value)
-
     def __repr__(self):
         return f"Jet({self.value!r}, grad={self.gradient.tolist()!r})"
 
@@ -287,8 +267,6 @@ class ScalarExpr:
 class Num(ScalarExpr):
     value: float
 
-    _prec = _PREC_ATOM
-
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value):
@@ -323,8 +301,6 @@ class Num(ScalarExpr):
 class Var(ScalarExpr):
     name: str
     index: int
-
-    _prec = _PREC_ATOM
 
     def eval(self, point) -> float:
         return float(point[self.index])
@@ -448,9 +424,31 @@ class Neg(ScalarExpr):
         return f"(-{self.a!r})"
 
 
+class _Unary(ScalarExpr):
+    """One float operation on one argument, ``arg``: ``_apply`` is the operation
+    with its domain check, which eval, batches, kernels and jets all go through,
+    and ``_jet_gradient(x, y, g)`` the gradient of y = _apply(x) given x's, g."""
+
+    def eval(self, point):
+        return self._apply(self.arg.eval(point))
+
+    def _eval_many(self, states, memo):
+        values = self.arg.eval_many(states, memo)
+        if isinstance(values, np.ndarray):
+            # each element as the Python float that `eval` would see, so
+            # that every result rounds exactly as on the point path
+            return np.array([self._apply(v) for v in values.tolist()], dtype=float)
+        return self._apply(values)
+
+    def jet(self, jets):
+        a = self.arg.jet(jets)
+        value = self._apply(a.value)
+        return Jet(value, self._jet_gradient(a.value, value, a.gradient))
+
+
 @dataclass(frozen=True, repr=False)
-class Pow(ScalarExpr):
-    base: ScalarExpr
+class Pow(_Unary):
+    arg: ScalarExpr
     exponent: int
 
     _prec = _PREC_POW
@@ -459,96 +457,72 @@ class Pow(ScalarExpr):
         if not isinstance(self.exponent, int):
             raise TypeError("exponent must be an integer")
 
-    def eval(self, point):
-        return self._apply(self.base.eval(point))
-
     def _apply(self, b: float) -> float:
         if b == 0.0 and self.exponent < 0:
             raise EvalDomainError("zero raised to a negative power", self)
         return b ** self.exponent
 
-    def _eval_many(self, states, memo):
-        return _elementwise(self._apply, self.base.eval_many(states, memo))
-
-    def jet(self, jets):
-        b = self.base.jet(jets)
-        if b.value == 0.0 and self.exponent < 0:
-            raise EvalDomainError("zero raised to a negative power", self)
-        return b ** self.exponent
+    def _jet_gradient(self, x, y, g):
+        k = self.exponent
+        return k * x ** (k - 1) * g if k != 0 else 0.0 * g
 
     def _diff(self, index):
-        return float(self.exponent) * _pow(self.base, self.exponent - 1) * self.base.diff(index)
+        return float(self.exponent) * _pow(self.arg, self.exponent - 1) * self.arg.diff(index)
 
     def _fmt_raw(self):
-        return f"{self.base._fmt(_PREC_ATOM)}^{self.exponent}"
+        return f"{self.arg._fmt(_PREC_ATOM)}^{self.exponent}"
 
     def __repr__(self):
-        return f"({self.base!r}^{self.exponent})"
+        return f"({self.arg!r}^{self.exponent})"
 
 
-_FUNCTIONS = ("sin", "cos", "exp", "ln")
+def _exp(v: float, node: "Call") -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise EvalDomainError("exp overflow", node) from None
+
+
+def _ln(v: float, node: "Call") -> float:
+    if v <= 0.0:
+        raise EvalDomainError("ln of a non-positive value", node)
+    return math.log(v)
+
+
+# name -> (float function of (v, node), derivative builder of (a, da), jet gradient)
+_FUNCTIONS = {
+    "sin": (lambda v, node: math.sin(v), lambda a, da: Call("cos", a) * da,
+            lambda x, y, g: math.cos(x) * g),
+    "cos": (lambda v, node: math.cos(v), lambda a, da: -(Call("sin", a) * da),
+            lambda x, y, g: -math.sin(x) * g),
+    "exp": (_exp, lambda a, da: Call("exp", a) * da, lambda x, y, g: y * g),
+    "ln": (_ln, lambda a, da: da / a, lambda x, y, g: g / x),
+}
 
 
 @dataclass(frozen=True, repr=False)
-class Call(ScalarExpr):
+class Call(_Unary):
     fn: str
     arg: ScalarExpr
-
-    _prec = _PREC_ATOM
 
     def __post_init__(self):
         if self.fn not in _FUNCTIONS:
             raise ValueError(f"unsupported function '{self.fn}'")
 
-    def eval(self, point):
-        return self._apply(self.arg.eval(point))
-
     def _apply(self, v: float) -> float:
-        if self.fn == "sin":
-            return math.sin(v)
-        if self.fn == "cos":
-            return math.cos(v)
-        if self.fn == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise EvalDomainError("exp overflow", self) from None
-        if v <= 0.0:
-            raise EvalDomainError("ln of a non-positive value", self)
-        return math.log(v)
+        return _FUNCTIONS[self.fn][0](v, self)
 
-    def _eval_many(self, states, memo):
-        return _elementwise(self._apply, self.arg.eval_many(states, memo))
-
-    def jet(self, jets):
-        v = self.arg.jet(jets)
-        if self.fn == "ln" and v.value <= 0.0:
-            raise EvalDomainError("ln of a non-positive value", self)
-        return getattr(v, self.fn)()
+    def _jet_gradient(self, x, y, g):
+        return _FUNCTIONS[self.fn][2](x, y, g)
 
     def _diff(self, index):
-        inner = self.arg.diff(index)
-        if self.fn == "sin":
-            return Call("cos", self.arg) * inner
-        if self.fn == "cos":
-            return -(Call("sin", self.arg) * inner)
-        if self.fn == "exp":
-            return Call("exp", self.arg) * inner
-        return inner / self.arg
+        return _FUNCTIONS[self.fn][1](self.arg, self.arg.diff(index))
 
     def _fmt_raw(self):
         return f"{self.fn}({self.arg._fmt(0)})"
 
     def __repr__(self):
         return f"{self.fn}({self.arg!r})"
-
-
-def _elementwise(op, values):
-    """op applied to each element as the Python float that `eval` would see,
-    so that every result rounds exactly as on the point path."""
-    if isinstance(values, np.ndarray):
-        return np.array([op(v) for v in values.tolist()], dtype=float)
-    return op(values)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +633,9 @@ _TOKEN_RE = re.compile(
 
 _INT_RE = re.compile(r"^\d+$")
 
+_ADDITIVE = {node._sym: node for node in (Add, Sub)}
+_MULTIPLICATIVE = {node._sym: node for node in (Mul, Div)}
+
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
@@ -685,7 +662,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str, space: PhaseSpace):
-        self.text = text
         self.space = space
         self.tokens = _tokenize(text)
         self.i = 0
@@ -698,10 +674,16 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, op: str) -> bool:
+        """Consume the next token if it is the operator ``op``."""
+        if self.peek().kind == "op" and self.peek().text == op:
+            self.i += 1
+            return True
+        return False
+
     def expect_op(self, op: str):
-        tok = self.advance()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected '{op}'", tok.pos)
+        if not self.accept(op):
+            raise ParseError(f"expected '{op}'", self.peek().pos)
 
     def parse(self) -> ScalarExpr:
         if all(t.kind == "eof" for t in self.tokens):
@@ -713,37 +695,27 @@ class _Parser:
         return e
 
     def expr(self) -> ScalarExpr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+        return self.chain(self.term, _ADDITIVE)
 
     def term(self) -> ScalarExpr:
-        e = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+        return self.chain(self.factor, _MULTIPLICATIVE)
+
+    def chain(self, operand, nodes: dict) -> ScalarExpr:
+        """A left-associative chain of operands joined by the symbols of ``nodes``."""
+        e = operand()
+        while self.peek().kind == "op" and self.peek().text in nodes:
+            e = nodes[self.advance().text](e, operand())
         return e
 
     def factor(self) -> ScalarExpr:
-        negated = False
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            negated = True
+        negated = self.accept("-")
         e = self.base()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+        if self.accept("^"):
             e = Pow(e, self.integer_exponent())
         return Neg(e) if negated else e
 
     def integer_exponent(self) -> int:
-        sign = 1
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         tok = self.advance()
         if tok.kind != "num" or not _INT_RE.match(tok.text):
             raise ParseError("non-integer exponent", tok.pos)
@@ -754,9 +726,7 @@ class _Parser:
         if tok.kind == "num":
             return Num(float(tok.text))
         if tok.kind == "ident":
-            nxt = self.peek()
-            if tok.text in _FUNCTIONS and nxt.kind == "op" and nxt.text == "(":
-                self.advance()
+            if tok.text in _FUNCTIONS and self.accept("("):
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(tok.text, arg)
@@ -833,9 +803,9 @@ def compile_kernel(exprs, dim: int):
                 env[f"n{key}"] = node
                 body.append(f"if {b} == 0.0: raise EvalDomainError('division by zero', n{key})")
                 value = f"{emit(node.a)} / {b}"
-            elif isinstance(node, (Pow, Call)):
+            elif isinstance(node, _Unary):
                 env[f"f{key}"] = node._apply
-                value = f"f{key}({emit(node.base if isinstance(node, Pow) else node.arg)})"
+                value = f"f{key}({emit(node.arg)})"
             elif isinstance(node, Neg):
                 value = f"-{emit(node.a)}"
             else:
@@ -880,7 +850,7 @@ def substitute(expr: ScalarExpr, mapping: dict[int, ScalarExpr]) -> ScalarExpr:
     if isinstance(expr, Neg):
         return -substitute(expr.a, mapping)
     if isinstance(expr, Pow):
-        return _pow(substitute(expr.base, mapping), expr.exponent)
+        return _pow(substitute(expr.arg, mapping), expr.exponent)
     if isinstance(expr, Call):
         return Call(expr.fn, substitute(expr.arg, mapping))
     raise TypeError(f"unknown node {type(expr).__name__}")

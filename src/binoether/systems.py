@@ -75,6 +75,32 @@ def _parse_expr(text: str, space: PhaseSpace, lineno: int, column0: int) -> Scal
         ) from err
 
 
+def _components(entries, key_re: re.Pattern, form: str, space: PhaseSpace) -> dict:
+    """The components of a [poisson] or [symmetry] section, by coordinate
+    indices; ``form`` is the key's pattern as messages show it, e.g. 'W(a,b)'."""
+    comps: dict[tuple[int, ...], ScalarExpr] = {}
+    for lineno, key, value, col in entries:
+        m = key_re.match(key)
+        if not m:
+            _fail(lineno, f"expected '{form} = <expr>', got key '{key}'")
+        coords = m.groups()
+        for coord in coords:
+            if coord not in space.names:
+                _fail(lineno, f"unknown coordinate '{coord}'")
+        idx = tuple(space.index(coord) for coord in coords)
+        if any(i >= j for i, j in zip(idx, idx[1:])):
+            a, b = coords
+            _fail(
+                lineno,
+                f"W components must be given on the increasing canonical pair: "
+                f"write W({b},{a}) = -(...) instead of W({a},{b})",
+            )
+        if idx in comps:
+            _fail(lineno, f"duplicate component {form[0]}({','.join(coords)})")
+        comps[idx] = _parse_expr(value, space, lineno, col)
+    return comps
+
+
 def load_system(path: str | Path) -> SystemSpec:
     """Load and fully validate a system file.
 
@@ -129,26 +155,7 @@ def load_system(path: str | Path) -> SystemSpec:
     # [poisson]
     if not sections["poisson"]:
         _fail(0, "missing mandatory section [poisson]")
-    w_comps: dict[tuple[int, int], ScalarExpr] = {}
-    for lineno, key, value, col in sections["poisson"]:
-        m = _W_KEY_RE.match(key)
-        if not m:
-            _fail(lineno, f"expected 'W(a,b) = <expr>', got key '{key}'")
-        a, b = m.group(1), m.group(2)
-        for coord in (a, b):
-            if coord not in space.names:
-                _fail(lineno, f"unknown coordinate '{coord}'")
-        ia, ib = space.index(a), space.index(b)
-        if ia >= ib:
-            _fail(
-                lineno,
-                f"W components must be given on the increasing canonical pair: "
-                f"write W({b},{a}) = -(...) instead of W({a},{b})",
-            )
-        if (ia, ib) in w_comps:
-            _fail(lineno, f"duplicate component W({a},{b})")
-        w_comps[(ia, ib)] = _parse_expr(value, space, lineno, col)
-    W = MultiVectorField(space, 2, w_comps)
+    W = MultiVectorField(space, 2, _components(sections["poisson"], _W_KEY_RE, "W(a,b)", space))
 
     # [hamiltonian]
     h = None
@@ -162,18 +169,7 @@ def load_system(path: str | Path) -> SystemSpec:
         _fail(0, "missing mandatory [hamiltonian] entry 'h'")
 
     # [symmetry]
-    e_comps: dict[tuple[int], ScalarExpr] = {}
-    for lineno, key, value, col in sections["symmetry"]:
-        m = _E_KEY_RE.match(key)
-        if not m:
-            _fail(lineno, f"expected 'E(coord) = <expr>', got key '{key}'")
-        coord = m.group(1)
-        if coord not in space.names:
-            _fail(lineno, f"unknown coordinate '{coord}'")
-        i = space.index(coord)
-        if (i,) in e_comps:
-            _fail(lineno, f"duplicate component E({coord})")
-        e_comps[(i,)] = _parse_expr(value, space, lineno, col)
+    e_comps = _components(sections["symmetry"], _E_KEY_RE, "E(coord)", space)
     if not e_comps:
         _fail(0, "generator E required: the [symmetry] section is missing or empty")
     E = MultiVectorField(space, 1, e_comps)

@@ -70,6 +70,7 @@ __all__ = [
     "check_spectral_routes",
     "integrate_flow",
     "conservation_drift",
+    "trajectory_drift",
     "check_involution",
 ]
 
@@ -146,6 +147,12 @@ class CheckRecord:
         object.__setattr__(self, "points", int(self.points))
 
 
+# CheckRecord field -> its key in the report JSON, in the report's key order
+_RECORD_KEYS = {"id": "id", "paper_anchor": "paper_anchor", "residual": "residual",
+                "scale": "scale", "passed": "pass", "notes": "notes", "points": "points",
+                "mandatory": "mandatory"}
+
+
 @dataclass(frozen=True)
 class SpectrumSample:
     point: tuple[float, ...]
@@ -176,19 +183,7 @@ class CheckReport:
         payload = {
             "name": self.name,
             "config": {f.name: getattr(self.config, f.name) for f in fields(CheckConfig)},
-            "checks": [
-                {
-                    "id": r.id,
-                    "paper_anchor": r.paper_anchor,
-                    "residual": r.residual,
-                    "scale": r.scale,
-                    "pass": r.passed,
-                    "notes": r.notes,
-                    "points": r.points,
-                    "mandatory": r.mandatory,
-                }
-                for r in self.records
-            ],
+            "checks": [{k: getattr(r, f) for f, k in _RECORD_KEYS.items()} for r in self.records],
             "spectrum_samples": [
                 {"point": list(s.point), "c": list(s.c), "y": list(s.y)}
                 for s in self.spectrum_samples
@@ -201,19 +196,8 @@ class CheckReport:
     def from_json(cls, text: str) -> "CheckReport":
         payload = json.loads(text)
         config = CheckConfig(**payload["config"])
-        records = tuple(
-            CheckRecord(
-                id=c["id"],
-                paper_anchor=c["paper_anchor"],
-                residual=c["residual"],
-                scale=c["scale"],
-                passed=c["pass"],
-                points=c["points"],
-                notes=c["notes"],
-                mandatory=c["mandatory"],
-            )
-            for c in payload["checks"]
-        )
+        records = tuple(CheckRecord(**{f: c[key] for f, key in _RECORD_KEYS.items()})
+                        for c in payload["checks"])
         samples = tuple(
             SpectrumSample(tuple(s["point"]), tuple(s["c"]), tuple(s["y"]))
             for s in payload["spectrum_samples"]
@@ -539,11 +523,15 @@ def conservation_drift(
     x0,
     cfg: CheckConfig,
 ) -> CheckRecord:
-    """Integrate the flow and audit that every secular root c_i and every
-    invariant Y^(l) stays constant (relative drift <= cfg.drift_tol)."""
+    """Integrate the flow from x0 and audit its trajectory (`trajectory_drift`)."""
+    return trajectory_drift(W, lie_derivative_mv(E, W), integrate_flow(W, h, x0, cfg), cfg)
+
+
+def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajectory,
+                     cfg: CheckConfig) -> CheckRecord:
+    """Audit that every secular root c_i and every invariant Y^(l) stays
+    constant along the trajectory (relative drift <= cfg.drift_tol)."""
     n = W.space.n
-    What = lie_derivative_mv(E, W)
-    traj = integrate_flow(W, h, x0, cfg)
     m = len(traj)
     series = np.empty((m, 2 * n))  # c_1..c_n, then Y^(1)..Y^(n)
     for start in range(0, m, TRAJECTORY_BLOCK):
@@ -606,7 +594,7 @@ def check_involution(
     if n == 1:
         notes = "single invariant: only the vanishing self-bracket is checked"
     else:
-        roots = roots_from_coefficients_batch(pencil_coefficients_batch(W, What, states))
+        _, roots = _pencil_roots(W, What, states)
         simple = [k for k, r in enumerate(roots) if not any(multiple_root_flags(r))]
         if simple:
             brackets += _pair_brackets(root_pair_gradients(op[simple], grad[simple]),

@@ -28,6 +28,7 @@ from binoether.verify import (
     TRAJECTORY_BLOCK,
     CheckConfig,
     SamplingError,
+    check_involution,
     check_spectral_routes,
     conservation_drift,
     integrate_flow,
@@ -121,6 +122,20 @@ def test_drift_blocks_match_the_point_loop(monkeypatch, m):
 
     monkeypatch.setattr(verify, "pencil_coefficients_batch", refuse)
     assert conservation_drift(spec.W, spec.E, spec.h, x0, cfg) == batched
+
+
+def test_involution_roots_replay_the_point_loop(monkeypatch):
+    # the repeated-root test takes its roots from the batched pencil pass
+    # or, where that raises, from the point route sample by sample, so that
+    # the first error in point order is the one raised; both give one record
+    spec = builtin_system("dissipative", 3)
+    batched = check_involution(spec.W, spec.E, CheckConfig())
+
+    def refuse(*args):
+        raise ArithmeticError("batched route refused")
+
+    monkeypatch.setattr(verify, "pencil_coefficients_batch", refuse)
+    assert check_involution(spec.W, spec.E, CheckConfig()) == batched
 
 
 class TestPerStateEdgeCases:

@@ -2,11 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from binoether import cli
+from binoether import cli, verify
 from binoether.cli import main
-from binoether.verify import CheckConfig, CheckReport, FlowError
+from binoether.verify import CheckConfig, CheckReport, FlowError, integrate_flow
 
 FIXTURES = Path(__file__).resolve().parent.parent / "systems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestCheck:
@@ -150,6 +151,22 @@ class TestFlow:
         out = capsys.readouterr().out
         assert code == 0
         assert "conservation drift: PASS" in out
+
+    def test_integrates_once_and_prints_the_golden_table(self, monkeypatch, capsys):
+        # the README example: the drift audit reads the trajectory printed
+        calls = []
+
+        def counting_integrate_flow(*args, **kwargs):
+            calls.append(args)
+            return integrate_flow(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate_flow", counting_integrate_flow)
+        monkeypatch.setattr(verify, "integrate_flow", counting_integrate_flow)
+        code = main(["flow", "--builtin", "dissipative", "--n", "1", "--from", "q1=0,p1=1",
+                     "--t-end", "10", "--dt", "0.001"])
+        assert code == 0 and len(calls) == 1
+        assert capsys.readouterr().out == (GOLDEN / "flow-dissipative-n1.txt").read_text(
+            encoding="utf-8")
 
     def test_broken_generator_drifts(self, capsys):
         code = main(

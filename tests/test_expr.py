@@ -285,6 +285,32 @@ class TestJets:
             sym = [evaluate(diff(e, i), pt) for i in range(4)]
             assert np.allclose(j.gradient, sym, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("text", [
+        *(f"{fn}({arg})" for fn in ("sin", "cos", "exp", "ln") for arg in ("q1", "q1*p1 + 2")),
+        *(f"q1^{k}" for k in (-2, 0, 1, 3)),
+    ])
+    def test_unary_jet_is_eval_and_diff_exactly(self, text):
+        # the jet applies the same float operations as eval and the
+        # derivative trees, so value and gradient agree to the bit
+        e, x = parse(text, S1), (0.7, 1.3)
+        j = evaluate_jet(e, x)
+        assert j.value == evaluate(e, x)
+        assert j.gradient.tolist() == [evaluate(diff(e, i), x) for i in range(S1.dim)]
+
+    @pytest.mark.parametrize("text, x", [
+        ("ln(q1)", (0.0, 1.0)),
+        ("q1^-1", (0.0, 1.0)),
+        ("exp(q1)", (1000.0, 1.0)),
+    ])
+    def test_unary_jet_raises_the_eval_domain_error(self, text, x):
+        e = parse(text, S1)
+        with pytest.raises(EvalDomainError) as from_eval:
+            evaluate(e, x)
+        with pytest.raises(EvalDomainError) as from_jet:
+            evaluate_jet(e, x)
+        assert type(from_jet.value) is type(from_eval.value)
+        assert str(from_jet.value) == str(from_eval.value)
+
     def test_jet_arithmetic_standalone(self):
         a = Jet.variable(2.0, 0, 2)
         b = Jet.variable(3.0, 1, 2)
