@@ -613,7 +613,10 @@ def _pow(base: ScalarExpr, k: int) -> ScalarExpr:
     if k == 1:
         return base
     if isinstance(base, Num) and not (base.value == 0.0 and k < 0):
-        return Num(base.value ** k)
+        try:
+            return Num(base.value ** k)
+        except OverflowError:
+            pass  # no float holds the power: the node stays, and eval raises where it is used
     return Pow(base, k)
 
 

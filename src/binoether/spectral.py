@@ -16,8 +16,10 @@ N = W^{-1} W_hat, whose eigenvalues are the secular roots, each twice
 tr(N^k) give the Y^(l) again, and the derivatives
 dN = W^{-1} (dW_hat - dW N) give their exact gradients, and the gradients
 of simple roots through the spectral projectors of N, for the involution
-audit.  `recursion_operator_batch` builds N and dN for a stack of states
-from one batched evaluation.
+audit.  The projectors are polynomials in N built from N's own eigenvalues
+(Sylvester's formula), not from eigenvectors of N, which may be
+ill-conditioned where N is not normal.  `recursion_operator_batch` builds N
+and dN for a stack of states from one batched evaluation.
 
 The Pfaffian recursion runs on floats, on matrices of arrays, one element
 per state (the `*_batch` functions and `regularity_margins` return the
@@ -64,6 +66,7 @@ __all__ = [
     "y_from_roots",
     "recursion_operator_batch",
     "trace_invariants",
+    "operator_roots",
     "root_pair_gradients",
     "invariant_gradient",
     "invariant_jets",
@@ -191,12 +194,30 @@ def _zero_deformation(n: int) -> list[float]:
     return [1.0 if m == n else 0.0 for m in range(n + 1)]
 
 
-def _node_scale(norm_w: float, norm_h: float) -> float:
-    """Spread s of the interpolation nodes, ||H|| / ||W|| clamped."""
-    s = norm_h / norm_w if norm_w > 0 else 1.0
-    if not math.isfinite(s) or s < 1e-12:
-        s = 1.0  # degenerate ratio: fall back to unit node spread
-    return min(max(s, 1e-100), 1e100)
+def _node_scales(norm_w, norm_h) -> np.ndarray:
+    """Spread s of the interpolation nodes, ||H|| / ||W|| clamped, for
+    arrays of norms (or one pair of norms, as a 0-d array)."""
+    norm_w, norm_h = np.asarray(norm_w, dtype=float), np.asarray(norm_h, dtype=float)
+    with np.errstate(all="ignore"):
+        s = np.where(norm_w > 0, norm_h / norm_w, 1.0)
+    # degenerate ratio: fall back to unit node spread
+    s = np.where(np.isfinite(s) & (s >= 1e-12), s, 1.0)
+    return np.clip(s, 1e-100, 1e100)
+
+
+def _float_power(base: np.ndarray, p, live=True) -> np.ndarray:
+    """base ** p elementwise, bit for bit as Python's float ``**`` takes it
+    (np.float_power rounds as ``**`` does; np.power need not), raising its
+    OverflowError where a finite base overflows at an element where ``live``
+    holds."""
+    with np.errstate(over="ignore"):
+        out = np.float_power(base, p)
+    overflow = np.isinf(out) & np.isfinite(base) & live
+    if overflow.any():
+        at = tuple(np.argwhere(overflow)[0])
+        base, p = np.broadcast_arrays(base, p)
+        float(base[at]) ** float(p[at])
+    return out
 
 
 def _interpolation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,11 +226,12 @@ def _interpolation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, np.vander(u, n + 1, increasing=True)
 
 
-def _pencil_coefficients(w_rows, h_rows):
+def _pencil_coefficients(w_rows, h_rows, pf_w=None):
     """Coefficients a_0..a_n of P(t) = Pf(H + tW)/Pf(W), found by evaluating
     the Pfaffian at n+1 Chebyshev nodes (scaled to ||H||/||W||) and solving
     the interpolation system.  Entries may be floats or jets; the returned
-    coefficients match their type."""
+    coefficients match their type.  Pf(W) is expanded here unless the
+    caller has it (pf_w)."""
     N = len(w_rows)
     n = N // 2
     if all(_entry_is_zero(v) for row in h_rows for v in row):
@@ -219,8 +241,9 @@ def _pencil_coefficients(w_rows, h_rows):
             dim = len(w_rows[0][0].gradient)
             return [Jet.constant(a, dim) for a in _zero_deformation(n)]
         return _zero_deformation(n)
-    pf_w = _pfaffian_rec(w_rows, tuple(range(N)), {})
-    s = _node_scale(_frobenius(w_rows), _frobenius(h_rows))
+    if pf_w is None:
+        pf_w = _pfaffian_rec(w_rows, tuple(range(N)), {})
+    s = float(_node_scales(_frobenius(w_rows), _frobenius(h_rows)))
     u, vander = _interpolation_nodes(n)
     vals = []
     for uk in u:
@@ -272,35 +295,33 @@ def _upper(rows) -> list[np.ndarray]:
     return [rows[i][j] for i in range(N) for j in range(i + 1, N) if not _absent(rows[i][j])]
 
 
-def _frobenius_batch(rows, live: np.ndarray) -> list[float]:
-    """_frobenius at each state, bit for bit (np.float_power rounds as ``** 2``
-    does), raising its OverflowError where a finite entry's square overflows
-    at a state where ``live`` holds."""
+def _frobenius_batch(rows, live: np.ndarray) -> np.ndarray:
+    """_frobenius at each state, bit for bit, raising its OverflowError where
+    a finite entry's square overflows at a state where ``live`` holds."""
     entries = np.array([v for row in rows for v in row if not _absent(v)]).reshape(-1, len(live))
-    with np.errstate(over="ignore"):
-        squares = np.float_power(entries, 2.0)
-    overflow = np.isinf(squares) & np.isfinite(entries) & live
-    if overflow.any():
-        float(entries[overflow][0]) ** 2
+    squares = _float_power(entries, 2.0, live)
     total = reduce(np.add, squares, np.zeros(len(live)))  # _frobenius's order, not np.sum's
-    return np.sqrt(total).tolist()
+    return np.sqrt(total)
+
+
+def _margin(w_matrix: np.ndarray, pf: float) -> float:
+    """|Pf(W)| / ||W||_F^n of W's matrix and its Pfaffian (0 when W = 0)."""
+    norm = float(np.linalg.norm(w_matrix))
+    return 0.0 if norm == 0.0 else abs(pf) / norm ** (w_matrix.shape[0] // 2)
 
 
 def regularity_margin(w_matrix: np.ndarray) -> float:
     """Scale-free regularity measure |Pf(W)| / ||W||_F^n (0 when W = 0)."""
     w_matrix = np.asarray(w_matrix, dtype=float)
-    n = w_matrix.shape[0] // 2
-    norm = float(np.linalg.norm(w_matrix))
-    if norm == 0.0:
-        return 0.0
-    pf = _pfaffian_rec(w_matrix.tolist(), tuple(range(2 * n)), {})
-    return abs(pf) / norm ** n
+    return _margin(w_matrix, _pfaffian_rec(w_matrix.tolist(), tuple(range(len(w_matrix))), {}))
 
 
 def regularity_margins(W: MultiVectorField, states) -> np.ndarray:
     """regularity_margin(evaluate_mv(W, x)) at every row x of a (m, 2n)
     state array, bit for bit; states where a component of W is exactly 0
-    take the point route."""
+    take the point route.  Where the point route's ``norm ** n`` overflows,
+    or underflows to 0 and is divided by, at some state, this raises its
+    error as well."""
     states = np.asarray(states, dtype=float)
     m = len(states)
     rows = _batch_rows(W, states)
@@ -317,9 +338,12 @@ def regularity_margins(W: MultiVectorField, states) -> np.ndarray:
     norms = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
     with np.errstate(all="ignore"):
         pf = np.broadcast_to(_pfaffian_rec(rows, tuple(range(N)), {}, _absent), (m,))
-    margins = np.array([
-        0.0 if norm == 0.0 else abs(p) / norm ** n for p, norm in zip(pf.tolist(), norms.tolist())
-    ])
+        powers = _float_power(norms, float(n))
+        # Python's division by a power that underflowed to 0 (not a 0 norm)
+        zero = np.flatnonzero((powers == 0.0) & (norms != 0.0))
+        if zero.size:
+            abs(float(pf[zero[0]])) / float(norms[zero[0]]) ** n
+        margins = np.where(norms == 0.0, 0.0, np.abs(pf) / powers)
     for k in np.flatnonzero(skipped):
         margins[k] = regularity_margin(mats[k])
     return margins
@@ -329,15 +353,18 @@ def is_regular(W: MultiVectorField, x) -> bool:
     return regularity_margin(evaluate_mv(W, x)) > REGULARITY_FACTOR
 
 
-def _require_regular(W: MultiVectorField, x) -> list[list[float]]:
+def _require_regular(W: MultiVectorField, x) -> tuple[list[list[float]], float]:
+    """W's matrix rows at x and Pf(W(x)); RegularityError where W is degenerate."""
     rows = _matrix_rows(W, x)
-    if regularity_margin(np.array(rows)) <= REGULARITY_FACTOR:
+    pf = _pfaffian_rec(rows, tuple(range(len(rows))), {})
+    if _margin(np.array(rows), pf) <= REGULARITY_FACTOR:
         raise RegularityError(f"bivector is numerically degenerate at {tuple(x)}")
-    return rows
+    return rows, pf
 
 
 def _regular_coefficients(W: MultiVectorField, What: MultiVectorField, x) -> list[float]:
-    return _pencil_coefficients(_require_regular(W, x), _matrix_rows(What, x))
+    rows, pf = _require_regular(W, x)
+    return _pencil_coefficients(rows, _matrix_rows(What, x), pf)
 
 
 def _as_point(x) -> PhasePoint:
@@ -459,11 +486,7 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
     skipped = np.any([w == 0.0 for w in _upper(w_rows)], axis=0)
 
     live = ~zero_deformation  # the point route takes no norms at the others
-    scales = [
-        _node_scale(norm_w, norm_h)
-        for norm_w, norm_h in zip(_frobenius_batch(w_rows, live), _frobenius_batch(h_rows, live))
-    ]
-    s = np.array(scales)
+    s = _node_scales(_frobenius_batch(w_rows, live), _frobenius_batch(h_rows, live))
     u, vander = _interpolation_nodes(n)
     vals = np.empty((m, n + 1))
     with np.errstate(all="ignore"):
@@ -478,7 +501,7 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
             skipped |= np.any([e == 0.0 for e in _upper(pencil)], axis=0)
             vals[:, k] = _pfaffian_rec(pencil, full, {}, _absent) / pf_w
         b = np.linalg.solve(np.broadcast_to(vander, (m, n + 1, n + 1)), vals[:, :, None])[:, :, 0]
-        out = b / np.array([[sc ** p for p in range(n + 1)] for sc in scales]).reshape(m, n + 1)
+        out = b / _float_power(s[:, None], np.arange(n + 1.0))
         out[zero_deformation] = _zero_deformation(n)
         for k in np.flatnonzero(skipped & ~zero_deformation):
             out[k] = pencil_coefficients(W, What, states[k])
@@ -566,18 +589,39 @@ def trace_invariants(op: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.n
     return np.stack(e[1:], axis=1) / binom, np.stack(de[1:], axis=1) / binom[:, None]
 
 
-def root_pair_gradients(op: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def operator_roots(op: np.ndarray) -> np.ndarray:
+    """The secular roots c_1 <= .. <= c_n at each state, an (m, n) array,
+    from the eigenvalues of N (an (m, 2n, 2n) array): each root is a double
+    eigenvalue of N, and its two computed copies are averaged.  These are
+    the roots that N's own rounding is consistent with, which the
+    projectors of `root_pair_gradients` need: they amplify a root's error
+    by ratios of root gaps.  Valid where the roots are simple."""
+    values = np.sort(np.linalg.eigvals(op).real, axis=1)
+    return (values[:, ::2] + values[:, 1::2]) / 2
+
+
+def root_pair_gradients(op: np.ndarray, grad: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Gradients of the secular roots c_1 <= .. <= c_n at each state, an
-    (m, n, 2n) array, from N and dN: dc_i = tr(P_i dN)/2, where P_i is the
-    spectral projector of N on c_i's 2-dimensional eigenspace (the sum of
-    v_j w_j^T over the two eigenvalues of N nearest c_i).  Valid where the
-    roots are simple."""
-    lam, vecs = np.linalg.eig(op)
-    order = np.argsort(lam.real, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    # diagonal of V^{-1} dN_l V: the eigenvalue derivatives, ascending
-    diag = np.einsum("mja,mlab,mbj->mlj", np.linalg.inv(vecs), grad, vecs).real
-    return (diag[:, :, 0::2] + diag[:, :, 1::2]).transpose(0, 2, 1) / 2
+    (m, n, 2n) array, from N, dN and the roots (an (m, n) array, ascending):
+    dc_i = tr(P_i dN)/2, where P_i = prod_{j != i} (N - c_j I)/(c_i - c_j) is
+    the spectral projector of N on c_i's 2-dimensional eigenspace.  Each
+    root is a double eigenvalue of N and a semisimple one (the Kronecker
+    blocks of a real skew pencil come in equal pairs), so N's minimal
+    polynomial is prod_j (t - c_j) and P_i needs no eigenvectors.  Valid
+    where the roots are simple."""
+    roots = np.asarray(roots, dtype=float)
+    m, N = op.shape[:2]
+    n = roots.shape[1]
+    eye = np.eye(N)
+    out = np.empty((m, n, N))
+    for i in range(n):
+        projector = np.broadcast_to(eye, op.shape)
+        for j in range(n):
+            if j != i:
+                shifted = op - roots[:, j, None, None] * eye
+                projector = projector @ shifted / (roots[:, i] - roots[:, j])[:, None, None]
+        out[:, i] = np.einsum("mab,mlba->ml", projector, grad) / 2
+    return out
 
 
 def pencil_coefficient_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:

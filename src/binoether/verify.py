@@ -35,6 +35,7 @@ from .spectral import (
     REGULARITY_FACTOR,
     SpectralError,
     multiple_root_flags,
+    operator_roots,
     pencil_coefficients,
     pencil_coefficients_batch,
     recursion_operator_batch,
@@ -443,22 +444,44 @@ def _monitor_regularity(W: MultiVectorField, times: np.ndarray, states: np.ndarr
                 raise FlowError(f"regularity lost at t = {times[k]:.6g}")
 
 
-def _rk4_stepper(kernel, dim: int):
-    """``step(dt, k1, x0, ..., x{dim-1})``: one classical RK4 step for dx/dt =
-    kernel(x) from x, given k1 = kernel(x), unrolled over the coordinates, in
-    numpy RK4's order of operations: y + (0.5 dt) k and
-    y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)."""
-    ys = [f"x{i}" for i in range(dim)]
-    ks = [[f"k{s}_{i}" for i in range(dim)] for s in range(4)]
-    lines = [f"def step(dt, k1, {', '.join(ys)}):", "half, sixth = 0.5 * dt, dt / 6.0",
-             f"[{', '.join(ks[0])}] = k1"]
-    args = [[f"{y} + {c} * {v}" for y, v in zip(ys, k)] for k, c in zip(ks, ("half", "half", "dt"))]
-    lines += [f"[{', '.join(k)}] = kernel({', '.join(a)})" for k, a in zip(ks[1:], args)]
-    lines.append("return [" + ", ".join(f"{y} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
-                                        for y, a, b, c, d in zip(ys, *ks)) + "]")
+def _rk4_loop(kernel, dim: int, checked: bool):
+    """``flow(out, steps, dt, bound, step_error, on_error, x0, ..., x{dim-1})``:
+    ``steps`` steps of classical RK4 for dx/dt = kernel(x) from x, as one
+    loop of straight-line code on floats, in numpy RK4's order of operations:
+    y + (0.5 dt) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  State k
+    goes to out[k * dim:(k + 1) * dim] (``out`` is flat; state 0 is x).
+
+    When ``checked``, two half steps of dt / 2 follow each full step (the
+    first shares its k1), and the step fails unless abs(F_i - H_i) / 15 / dt
+    <= bound for every coordinate, so that a NaN estimate fails too: it
+    raises ``step_error(k, full, halves)``.  Whatever step k raises,
+    ``on_error(k)`` runs before it propagates."""
+    def row(name):
+        return ", ".join(f"{name}{i}" for i in range(dim))
+
+    def step(y, h, new):
+        # from y, with k1 in a: k2, k3, k4 into b, c, d and the new state into `new`
+        calls = (("b", "a", f"half{h}"), ("c", "b", f"half{h}"), ("d", "c", f"dt{h}"))
+        lines = [f"[{row(k)}] = kernel({', '.join(f'{y}{i} + {c} * {s}{i}' for i in range(dim))})"
+                 for k, s, c in calls]
+        return lines + [f"{new}{i} = {y}{i} + sixth{h} * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})"
+                        for i in range(dim)]
+
+    body = [f"[{row('a')}] = kernel({row('x')})", *step("x", "", "F")]
+    if checked:
+        test = " and ".join(f"abs(F{i} - H{i}) / 15.0 / dt <= bound" for i in range(dim))
+        body += [*step("x", "2", "m"), f"[{row('a')}] = kernel({row('m')})", *step("m", "2", "H"),
+                 f"if not ({test}):", f"    raise step_error(k, [{row('F')}], [{row('H')}])"]
+    body += [f"{row('x')} = {row('F')}", f"j += {dim}",
+             *(f"out[j + {i}] = x{i}" for i in range(dim))]
+    lines = [f"def flow(out, steps, dt, bound, step_error, on_error, {row('x')}):",
+             "half, sixth = 0.5 * dt, dt / 6.0", "dt2 = dt / 2",
+             "half2, sixth2 = 0.5 * dt2, dt2 / 6.0", "j = k = 0",
+             "try:", "    for k in range(steps):", *(f"        {line}" for line in body),
+             "except Exception:", "    on_error(k)", "    raise"]
     env = {"kernel": kernel}
-    exec(compile("\n    ".join(lines), "<rk4 step>", "exec"), env)
-    return env["step"]
+    exec(compile("\n    ".join(lines), "<rk4 loop>", "exec"), env)
+    return env["flow"]
 
 
 def integrate_flow(
@@ -469,9 +492,11 @@ def integrate_flow(
     max_step_error: float | None = 1e-8,
     require_regular: bool = True,
 ) -> Trajectory:
-    """Classical fixed-step RK4 for dx/dt = W(h)(x), on Python floats with a
-    right-hand side compiled once per call (`expr.compile_kernel`); the
-    states are bit for bit those of tree-evaluated RK4 on numpy arrays.
+    """Classical fixed-step RK4 for dx/dt = W(h)(x), on Python floats: the
+    right-hand side is compiled once per call (`expr.compile_kernel`), and
+    so is the loop over the steps (`_rk4_loop`), which writes each state
+    into the trajectory's array; the states are bit for bit those of
+    tree-evaluated RK4 on numpy arrays.
 
     Regularity of W is required at every state a step starts from (disable
     with require_regular=False to integrate through degenerate sets, e.g.
@@ -485,32 +510,24 @@ def integrate_flow(
     dim = W.space.dim
     # components in X.components order; an absent one is the literal 0.0
     kernel = compile_kernel([X.component((i,)) for i in range(dim)], dim)
-    step = _rk4_stepper(kernel, dim)
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, dim))
     y = [float(v) for v in x0]
     states[0] = y
-    try:
-        for k in range(steps):
-            k1 = kernel(*y)  # shared by the full step and the first half step
-            full = step(dt, k1, *y)
-            if max_step_error is not None:
-                mid = step(dt / 2, k1, *y)
-                half = step(dt / 2, kernel(*mid), *mid)
-                errors = [abs(a - b) / 15.0 / dt for a, b in zip(full, half)]
-                if not all(e <= max_step_error for e in errors):  # so NaN fails too
-                    raise FlowError(
-                        f"step error estimate {float(np.max(errors)):.3e}/unit time exceeds"
-                        f" {max_step_error:.3e} at t = {times[k]:.6g}"
-                    )
-            y = full
-            states[k + 1] = y
-    except Exception:
+
+    def step_error(k, full, halves):
+        errors = [abs(a - b) / 15.0 / dt for a, b in zip(full, halves)]
+        return FlowError(f"step error estimate {float(np.max(errors)):.3e}/unit time exceeds"
+                         f" {max_step_error:.3e} at t = {times[k]:.6g}")
+
+    def on_error(k):
         if require_regular:
             _monitor_regularity(W, times[:k + 1], states[:k + 1])
-        raise
+
+    flow = _rk4_loop(kernel, dim, max_step_error is not None)
+    flow(memoryview(states.reshape(-1)), steps, dt, max_step_error, step_error, on_error, *y)
     if require_regular:
         _monitor_regularity(W, times[:steps], states[:steps])
     return Trajectory(times, states)
@@ -581,8 +598,9 @@ def check_involution(
     {c_i, c_j} = 0 wherever the secular spectrum is simple.  The gradients
     are exact, from the recursion operator N = W^{-1} W_hat, built over
     all sampled points at once: Newton's identities on tr(N^k) for the
-    Y^(l), spectral projectors of N for the roots (`spectral`).  Which
-    points have repeated roots is decided from the pencil's roots."""
+    Y^(l), spectral projectors of N for the roots (`spectral`).  The
+    pencil's roots decide which points have repeated roots; N's own
+    eigenvalues build the projectors at the others."""
     tol = cfg.tol if tol is None else tol
     n = W.space.n
     What = lie_derivative_mv(E, W)
@@ -597,8 +615,8 @@ def check_involution(
         _, roots = _pencil_roots(W, What, states)
         simple = [k for k, r in enumerate(roots) if not any(multiple_root_flags(r))]
         if simple:
-            brackets += _pair_brackets(root_pair_gradients(op[simple], grad[simple]),
-                                       w[simple], what[simple], [points[k] for k in simple])
+            grads = root_pair_gradients(op[simple], grad[simple], operator_roots(op[simple]))
+            brackets += _pair_brackets(grads, w[simple], what[simple], [points[k] for k in simple])
         skipped = len(points) - len(simple)
         if skipped:
             notes += f"; root-pair test skipped at {skipped} points with repeated roots"

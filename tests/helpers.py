@@ -15,7 +15,36 @@ from binoether.geometry import (
     schouten_bb,
 )
 from binoether.spectral import REGULARITY_FACTOR, SpectralError, _real_roots, regularity_margin
-from binoether.verify import SamplingError, _record, _worst_case
+from binoether.systems import SystemSpec, load_system
+from binoether.verify import FlowError, SamplingError, _record, _worst_case
+
+# The friction model of `dissipative_fields(2)` with a coupled generator
+# E = G d/dq1 + G d/dq2, G = I1 I2, I_i = p_i + q_i: [E, W(h)] = 0, the
+# secular roots are c = {0, -(I1 + I2)}, with gradients 0 and (-1, -1, -1, -1),
+# and N = W^-1 What is diagonalizable but not normal.
+COUPLED_N2_SYS = """\
+[system]
+name = coupled-n2
+dof = 2
+
+[poisson]
+W(q1,p1) = -p1
+W(q2,p2) = -p2
+
+[hamiltonian]
+h = p1 + q1 + p2 + q2
+
+[symmetry]
+E(q1) = (p1 + q1)*(p2 + q2)
+E(q2) = (p1 + q1)*(p2 + q2)
+"""
+
+
+def coupled_system(tmp_path) -> SystemSpec:
+    """The COUPLED_N2_SYS system, loaded from a file under tmp_path."""
+    path = tmp_path / "coupled-n2.sys"
+    path.write_text(COUPLED_N2_SYS, encoding="utf-8")
+    return load_system(path)
 
 
 def var(space: PhaseSpace, name: str) -> Var:
@@ -215,10 +244,14 @@ def reference_roots(coeffs):
     return _real_roots(raw[None, :])[0]
 
 
-def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, dt: float):
+def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, dt: float,
+                          max_step_error: float | None = None, require_regular: bool = False):
     """The states of classical RK4 for dx/dt = W(h)(x) with the field
-    evaluated tree by tree into numpy arrays: the oracle that
-    `integrate_flow`'s compiled right-hand side must match bit for bit."""
+    evaluated tree by tree into numpy arrays, one step at a time: the oracle
+    that `integrate_flow`'s compiled loop must match bit for bit.  With
+    require_regular, W's regularity is tested at each state before the step
+    from it; with max_step_error, two half steps guard each step.  Either
+    raises `integrate_flow`'s FlowError where it fails."""
     X = hamiltonian_vf(W, h)
     dim = W.space.dim
     comps = list(X.components.items())
@@ -240,7 +273,16 @@ def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, 
     states = np.empty((steps + 1, dim))
     states[0] = np.asarray(tuple(x0), dtype=float)
     for k in range(steps):
-        states[k + 1] = rk4_step(states[k], dt)
+        if require_regular and regularity_margin(evaluate_mv(W, states[k])) <= REGULARITY_FACTOR:
+            raise FlowError(f"regularity lost at t = {k * dt:.6g}")
+        full = rk4_step(states[k], dt)
+        if max_step_error is not None:
+            halves = rk4_step(rk4_step(states[k], dt / 2), dt / 2)
+            errors = np.abs(full - halves) / 15.0 / dt
+            if not all(e <= max_step_error for e in errors):
+                raise FlowError(f"step error estimate {float(np.max(errors)):.3e}/unit time"
+                                f" exceeds {max_step_error:.3e} at t = {k * dt:.6g}")
+        states[k + 1] = full
     return states
 
 

@@ -107,6 +107,63 @@ def test_compiled_flow_matches_the_tree_evaluated_flow(case):
     assert same(states, reference_flow_states(W, h, x0, cfg.t_end, cfg.dt))
 
 
+@pytest.mark.parametrize("case", ["dissipative-n1", "dissipative-n2", "dissipative-n3",
+                                  "dissipative-n6", "dense-frame-dissipative-n2"])
+def test_unchecked_flow_matches_the_tree_evaluated_flow(case):
+    # without the step-error estimate the compiled loop takes only full steps
+    if case in CASES:
+        spec = CASES[case]()
+        W, h, t_end = spec.W, spec.h, 1.0
+    else:
+        _, W, h = dense_frame_dissipative(2, seed=7)
+        t_end = 0.2
+    cfg = CheckConfig(t_end=t_end, dt=1e-3)
+    x0 = sample_regular_points(W, cfg)[0]
+    states = integrate_flow(W, h, x0, cfg, max_step_error=None).states
+    assert np.array_equal(states, reference_flow_states(W, h, x0, cfg.t_end, cfg.dt))
+
+
+FLOW_SPACE = PhaseSpace.canonical(2)
+# margin |p1| / (2 (p1^2 + 1)): lost once p1 < 2e-6 or p1 > 5e5
+FLOW_W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): parse("-p1", FLOW_SPACE), (1, 3): Num(-1.0)})
+
+
+@pytest.mark.parametrize("h_text, max_step_error, p1", [
+    ("10*q1 + p2", 1e-8, 1.0),                          # regularity lost at t = 1.313
+    ("10*q1 + p2", None, 1.0),                          # the same, without the estimate
+    ("-10*q1 + p2", 1e-3, 1.0),                         # lost before the step error
+    ("-10*q1 + p2", 1e-8, 1.0),                         # step error at t = 0.526
+    ("-10*q1 + p2", 1e-7, 1.0),                         # no error: every state
+    ("10*q1 + p2 + p1*ln(p1 - 0.000001)", 1e-8, 1.0),   # lost before a domain error
+    ("p1*ln(p1 - 1.5)", 1e-8, 1.0),                     # domain error in the first step
+    ("ln(p1)", 1e-8, 0.0),                              # lost at x0, where the step divides by 0
+])
+def test_flow_outcome_matches_a_step_by_step_loop(h_text, max_step_error, p1):
+    # the same states, or the same first error with the same text, as a loop
+    # that tests regularity before each step and the estimate after it
+    x0, cfg = (0.0, 0.0, p1, 1.0), CheckConfig(t_end=2.0, dt=1e-3)
+    h = parse(h_text, FLOW_SPACE)
+    got = outcome(lambda: integrate_flow(FLOW_W, h, x0, cfg, max_step_error).states)
+    want = outcome(lambda: reference_flow_states(FLOW_W, h, x0, cfg.t_end, cfg.dt,
+                                                 max_step_error, require_regular=True))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_nan_step_error_matches_a_step_by_step_loop():
+    # X^q1 = -2e600 p1 overflows to -inf, so the estimate is NaN and fails
+    space = PhaseSpace.canonical(1)
+    W = MultiVectorField(space, 2, {(0, 1): Num(1.0)})
+    h = parse("p1*p1*1e300*1e300", space)
+    cfg = CheckConfig(t_end=0.01, dt=1e-3)
+    got = outcome(lambda: integrate_flow(W, h, (0.5, 3.0), cfg))
+    assert got == outcome(lambda: reference_flow_states(W, h, (0.5, 3.0), cfg.t_end, cfg.dt, 1e-8,
+                                                        require_regular=True))
+    assert got == (verify.FlowError, "step error estimate nan/unit time exceeds 1.000e-08 at t = 0")
+
+
 @pytest.mark.parametrize("m", SIZES)
 def test_drift_blocks_match_the_point_loop(monkeypatch, m):
     # refusing the batched coefficients sends every block down the point
@@ -218,6 +275,55 @@ class TestPerStateEdgeCases:
         assert math.fsum(v ** 2 for v in entries) > 1.0
         assert spectral._frobenius([entries]) == 1.0
         assert spectral._frobenius_batch([[np.array([v]) for v in entries]], np.array([True])) == [1.0]
+
+    def test_node_scales_follow_the_scalar_rule(self):
+        def scalar_rule(norm_w, norm_h):
+            # the point route's rule, one pair of Python floats at a time
+            s = norm_h / norm_w if norm_w > 0 else 1.0
+            if not math.isfinite(s) or s < 1e-12:
+                s = 1.0
+            return min(max(s, 1e-100), 1e100)
+
+        inf, nan = math.inf, math.nan
+        pairs = [(0.0, 2.0), (-0.0, 2.0), (nan, 2.0), (2.0, nan), (0.0, 0.0), (2.0, 0.0),
+                 (1.0, 1e-13), (1.0, 1e-12), (3.0, 2e-12), (inf, 2.0), (2.0, inf), (inf, inf),
+                 (1e-300, 1e10), (1.0, 1e100), (1.0, 2e100), (1e-200, 1e-95), (2.0, 3.0)]
+        norm_w, norm_h = (np.array(column) for column in zip(*pairs))
+        want = [scalar_rule(w, h) for w, h in pairs]
+        assert same(spectral._node_scales(norm_w, norm_h), want)
+        assert same([float(spectral._node_scales(w, h)) for w, h in pairs], want)
+
+    def test_overflowing_node_scale_power_raises_as_the_point_route_does(self):
+        # ||What|| / ||W|| = 1e110 clamps the node scale to 1e100, whose
+        # fourth power overflows where the point route takes Python's **
+        space = PhaseSpace.canonical(4)
+        W = MultiVectorField(space, 2, {(i, 4 + i): Num(-1e-30) for i in range(4)})
+        What = MultiVectorField(space, 2, {(i, 4 + i): parse(f"q{i + 1} * 1e80", space)
+                                           for i in range(4)})
+        x = (0.5, 0.6, 0.7, 0.8, 0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(OverflowError) as point, np.errstate(all="ignore"):
+            pencil_coefficients(W, What, x)
+        with pytest.raises(OverflowError) as batched:
+            pencil_coefficients_batch(W, What, [x, x])
+        assert str(batched.value) == str(point.value)
+
+    @pytest.mark.parametrize("entry, error", [("1e103", OverflowError),
+                                              ("1e-110", ZeroDivisionError)])
+    def test_margin_power_raises_as_the_point_route_does(self, entry, error):
+        # at n = 3 a finite norm near 2.4e103 has a cube that overflows, and
+        # one near 2.4e-110 a cube that underflows to 0, which Python divides by
+        space = PhaseSpace.canonical(3)
+        W = MultiVectorField(space, 2, {(i, 3 + i): parse(f"{entry} * (1 + q1 * q1)", space)
+                                        for i in range(3)})
+        states = [(0.0,) * 6, (0.5,) * 6]
+        with pytest.raises(error) as point:
+            regularity_margin(evaluate_mv(W, states[1]))
+        with pytest.raises(error) as batched:
+            regularity_margins(W, states)
+        assert str(batched.value) == str(point.value)
+        # sampling replays the batch draw by draw and meets the same error
+        with pytest.raises(error):
+            sample_regular_points(W, CheckConfig())
 
     def test_overflowing_square_raises_as_the_point_route_does(self):
         # W_hat^{q1 p1} = 5e199 at (0.5, 0.1): its square overflows, where

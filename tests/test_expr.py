@@ -260,6 +260,14 @@ class TestDiff:
         assert (zero + negzero) is zero and (negzero + zero) is zero
         assert math.copysign(1.0, (negzero + negzero).value) == -1.0
 
+    def test_constant_power_that_overflows_is_not_folded(self):
+        # d/dq1 (5e-324)^0 builds 0 * (5e-324)^-1 * 0, whose power overflows
+        # a float: the derivative must still fold to 0 instead of raising
+        d = diff(parse("(5e-324)^0 + q1", S1), "q1", S1)
+        assert evaluate(d, (0.3, 0.4)) == 1.0
+        with pytest.raises(OverflowError):
+            evaluate(Num(5e-324) ** -1, (0.3, 0.4))
+
 
 class TestJets:
     def test_hand_examples(self):

@@ -13,6 +13,7 @@ from binoether.spectral import (
     is_regular,
     mixed_wedge_ratios,
     multiple_root_flags,
+    operator_roots,
     pencil_coefficient_jets,
     pfaffian,
     recursion_operator_batch,
@@ -28,6 +29,7 @@ from binoether.systems import builtin_system
 from binoether.verify import CheckConfig, sample_regular_points
 from helpers import (
     block_action_system,
+    coupled_system,
     dense_frame_fields,
     dissipative_fields,
     linear_coordinate_change,
@@ -345,7 +347,8 @@ class TestRecursionOperatorRoute:
     def test_simple_root_gradients_match_jets_and_differences(self, key):
         W, What, points = _oracle_case(key)
         _, _, op, grad = recursion_operator_batch(W, What, [x.coords for x in points])
-        grads = root_pair_gradients(op, grad)
+        with np.errstate(all="ignore"):  # no projector at repeated roots
+            grads = root_pair_gradients(op, grad, operator_roots(op))
         compared = 0
         for x, dc in zip(points, grads):
             coeff_jets = pencil_coefficient_jets(W, What, x)
@@ -366,12 +369,31 @@ class TestRecursionOperatorRoute:
         for seed in (0, 2, 16):
             points = sample_regular_points(spec.W, CheckConfig(seed=seed))
             states = np.array([x.coords for x in points])
-            grads = root_pair_gradients(*recursion_operator_batch(spec.W, What, states)[2:])
+            _, _, op, grad = recursion_operator_batch(spec.W, What, states)
+            grads = root_pair_gradients(op, grad, operator_roots(op))
             c = -2.0 * (states[:, :n] + states[:, n:])
             for dc, order in zip(grads, np.argsort(c, axis=1)):
                 want = np.zeros((n, 2 * n))
                 want[np.arange(n), order] = want[np.arange(n), n + order] = -2.0
                 assert np.max(np.abs(dc - want)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_coupled_root_gradients_closed_form(self, tmp_path, seed):
+        # c = {0, -(I1 + I2)}: gradients 0 and (-1, -1, -1, -1), N not normal
+        spec = coupled_system(tmp_path)
+        What = lie_derivative_mv(spec.E, spec.W)
+        states = np.array([x.coords for x in sample_regular_points(spec.W, CheckConfig(seed=seed))])
+        total = states[:, :2].sum(axis=1) + states[:, 2:].sum(axis=1)
+        want = np.sort(np.column_stack([0 * total, -total]), axis=1)
+        _, _, op, grad = recursion_operator_batch(spec.W, What, states)
+        for roots in (np.array([secular_roots(spec.W, What, x).roots for x in states]),
+                      operator_roots(op)):
+            assert np.max(np.abs(roots - want)) <= 1e-13
+        grads = root_pair_gradients(op, grad, operator_roots(op))
+        # the root of -(I1 + I2) is the lower one where I1 + I2 > 0
+        lower = (total > 0)[:, None]
+        assert np.max(np.abs(grads[:, 0] - np.where(lower, -1.0, 0.0))) <= 1e-10
+        assert np.max(np.abs(grads[:, 1] - np.where(lower, 0.0, -1.0))) <= 1e-10
 
     def test_jets_are_one_row_of_the_route(self):
         spec = builtin_system("dissipative", 3)
