@@ -21,6 +21,11 @@ audit.  The projectors are polynomials in N built from N's own eigenvalues
 ill-conditioned where N is not normal.  `recursion_operator_batch` builds N
 and dN for a stack of states from one batched evaluation.
 
+The roots of P(-c) are the eigenvalues of its companion matrix
+(`roots_from_coefficients_batch`), or, where a close guess of them is
+known, as along a flow, Newton roots whose accuracy is certified
+(`roots_near`), with the eigenvalue route wherever the certificate fails.
+
 The Pfaffian recursion runs on floats, on matrices of arrays, one element
 per state (the `*_batch` functions and `regularity_margins` return the
 point route's values bit for bit; `roots_from_coefficients` is the one-row
@@ -58,6 +63,7 @@ __all__ = [
     "pencil_coefficients_batch",
     "roots_from_coefficients",
     "roots_from_coefficients_batch",
+    "roots_near",
     "multiple_root_flags",
     "y_from_coefficients",
     "y_from_root_values",
@@ -80,6 +86,18 @@ __all__ = [
 REGULARITY_FACTOR = 1e-6
 ROOT_IMAG_TOL = 1e-8
 ROOT_CLUSTER_TOL = 1e-6
+# Newton steps `roots_near` takes from its guess on each row
+NEWTON_STEPS = 2
+# the inclusion radius, relative to max(1, |c|), up to which `roots_near`
+# accepts a Newton root: 1e-4 of the drift audit's default tolerance (1e-6),
+# so the root finder cannot move a drift verdict.  The radius is a bound: the
+# roots 1..6 get rho = 2.1e-11 while their Newton roots err by 3e-13 and the
+# eigenvalue route's by 5e-13, so a bound of 1e-12 would send such spectra to
+# the eigenvalue route after the Newton steps.  The golden reports'
+# trajectories meet radii up to 9e-15 (n = 6).
+CERTIFIED_TOL = 1e-10
+# unit roundoff of float64
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class SpectralError(Exception):
@@ -357,7 +375,7 @@ def _require_regular(W: MultiVectorField, x) -> tuple[list[list[float]], float]:
     """W's matrix rows at x and Pf(W(x)); RegularityError where W is degenerate."""
     rows = _matrix_rows(W, x)
     pf = _pfaffian_rec(rows, tuple(range(len(rows))), {})
-    if _margin(np.array(rows), pf) <= REGULARITY_FACTOR:
+    if not _margin(np.array(rows), pf) > REGULARITY_FACTOR:  # a NaN margin is not regular
         raise RegularityError(f"bivector is numerically degenerate at {tuple(x)}")
     return rows, pf
 
@@ -404,18 +422,23 @@ def roots_from_coefficients(coeffs) -> np.ndarray:
     return roots_from_coefficients_batch([coeffs])[0]
 
 
-def roots_from_coefficients_batch(coeffs) -> np.ndarray:
-    """roots_from_coefficients for every row of an (m, n+1) coefficient
-    array, as an (m, n) array, bit for bit.  The companion matrices of all
-    rows go to one stacked eigenvalue call, except for rows that np.roots
-    would strip (a zero leading or trailing coefficient) or not accept (a
-    non-finite one): those go through np.roots itself.  A zero leading
-    coefficient leaves fewer than n roots, and raises SpectralError."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    m, n = coeffs.shape[0], coeffs.shape[1] - 1
-    # Q(c) = P(-c): coefficient of c^p is (-1)^p a_p, highest degree first
+def _descending(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of Q(c) = P(-c), highest degree first, for each row
+    of an (m, n+1) array of a_0..a_n (the coefficient of c^p is (-1)^p a_p),
+    and the mask of the plain rows: those that np.roots would neither strip
+    (a zero leading or trailing coefficient) nor refuse (a non-finite one)."""
+    n = coeffs.shape[1] - 1
     desc = coeffs[:, ::-1] * np.where(np.arange(n, -1, -1) % 2, -1.0, 1.0)
-    plain = (desc[:, 0] != 0.0) & (desc[:, -1] != 0.0) & np.all(np.isfinite(desc), axis=1)
+    plain = (desc[:, 0] != 0.0) & (desc[:, -1] != 0.0) & np.isfinite(desc).all(axis=1)
+    return desc, plain
+
+
+def _eigen_roots(desc: np.ndarray, plain: np.ndarray, labels) -> np.ndarray:
+    """The real ascending roots of the rows of desc (`_descending`): the
+    companion matrices of the plain rows go to one stacked eigenvalue call,
+    the others through np.roots itself.  A zero leading coefficient raises
+    SpectralError, naming the row by its entry in labels (unless None)."""
+    m, n = desc.shape[0], desc.shape[1] - 1
     d = desc[plain]
     companion = np.zeros((len(d), n, n))
     companion[:, 1:, :-1] = np.eye(n - 1)
@@ -427,9 +450,122 @@ def roots_from_coefficients_batch(coeffs) -> np.ndarray:
         stripped = np.roots(desc[k])
         if len(stripped) != n:
             raise SpectralError(f"zero leading coefficient leaves {len(stripped)} of {n} roots"
-                                + (f" in coefficient row {k}" if m > 1 else ""))
+                                + (f" in coefficient row {labels[k]}" if labels is not None else ""))
         raw[k] = stripped
     return _real_roots(raw)
+
+
+def roots_from_coefficients_batch(coeffs) -> np.ndarray:
+    """roots_from_coefficients for every row of an (m, n+1) coefficient
+    array, as an (m, n) array, bit for bit.  This is the eigenvalue route:
+    the companion matrices of all rows go to one stacked eigenvalue call,
+    except for rows that np.roots would strip (a zero leading or trailing
+    coefficient) or not accept (a non-finite one): those go through
+    np.roots itself.  A zero leading coefficient leaves fewer than n roots,
+    and raises SpectralError.  `roots_near` finds the same roots faster
+    where a good guess of them is known."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    m = len(coeffs)
+    return _eigen_roots(*_descending(coeffs), range(m) if m > 1 else None)
+
+
+def _horner(d: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q(x) and Q'(x) by Horner's recurrences at each entry of the vector x,
+    the polynomial of x[j] having the coefficients d[:, j], highest degree
+    first (d has one column per entry of x, so each step is one operation
+    on whole vectors)."""
+    q, dq = d[0], 0.0
+    for row in d[1:]:
+        dq = dq * x + q
+        q = q * x + row
+    return q, dq
+
+
+def _inclusion_radii(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """rho = n (|Q(x)| + e) / (|Q'(x)| - e') at each entry of x (d and x as
+    for `_horner`): some root of Q lies within rho of x, since
+    Q'/Q (x) = sum_j 1/(x - zeta_j) for the n roots zeta_j.
+
+    Q(x) and Q'(x) are `_horner`'s values, and e and e' bound their rounding
+    errors, with running sums taken along the recurrences (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 5.1).  A step
+    y_k <- fl(fl(x y_(k-1)) + a_k) errs by at most u' (|x y_(k-1)| + |y_k|),
+    u' = u / (1 - u) with u the unit roundoff, and that error reaches Q(x)
+    times x^(n-k).  With mu(s) = sum_k s^(n-k) |y_k| and nu(s) the same sum
+    over the derivative recurrence's values, the error of Q(x) is at most
+    2 u' mu(|x|), and that of Q'(x) at most 2 u' (nu(|x|) + mu'(|x|)): its
+    own steps, and the errors of the y_k carried into it.  The factor 2 on
+    top covers the rounding of these sums and of rho.  rho is inf where the
+    lower bound on |Q'(x)| is not positive (or NaN)."""
+    n = len(d) - 1
+    size = np.abs(x)
+    q, dq = d[0], 0.0
+    mu, mu_slope, nu = np.abs(q), 0.0, 0.0
+    for row in d[1:]:
+        dq = dq * x + q
+        nu = nu * size + np.abs(dq)
+        mu_slope = mu_slope * size + mu
+        q = q * x + row
+        mu = mu * size + np.abs(q)
+    scale = 4.0 * _UNIT_ROUNDOFF / (1.0 - _UNIT_ROUNDOFF)
+    slope = np.abs(dq) - scale * (nu + mu_slope)
+    return np.where(slope > 0.0, n * (np.abs(q) + scale * mu) / slope, np.inf)
+
+
+def _newton_roots(desc: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the plain rows of desc (`_descending`, (k, n+1)) by
+    NEWTON_STEPS Newton steps from guess ((k, n)), ascending, and the mask
+    of the rows whose roots are certified (see `roots_near`)."""
+    n = desc.shape[1] - 1
+    # one entry per root of each row, with that row's coefficients
+    d = np.repeat(desc, n, axis=0).T.copy()
+    x = guess.ravel()
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            q, dq = _horner(d, x)
+            x = x - q / dq
+        c = np.sort(x.reshape(-1, n), axis=1)
+        rho = _inclusion_radii(d, c.ravel()).reshape(-1, n)
+        accurate = np.isfinite(c) & (rho <= CERTIFIED_TOL * np.fmax(1.0, np.abs(c)))
+        disjoint = c[:, 1:] - c[:, :-1] > rho[:, 1:] + rho[:, :-1]
+    return c, accurate.all(axis=1) & disjoint.all(axis=1)
+
+
+def roots_near(coeffs, guess) -> np.ndarray:
+    """roots_from_coefficients_batch(coeffs), an (m, n) array, by Newton's
+    method from a guess of the roots (n values, or an (m, n) array), where
+    the result can be certified; the eigenvalue route elsewhere.
+
+    On each plain row (see `_descending`) NEWTON_STEPS Newton steps on
+    Q(c) = P(-c) run from the guess.  Each step about squares a simple
+    root's relative error, so two take a guess within the drift audit's
+    default tolerance (1e-6) of well-separated roots to the rounding level.
+    The row is certified when every root c_i and its inclusion radius
+    rho_i (`_inclusion_radii`) are finite, rho_i <= CERTIFIED_TOL *
+    max(1, |c_i|), and the disks of radius rho_i about the ascending c_i
+    are pairwise disjoint.  Each of the n disjoint disks then holds a root
+    of the degree-n Q, so each holds exactly one; a non-real root would
+    bring its conjugate into the same real-centred disk, so all roots are
+    real and simple.  A certified row returns its ascending c_i, each
+    within rho_i of a true root of the row's polynomial; it can never hide
+    a NonRealSpectrumError.
+
+    Every other row takes `roots_from_coefficients_batch` unchanged, so it
+    gets the same roots and raises the same exceptions, with the same
+    messages.  Each row's result depends on that row and the guess only."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    desc, plain = _descending(coeffs)
+    guess = np.broadcast_to(np.asarray(guess, dtype=float), (m, n))
+    c, certified_plain = _newton_roots(desc[plain], guess[plain])
+    certified = np.zeros(m, dtype=bool)
+    certified[plain] = certified_plain
+    out = np.empty((m, n))
+    out[certified] = c[certified_plain]
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        out[rest] = _eigen_roots(desc[rest], plain[rest], rest if m > 1 else None)
+    return out
 
 
 def multiple_root_flags(roots) -> tuple[bool, ...]:
@@ -489,16 +625,20 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
     s = _node_scales(_frobenius_batch(w_rows, live), _frobenius_batch(h_rows, live))
     u, vander = _interpolation_nodes(n)
     vals = np.empty((m, n + 1))
+    # the pencil's entries above the diagonal where W or What has one, with
+    # 0.0 standing for the other's absent entry, as the point route adds it
+    support = [(i, j) for i in range(N) for j in range(i + 1, N)
+               if not (_absent(h_rows[i][j]) and _absent(w_rows[i][j]))]
+    h_support, w_support = (np.array([np.broadcast_to(rows[i][j], m) for i, j in support])
+                            .reshape(len(support), m) for rows in (h_rows, w_rows))
     with np.errstate(all="ignore"):
         pf_w = _pfaffian_rec(w_rows, full, {}, _absent)
         for k, uk in enumerate(u):
-            t = s * uk
+            entries = h_support + (s * uk) * w_support
+            skipped |= np.any(entries == 0.0, axis=0)
             pencil: list[list] = [[0.0] * N for _ in range(N)]
-            for i in range(N):
-                for j in range(i + 1, N):
-                    if not (_absent(h_rows[i][j]) and _absent(w_rows[i][j])):
-                        pencil[i][j] = h_rows[i][j] + t * w_rows[i][j]
-            skipped |= np.any([e == 0.0 for e in _upper(pencil)], axis=0)
+            for (i, j), e in zip(support, entries):
+                pencil[i][j] = e
             vals[:, k] = _pfaffian_rec(pencil, full, {}, _absent) / pf_w
         b = np.linalg.solve(np.broadcast_to(vander, (m, n + 1, n + 1)), vals[:, :, None])[:, :, 0]
         out = b / _float_power(s[:, None], np.arange(n + 1.0))

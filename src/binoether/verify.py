@@ -44,6 +44,7 @@ from .spectral import (
     root_pair_gradients,
     roots_from_coefficients,
     roots_from_coefficients_batch,
+    roots_near,
     trace_invariants,
     y_from_coefficients,
 )
@@ -397,17 +398,20 @@ def check_compatibility(
 # Spectrum at samples (route cross-check)
 # ---------------------------------------------------------------------------
 
-def _pencil_roots(W: MultiVectorField, What: MultiVectorField, states):
-    """Pencil coefficients and secular roots at the states in one batched
-    pass; where that raises, by the point routes state by state, so that the
-    first error met in the states' order is raised."""
+def _pencil_roots(W: MultiVectorField, What: MultiVectorField, states,
+                  roots=roots_from_coefficients_batch):
+    """Pencil coefficients at the states, and secular roots from them by
+    ``roots`` (a function of an (m, n+1) coefficient array whose result for
+    each row depends on that row alone), in one batched pass; where that
+    raises, by the point routes state by state, so that the first error met
+    in the states' order is raised."""
     try:
         coeffs = pencil_coefficients_batch(W, What, states)
-        return coeffs, roots_from_coefficients_batch(coeffs)
+        return coeffs, roots(coeffs)
     except _BATCH_ERRORS:
         points = (pencil_coefficients(W, What, x) for x in states)
-        coeffs, roots = zip(*[(c, roots_from_coefficients(c)) for c in points])
-        return np.array(coeffs), np.array(roots)
+        coeffs, found = zip(*[(c, roots([c])[0]) for c in points])
+        return np.array(coeffs), np.array(found)
 
 
 def check_spectral_routes(
@@ -435,13 +439,27 @@ def check_spectral_routes(
 # Flow and conservation
 # ---------------------------------------------------------------------------
 
+def _first_irregular(W: MultiVectorField, states: np.ndarray) -> int | None:
+    """Index of the first state whose margin is not above REGULARITY_FACTOR
+    (a NaN margin included), or None: one array test over the batched
+    margins, or where that pass raises, state by state up to that state, so
+    that the first error met in the states' order wins."""
+    try:
+        irregular = np.flatnonzero(~(regularity_margins(W, states) > REGULARITY_FACTOR))
+        return int(irregular[0]) if irregular.size else None
+    except _BATCH_ERRORS:
+        for k, x in enumerate(states):
+            if not regularity_margin(evaluate_mv(W, x)) > REGULARITY_FACTOR:
+                return k
+        return None
+
+
 def _monitor_regularity(W: MultiVectorField, times: np.ndarray, states: np.ndarray) -> None:
     """FlowError at the first of the states where W is degenerate."""
     for start in range(0, len(states), TRAJECTORY_BLOCK):
-        block = states[start:start + TRAJECTORY_BLOCK]
-        for k, margin in enumerate(_margins(W, block), start):
-            if margin <= REGULARITY_FACTOR:
-                raise FlowError(f"regularity lost at t = {times[k]:.6g}")
+        k = _first_irregular(W, states[start:start + TRAJECTORY_BLOCK])
+        if k is not None:
+            raise FlowError(f"regularity lost at t = {times[start + k]:.6g}")
 
 
 def _rk4_loop(kernel, dim: int, checked: bool):
@@ -547,14 +565,32 @@ def conservation_drift(
 def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajectory,
                      cfg: CheckConfig) -> CheckRecord:
     """Audit that every secular root c_i and every invariant Y^(l) stays
-    constant along the trajectory (relative drift <= cfg.drift_tol)."""
+    constant along the trajectory (relative drift <= cfg.drift_tol).
+
+    The states go in blocks of TRAJECTORY_BLOCK through the batched pencil
+    pass.  The roots at every state come from `spectral.roots_near`, with
+    the roots of the first state (by the eigenvalue route) as the guess:
+    along a conserving flow they are every state's roots up to the drift,
+    so Newton's method from them converges and certifies the roots.  A
+    state whose roots it cannot certify, such as one whose roots really
+    moved, takes the eigenvalue route, with its errors.  The Y^(l) come from
+    the pencil coefficients."""
     n = W.space.n
     m = len(traj)
     series = np.empty((m, 2 * n))  # c_1..c_n, then Y^(1)..Y^(n)
+    guess = None
+
+    def roots(coeffs):
+        # rows in the states' order, so the first row ever solved is state 0's
+        nonlocal guess
+        if guess is None:
+            guess = roots_from_coefficients(coeffs[0])
+        return roots_near(coeffs, guess)
+
     for start in range(0, m, TRAJECTORY_BLOCK):
         block = traj.states[start:start + TRAJECTORY_BLOCK]
         rows = series[start:start + TRAJECTORY_BLOCK]
-        coeffs, rows[:, :n] = _pencil_roots(W, What, block)
+        coeffs, rows[:, :n] = _pencil_roots(W, What, block, roots)
         rows[:, n:] = np.column_stack(y_from_coefficients(coeffs.T))
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]

@@ -273,7 +273,8 @@ def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, 
     states = np.empty((steps + 1, dim))
     states[0] = np.asarray(tuple(x0), dtype=float)
     for k in range(steps):
-        if require_regular and regularity_margin(evaluate_mv(W, states[k])) <= REGULARITY_FACTOR:
+        # a NaN margin is not regular
+        if require_regular and not regularity_margin(evaluate_mv(W, states[k])) > REGULARITY_FACTOR:
             raise FlowError(f"regularity lost at t = {k * dt:.6g}")
         full = rk4_step(states[k], dt)
         if max_step_error is not None:

@@ -152,6 +152,27 @@ def test_flow_outcome_matches_a_step_by_step_loop(h_text, max_step_error, p1):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("w_text, q1, max_step_error, message", [
+    # W is NaN at x0 (q1 * 1e308 * 10 overflows to inf), so its margin is NaN
+    ("1 + q1*1e308*10 - q1*1e308*10", 0.5, None, "regularity lost at t = 0"),
+    ("1 + q1*1e308*10 - q1*1e308*10", 0.5, 1e-8, "regularity lost at t = 0"),
+    # W = 1 until q1' = 1 takes q1 past 0.1797 (t = 0.18, a later block of
+    # states), NaN from there on
+    ("1 + (q1*1e308*10 - q1*1e308*10)", 0.0, None, "regularity lost at t = 0.18"),
+    ("1 + (q1*1e308*10 - q1*1e308*10)", 0.0, 1e-8,
+     "step error estimate nan/unit time exceeds 1.000e-08 at t = 0.179"),
+])
+def test_a_nan_margin_loses_regularity(w_text, q1, max_step_error, message):
+    # a NaN margin is not above the threshold, so regularity is lost there
+    space = PhaseSpace.canonical(1)
+    W = MultiVectorField(space, 2, {(0, 1): parse(w_text, space)})
+    h, cfg = parse("p1", space), CheckConfig(t_end=0.5, dt=1e-3)
+    got = outcome(lambda: integrate_flow(W, h, (q1, 1.0), cfg, max_step_error))
+    assert got == outcome(lambda: reference_flow_states(W, h, (q1, 1.0), cfg.t_end, cfg.dt,
+                                                        max_step_error, require_regular=True))
+    assert got == (verify.FlowError, message)
+
+
 def test_nan_step_error_matches_a_step_by_step_loop():
     # X^q1 = -2e600 p1 overflows to -inf, so the estimate is NaN and fails
     space = PhaseSpace.canonical(1)

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from binoether.expr import Num, PhaseSpace
+from binoether.expr import Num, PhaseSpace, parse
 from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
 from binoether.spectral import (
     NonRealSpectrumError,
@@ -15,17 +17,20 @@ from binoether.spectral import (
     multiple_root_flags,
     operator_roots,
     pencil_coefficient_jets,
+    pencil_coefficients_batch,
     pfaffian,
     recursion_operator_batch,
     root_gradients,
     root_pair_gradients,
     roots_from_coefficients,
+    roots_from_coefficients_batch,
+    roots_near,
     secular_roots,
     trace_invariants,
     y_from_coefficients,
     y_from_roots,
 )
-from binoether.systems import builtin_system
+from binoether.systems import builtin_system, load_system
 from binoether.verify import CheckConfig, sample_regular_points
 from helpers import (
     block_action_system,
@@ -35,6 +40,9 @@ from helpers import (
     linear_coordinate_change,
     random_points,
 )
+
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 def rel_err(a, b):
@@ -105,6 +113,17 @@ class TestMixedWedgeRatios:
         What = lie_derivative_mv(E, W)
         with pytest.raises(RegularityError):
             mixed_wedge_ratios(W, What, PhasePoint((1.0, 0.0)))  # p1 = 0
+
+    @pytest.mark.parametrize("route", [mixed_wedge_ratios, secular_roots])
+    def test_a_nan_margin_is_a_regularity_error(self, route):
+        # q1 * 1e308 * 10 overflows at q1 = 0.5, so W and its margin are NaN,
+        # which is not regular (rather than Y = (nan,), or np.roots' LinAlgError)
+        space = PhaseSpace.canonical(1)
+        W = MultiVectorField(space, 2, {(0, 1): parse("1 + q1*1e308*10 - q1*1e308*10", space)})
+        What = MultiVectorField(space, 2, {(0, 1): parse("p1", space)})
+        assert not is_regular(W, (0.5, 1.0))
+        with pytest.raises(RegularityError):
+            route(W, What, PhasePoint((0.5, 1.0)))
 
 
 class TestSecularRoots:
@@ -410,3 +429,76 @@ class TestRecursionOperatorRoute:
         _, W, _, E = dissipative_fields(1)
         with pytest.raises(RegularityError):
             invariant_jets(W, lie_derivative_mv(E, W), PhasePoint((1.0, 0.0)))
+
+
+def _coupled(name: str, seed: int):
+    """W, What of systems/coupled-<name>-n2.sys, and its sample states with
+    I1 = p1 + q1 and I2 = p2 + q2 there (coordinates q1, q2, p1, p2)."""
+    spec = load_system(SYSTEMS / f"coupled-{name}-n2.sys")
+    states = np.array([x.coords for x in sample_regular_points(spec.W, CheckConfig(seed=seed))])
+    return spec.W, lie_derivative_mv(spec.E, spec.W), states, states[:, 0] + states[:, 2], \
+        states[:, 1] + states[:, 3]
+
+
+class TestCoupledClosedForms:
+    """Secular roots and root gradients of the coupled generators shipped in
+    systems/ against closed forms.  The closed forms come from factoring
+    det(What - c W) with sympy, done once outside this suite (which must not
+    import sympy): (c + 2 I1)^2 (c + 2 I2)^2 p1^2 p2^2 for coupled-squares,
+    and (c^2 - 4 I1 I2)^2 p1^2 p2^2 for coupled-swap."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_squares_roots_and_gradients(self, seed):
+        # c = {-2 I1, -2 I2}: gradient -2 at q_i and p_i for the root of I_i
+        W, What, states, i1, i2 = _coupled("squares", seed)
+        keep = np.abs(i1 - i2) > 1e-3  # simple roots
+        states, i1, i2 = states[keep], i1[keep], i2[keep]
+        want = np.sort(np.column_stack([-2 * i1, -2 * i2]), axis=1)
+        _, _, op, grad = recursion_operator_batch(W, What, states)
+        coeffs = pencil_coefficients_batch(W, What, states)
+        for roots in (np.array([secular_roots(W, What, x).roots for x in states]),
+                      operator_roots(op), roots_near(coeffs, want[0])):
+            assert np.max(np.abs(roots - want)) <= 1e-13
+        grads = root_pair_gradients(op, grad, operator_roots(op))
+        first_lower = (i1 > i2)[:, None]  # -2 I1 is the lower root
+        unit = [np.array([-2.0, 0.0, -2.0, 0.0]), np.array([0.0, -2.0, 0.0, -2.0])]
+        assert np.max(np.abs(grads[:, 0] - np.where(first_lower, *unit))) <= 1e-10
+        assert np.max(np.abs(grads[:, 1] - np.where(first_lower, *unit[::-1]))) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_swap_roots_gradients_and_invariants(self, seed):
+        # c^2 = 4 I1 I2: real, +-2 sqrt(I1 I2), where I1 I2 > 0, else non-real;
+        # Y1 = 0 and Y2 = c1 c2 = -4 I1 I2 everywhere
+        W, What, states, i1, i2 = _coupled("swap", seed)
+        _, _, op, grad = recursion_operator_batch(W, What, states)
+        values, _ = trace_invariants(op, grad)
+        _close(values, np.column_stack([0 * i1, -4 * i1 * i2]), 1e-13)
+        real = i1 * i2 > 1e-3
+        assert 0 < real.sum() < len(states)  # both kinds among the samples
+        for x in states[i1 * i2 < 0]:
+            with pytest.raises(NonRealSpectrumError):
+                secular_roots(W, What, x)
+        root = 2 * np.sqrt(i1[real] * i2[real])
+        want = np.column_stack([-root, root])
+        roots = np.array([secular_roots(W, What, x).roots for x in states[real]])
+        assert np.max(np.abs(roots - want)) <= 1e-13
+        # d(2 sqrt(I1 I2)) = (I2 dI1 + I1 dI2) / sqrt(I1 I2), at q_i and p_i
+        half = np.column_stack([i2[real], i1[real], i2[real], i1[real]]) / (root / 2)[:, None]
+        grads = root_pair_gradients(op[real], grad[real], operator_roots(op[real]))
+        assert np.max(np.abs(grads[:, 0] + half)) <= 1e-9
+        assert np.max(np.abs(grads[:, 1] - half)) <= 1e-9
+
+    def test_swap_non_real_rows_fall_back_to_the_eigenvalue_route(self):
+        # a real guess certifies the real rows; the non-real ones fall back,
+        # and the first of them raises the eigenvalue route's error
+        W, What, states, i1, i2 = _coupled("swap", 0)
+        coeffs = pencil_coefficients_batch(W, What, states)
+        real = np.flatnonzero(i1 * i2 > 1e-3)
+        guess = roots_from_coefficients_batch(coeffs[real[:1]])[0]
+        with pytest.raises(NonRealSpectrumError) as near:
+            roots_near(coeffs, guess)
+        with pytest.raises(NonRealSpectrumError) as eig:
+            roots_from_coefficients_batch(coeffs)
+        assert str(near.value) == str(eig.value)
+        assert np.max(np.abs(roots_near(coeffs[real], guess)
+                             - roots_from_coefficients_batch(coeffs[real]))) <= 1e-13
