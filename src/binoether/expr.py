@@ -36,6 +36,7 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "compile_kernel",
+    "emit_kernel",
     "diff",
     "evaluate_jet",
     "substitute",
@@ -783,44 +784,57 @@ def evaluate_batch(exprs, states) -> list[np.ndarray]:
     return list(out)
 
 
-def compile_kernel(exprs, dim: int):
-    """Compile expressions into one straight-line function ``f(x0, ...,
-    x{dim-1}) -> tuple[float, ...]`` of float coordinates: one temporary per
-    distinct subtree object, in `eval`'s visit order (a denominator is tested
-    before its numerator is computed; powers and functions call the node's
-    ``_apply``), so the values and the first error are `eval`'s, bit for bit."""
+def emit_kernel(exprs):
+    """`compile_kernel`'s code as (body lines, output expressions, env, the
+    coordinates read), coordinate i written ``{x}i`` and the k-th temporary in
+    visit order ``{t}k`` for `str.format`, so that equal trees give equal text;
+    the env holds each Div and each power's or function's ``_apply``."""
     body: list[str] = []
     env: dict = {"EvalDomainError": EvalDomainError}
     names: dict = {}  # id of each subtree emitted -> its value's name or literal
+    reads: dict = {}  # index of each coordinate read -> its name
 
     def emit(node) -> str:
         key = id(node)
         if key in names:
             return names[key]
-        if isinstance(node, (Num, Var)):
-            names[key] = repr(node.value) if isinstance(node, Num) else f"x{node.index}"
+        if isinstance(node, Num):
+            names[key] = repr(node.value)
+        elif isinstance(node, Var):
+            names[key] = reads[node.index] = f"{{x}}{node.index}"
         else:
-            # a name carries its node's id, so no two temporaries share one
             if isinstance(node, Div):
-                b = emit(node.b)
-                env[f"n{key}"] = node
-                body.append(f"if {b} == 0.0: raise EvalDomainError('division by zero', n{key})")
+                b, ref = emit(node.b), f"n{len(env)}"
+                env[ref] = node
+                body.append(f"if {b} == 0.0: raise EvalDomainError('division by zero', {ref})")
                 value = f"{emit(node.a)} / {b}"
             elif isinstance(node, _Unary):
-                env[f"f{key}"] = node._apply
-                value = f"f{key}({emit(node.arg)})"
+                arg, ref = emit(node.arg), f"f{len(env)}"
+                env[ref] = node._apply
+                value = f"{ref}({arg})"
             elif isinstance(node, Neg):
                 value = f"-{emit(node.a)}"
             else:
                 value = f"{emit(node.a)} {node._sym} {emit(node.b)}"
-            body.append(f"t{key} = {value}")
-            names[key] = f"t{key}"
+            names[key] = f"{{t}}{len(names)}"
+            body.append(f"{names[key]} = {value}")
         return names[key]
 
-    outputs = "".join(emit(e) + ", " for e in exprs)
-    args = ", ".join(f"x{i}" for i in range(dim))
-    exec(compile("\n    ".join([f"def kernel({args}):", *body, f"return ({outputs})"]),
-                 "<kernel>", "exec"), env)
+    outputs = [emit(e) for e in exprs]
+    return body, outputs, env, tuple(sorted(reads))
+
+
+def compile_kernel(exprs, dim: int):
+    """Compile expressions into one straight-line function ``f(x0, ...,
+    x{dim-1}) -> tuple[float, ...]`` of float coordinates (`emit_kernel`):
+    one temporary per distinct subtree object, in `eval`'s visit order (a
+    denominator is tested before its numerator is computed; powers and
+    functions call the node's ``_apply``), so the values and the first error
+    are `eval`'s, bit for bit."""
+    body, outputs, env, _ = emit_kernel(exprs)
+    text = "\n    ".join([f"def kernel({', '.join(f'x{i}' for i in range(dim))}):", *body,
+                         f"return ({''.join(o + ', ' for o in outputs)})"])
+    exec(compile(text.format(x="x", t="t"), "<kernel>", "exec"), env)
     return env["kernel"]
 
 

@@ -54,9 +54,6 @@ class PhasePoint:
     def __iter__(self):
         return iter(self.coords)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
 
 def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
     """Sort an index tuple, returning (sorted, permutation sign); repeated

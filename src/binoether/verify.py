@@ -18,10 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .expr import ExprError, ScalarExpr, compile_kernel, evaluate_batch
+from .expr import ExprError, ScalarExpr, emit_kernel, evaluate_batch
 from .geometry import (
     MultiVectorField,
     PhasePoint,
@@ -126,6 +127,8 @@ class CheckConfig:
         for name in ("box", "tol", "t_end", "dt", "drift_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if round(self.t_end / self.dt) < 1:
+            raise ValueError(f"t_end must exceed half of dt ({self.dt:g}), or no step is taken")
 
 
 @dataclass(frozen=True)
@@ -462,44 +465,62 @@ def _monitor_regularity(W: MultiVectorField, times: np.ndarray, states: np.ndarr
             raise FlowError(f"regularity lost at t = {times[start + k]:.6g}")
 
 
-def _rk4_loop(kernel, dim: int, checked: bool):
+def _rk4_loop(exprs, dim: int, checked: bool):
     """``flow(out, steps, dt, bound, step_error, on_error, x0, ..., x{dim-1})``:
-    ``steps`` steps of classical RK4 for dx/dt = kernel(x) from x, as one
-    loop of straight-line code on floats, in numpy RK4's order of operations:
-    y + (0.5 dt) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  State k
-    goes to out[k * dim:(k + 1) * dim] (``out`` is flat; state 0 is x).
+    ``steps`` steps of classical RK4 for dx/dt = f(x) from x, f being
+    `compile_kernel(exprs, dim)` pasted in at each of its 11 evaluation sites
+    (with only the stage arguments it reads), as one loop of straight-line
+    code on floats in numpy RK4's order of operations: y + (0.5 dt) k and
+    y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  State k goes to
+    out[k * dim:(k + 1) * dim] (``out`` is flat; state 0 is x).  Compiled once
+    per kernel text (`_rk4_code`); the env is per call, so errors name its nodes.
 
     When ``checked``, two half steps of dt / 2 follow each full step (the
     first shares its k1), and the step fails unless abs(F_i - H_i) / 15 / dt
     <= bound for every coordinate, so that a NaN estimate fails too: it
     raises ``step_error(k, full, halves)``.  Whatever step k raises,
     ``on_error(k)`` runs before it propagates."""
+    body, outputs, env, reads = emit_kernel(exprs)
+    exec(_rk4_code(tuple(body), tuple(outputs), reads, dim, checked), env)
+    return env["flow"]
+
+
+@lru_cache(maxsize=32)
+def _rk4_code(body: tuple, outputs: tuple, reads: tuple, dim: int, checked: bool):
+    """`_rk4_loop`'s compiled module for one kernel text (`expr.emit_kernel`)."""
     def row(name):
         return ", ".join(f"{name}{i}" for i in range(dim))
 
-    def step(y, h, new):
-        # from y, with k1 in a: k2, k3, k4 into b, c, d and the new state into `new`
-        calls = (("b", "a", f"half{h}"), ("c", "b", f"half{h}"), ("d", "c", f"dt{h}"))
-        lines = [f"[{row(k)}] = kernel({', '.join(f'{y}{i} + {c} * {s}{i}' for i in range(dim))})"
-                 for k, s, c in calls]
-        return lines + [f"{new}{i} = {y}{i} + sixth{h} * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})"
-                        for i in range(dim)]
+    def site(role, x, args=None):
+        # f at x, bound from args where f reads it: lines (temporaries t<role>k), outputs
+        names = {"x": x, "t": f"t{role}"}
+        lines = [f"{x}{i} = {args[i]}" for i in reads] if args else []
+        return lines + [line.format(**names) for line in body], [o.format(**names) for o in outputs]
 
-    body = [f"[{row('a')}] = kernel({row('x')})", *step("x", "", "F")]
+    def step(y, h, ks, new):
+        # from y, with k1's outputs in ks: k2, k3, k4 and the new state into `new`
+        lines = []
+        for role, c in (("b", f"half{h}"), ("c", f"half{h}"), ("d", f"dt{h}")):
+            more, k = site(role, f"s{role}", [f"{y}{i} + {c} * {ks[-1][i]}" for i in range(dim)])
+            lines, ks = lines + more, [*ks, k]
+        return lines + [f"{new}{i} = {y}{i} + sixth{h} * ((({ks[0][i]} + 2.0 * {ks[1][i]})"
+                        f" + 2.0 * {ks[2][i]}) + {ks[3][i]})" for i in range(dim)]
+
+    loop, k1 = site("a", "x")
+    loop += step("x", "", [k1], "F")
     if checked:
         test = " and ".join(f"abs(F{i} - H{i}) / 15.0 / dt <= bound" for i in range(dim))
-        body += [*step("x", "2", "m"), f"[{row('a')}] = kernel({row('m')})", *step("m", "2", "H"),
+        at_m, k1_m = site("a", "m")
+        loop += [*step("x", "2", [k1], "m"), *at_m, *step("m", "2", [k1_m], "H"),
                  f"if not ({test}):", f"    raise step_error(k, [{row('F')}], [{row('H')}])"]
-    body += [f"{row('x')} = {row('F')}", f"j += {dim}",
+    loop += [f"{row('x')} = {row('F')}", f"j += {dim}",
              *(f"out[j + {i}] = x{i}" for i in range(dim))]
     lines = [f"def flow(out, steps, dt, bound, step_error, on_error, {row('x')}):",
              "half, sixth = 0.5 * dt, dt / 6.0", "dt2 = dt / 2",
              "half2, sixth2 = 0.5 * dt2, dt2 / 6.0", "j = k = 0",
-             "try:", "    for k in range(steps):", *(f"        {line}" for line in body),
+             "try:", "    for k in range(steps):", *(f"        {line}" for line in loop),
              "except Exception:", "    on_error(k)", "    raise"]
-    env = {"kernel": kernel}
-    exec(compile("\n    ".join(lines), "<rk4 loop>", "exec"), env)
-    return env["flow"]
+    return compile("\n    ".join(lines), "<rk4 loop>", "exec")
 
 
 def integrate_flow(
@@ -510,11 +531,10 @@ def integrate_flow(
     max_step_error: float | None = 1e-8,
     require_regular: bool = True,
 ) -> Trajectory:
-    """Classical fixed-step RK4 for dx/dt = W(h)(x), on Python floats: the
-    right-hand side is compiled once per call (`expr.compile_kernel`), and
-    so is the loop over the steps (`_rk4_loop`), which writes each state
-    into the trajectory's array; the states are bit for bit those of
-    tree-evaluated RK4 on numpy arrays.
+    """Classical fixed-step RK4 for dx/dt = W(h)(x), on Python floats, over
+    round(t_end / dt) >= 1 steps: one generated loop (`_rk4_loop`), compiled
+    once per process for each field, writes each state into the trajectory's
+    array; the states are bit for bit those of tree-evaluated RK4 on numpy arrays.
 
     Regularity of W is required at every state a step starts from (disable
     with require_regular=False to integrate through degenerate sets, e.g.
@@ -526,8 +546,6 @@ def integrate_flow(
     """
     X = hamiltonian_vf(W, h)
     dim = W.space.dim
-    # components in X.components order; an absent one is the literal 0.0
-    kernel = compile_kernel([X.component((i,)) for i in range(dim)], dim)
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
     times = np.arange(steps + 1) * dt
@@ -544,7 +562,8 @@ def integrate_flow(
         if require_regular:
             _monitor_regularity(W, times[:k + 1], states[:k + 1])
 
-    flow = _rk4_loop(kernel, dim, max_step_error is not None)
+    # an absent component is the literal 0.0
+    flow = _rk4_loop([X.component((i,)) for i in range(dim)], dim, max_step_error is not None)
     flow(memoryview(states.reshape(-1)), steps, dt, max_step_error, step_error, on_error, *y)
     if require_regular:
         _monitor_regularity(W, times[:steps], states[:steps])
@@ -602,7 +621,7 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     parts = ", ".join(f"{lab}: {d / max(1.0, b):.3e}" for d, b, lab in drifts)
     return _record(
         "conservation_drift", rel, raw, scale, cfg.drift_tol, m,
-        f"worst: {label}; relative drifts over T={cfg.t_end:g}: {parts}",
+        f"worst: {label}; relative drifts over T={traj.times[-1]:g}: {parts}",
     )
 
 

@@ -8,10 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binoether import spectral, verify
-from binoether.expr import Num, PhaseSpace, parse
-from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
+from binoether.expr import Call, EvalDomainError, Num, PhaseSpace, emit_kernel, parse
+from binoether.geometry import (
+    MultiVectorField,
+    PhasePoint,
+    evaluate_mv,
+    hamiltonian_vf,
+    lie_derivative_mv,
+)
 from binoether.spectral import (
     NonRealSpectrumError,
     SpectralError,
@@ -152,6 +159,171 @@ def test_flow_outcome_matches_a_step_by_step_loop(h_text, max_step_error, p1):
         assert np.array_equal(got, want)
 
 
+def kernel_text(W, h):
+    """(body, outputs, env, reads) of the field X = W(h) that the RK4 loop inlines."""
+    X = hamiltonian_vf(W, h)
+    return emit_kernel([X.component((i,)) for i in range(W.space.dim)])
+
+
+def assert_flow_matches_the_oracle(W, h, x0, cfg, max_step_error, require_regular=True):
+    # the same states, or the same first error with the same text
+    got = outcome(lambda: integrate_flow(W, h, x0, cfg, max_step_error, require_regular).states)
+    want = outcome(lambda: reference_flow_states(W, h, x0, cfg.t_end, cfg.dt,
+                                                 max_step_error, require_regular))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert same(got, want)
+    return got
+
+
+SINE = parse("sin(q1) + 2", FLOW_SPACE)  # one object, shared wherever it is used
+
+
+@pytest.mark.parametrize("blocks, h_text, shape", [
+    # X = (-1, -q2, 0, p2) in (q1, q2, p1, p2): a literal and a bare
+    # coordinate among the outputs, and q1 and p1 are never read
+    ((Num(1.0), Num(1.0)), "p1 + q2*p2",
+     lambda body, outputs, reads: (outputs[0], outputs[2], outputs[3], reads)
+     == ("-1.0", "0.0", "{x}3", (1, 3))),
+    # X^p1 is the shared subtree itself, which X^q2 and X^p2 also use
+    ((SINE, SINE), "q1 + q2*p2",
+     lambda body, outputs, reads: outputs[2].startswith("{t}")
+     and sum(f"{outputs[2]} " in line.split(" = ")[1] + " " for line in body) == 2),
+    # two outputs are one object
+    ((SINE, SINE), "q1 + q2",
+     lambda body, outputs, reads: outputs[2] == outputs[3] and outputs[2].startswith("{t}")),
+], ids=["literal-and-coordinate", "shared-output", "one-object-twice"])
+@pytest.mark.parametrize("max_step_error", [None, 1e-8])
+def test_inlined_outputs_match_a_step_by_step_loop(blocks, h_text, shape, max_step_error):
+    W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): blocks[0], (1, 3): blocks[1]})
+    h = parse(h_text, FLOW_SPACE)
+    body, outputs, _, reads = kernel_text(W, h)
+    assert shape(body, outputs, reads)
+    states = assert_flow_matches_the_oracle(W, h, (0.3, -0.7, 0.5, 1.1),
+                                            CheckConfig(t_end=0.2, dt=1e-3), max_step_error)
+    assert len(states) == 201
+
+
+def q1_sites(q, dt, steps):
+    """q1 at each of the 11 evaluations of every checked step of the flow
+    q1' = q1, in the loop's order: k1..k4 of the full step, k2..k4 of the
+    first half step (which shares k1), then k1..k4 of the second; and the
+    states."""
+    half, sixth, dt2 = 0.5 * dt, dt / 6.0, dt / 2
+    half2, sixth2 = 0.5 * dt2, dt2 / 6.0
+
+    def rk4(y, h, d, s):
+        # f is the identity, so each k is its stage argument
+        k2 = y + h * y
+        k3 = y + h * k2
+        k4 = y + d * k3
+        return [k2, k3, k4], y + s * (((y + 2.0 * k2) + 2.0 * k3) + k4)
+
+    sites, states = [], [q]
+    for _ in range(steps):
+        full, new = rk4(q, half, dt, sixth)
+        first, m = rk4(q, half2, dt2, sixth2)
+        second, _ = rk4(m, half2, dt2, sixth2)
+        sites += [q, *full, *first, m, *second]
+        q = new
+        states.append(q)
+    return sites, states
+
+
+# q1' = q1 and p1' = -p1; q2' = -W^q2p2 with W^q2p2 = 1 wherever it is defined
+SITE_H = "-q1*p1 + p2"
+SITE_X0, SITE_CFG = (0.5, 0.0, 1.0, 1.0), CheckConfig(t_end=0.005, dt=1e-3)
+
+
+@pytest.mark.parametrize("w_text, site, first_hit, error", [
+    # the denominator is 0 first at k3 of the second half step of step 2
+    ("(q1 - {c})/(q1 - {c})", 2 * 11 + 9, lambda q, c: q == c, "division by zero in "),
+    # ln's argument is <= 0 first at k2 of the full step of step 2
+    ("ln({c} - q1)/ln({c} - q1)", 2 * 11 + 1, lambda q, c: q >= c,
+     "ln of a non-positive value in 'ln("),
+], ids=["div-at-a-late-stage", "call-domain-error"])
+@pytest.mark.parametrize("max_step_error", [1e-8, None])
+def test_a_late_stage_domain_error_matches_a_step_by_step_loop(w_text, site, first_hit, error,
+                                                               max_step_error):
+    sites, states = q1_sites(SITE_X0[0], SITE_CFG.dt, 5)
+    plain = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0), (1, 3): Num(1.0)})
+    h = parse(SITE_H, FLOW_SPACE)
+    assert list(integrate_flow(plain, h, SITE_X0, SITE_CFG).states[:, 0]) == states
+    c = sites[site]
+    assert [k for k, q in enumerate(sites) if first_hit(q, c)][0] == site
+    W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0),
+                                         (1, 3): parse(w_text.format(c=repr(c)), FLOW_SPACE)})
+    got = assert_flow_matches_the_oracle(W, h, SITE_X0, SITE_CFG, max_step_error)
+    if max_step_error is not None:  # an unchecked step runs only its full step's 4 sites
+        assert got[0] is EvalDomainError and got[1].startswith(error)
+
+
+@st.composite
+def small_fields(draw):
+    """(W, h) on FLOW_SPACE from small random trees with every node type,
+    built through the operators and so the folding constructors."""
+    leaves = (st.sampled_from(FLOW_SPACE.names).map(lambda name: parse(name, FLOW_SPACE))
+              | st.sampled_from([0.5, -1.0, 2.0, 3.0]).map(Num))
+    trees = st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda ab: ab[0] + ab[1]),
+        st.tuples(kids, kids).map(lambda ab: ab[0] - ab[1]),
+        st.tuples(kids, kids).map(lambda ab: ab[0] * ab[1]),
+        st.tuples(kids, kids).map(lambda ab: ab[0] / ab[1]),
+        kids.map(lambda a: -a),
+        st.tuples(kids, st.integers(-2, 3)).map(lambda ak: ak[0] ** ak[1]),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "ln"]), kids).map(lambda fa: Call(*fa)),
+    ), max_leaves=5)
+    W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): draw(trees), (1, 3): draw(trees)})
+    return W, draw(trees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fields(), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       st.sampled_from([None, 1e-8, 1e-2]), st.booleans())
+def test_random_fields_match_a_step_by_step_loop(field, x0, max_step_error, require_regular):
+    W, h = field
+    assert_flow_matches_the_oracle(W, h, x0, CheckConfig(t_end=0.02, dt=1e-3), max_step_error,
+                                   require_regular)
+
+
+def test_one_compile_per_field_text():
+    # the field rebuilt by hamiltonian_vf, or read from the same .sys twice,
+    # is the same kernel text, and its loop is compiled once
+    x0, cfg = (0.1, -0.4, 1.3, 0.8), CheckConfig(t_end=0.01)
+    spec = builtin_system("dissipative", 2)
+    for fields in ([(spec.W, spec.h)] * 2,
+                   [(s.W, s.h) for s in (load_system(SYSTEMS / "dissipative-n2.sys") for _ in "ab")]):
+        verify._rk4_code.cache_clear()
+        first, again = (kernel_text(W, h) for W, h in fields)
+        assert first[:2] == again[:2] and first[2] is not again[2]
+        for W, h in fields:
+            integrate_flow(W, h, x0, cfg)
+        info = verify._rk4_code.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def test_a_field_one_constant_apart_compiles_anew():
+    x0, cfg = (0.0, 0.0, 1.0, 1.0), CheckConfig(t_end=0.01)
+    verify._rk4_code.cache_clear()
+    for text in ("-10*q1 + p2", "-10.5*q1 + p2"):
+        integrate_flow(FLOW_W, parse(text, FLOW_SPACE), x0, cfg)
+    assert verify._rk4_code.cache_info().misses == 2
+
+
+def test_a_cached_loop_raises_with_this_fields_node():
+    # two parses of one text: one compile, and each error names its own Div
+    verify._rk4_code.cache_clear()
+    h = parse(SITE_H, FLOW_SPACE)
+    for _ in range(2):
+        div = parse("(q1 - 0.5)/(q1 - 0.5)", FLOW_SPACE)
+        W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0), (1, 3): div})
+        with pytest.raises(EvalDomainError, match="division by zero") as err:
+            integrate_flow(W, h, SITE_X0, SITE_CFG)
+        assert err.value.subexpr is div
+    assert verify._rk4_code.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("w_text, q1, max_step_error, message", [
     # W is NaN at x0 (q1 * 1e308 * 10 overflows to inf), so its margin is NaN
     ("1 + q1*1e308*10 - q1*1e308*10", 0.5, None, "regularity lost at t = 0"),
@@ -189,17 +361,17 @@ def test_nan_step_error_matches_a_step_by_step_loop():
 def test_drift_blocks_match_the_point_loop(monkeypatch, m):
     # refusing the batched coefficients sends every block down the point
     # route, the state-by-state loop, which must give the same record
-    spec = builtin_system("dissipative", 3)
-    cfg = CheckConfig(t_end=max(m - 1, 0.1) * 1e-3, dt=1e-3)
-    x0 = sample_regular_points(spec.W, cfg)[0]
-    batched = conservation_drift(spec.W, spec.E, spec.h, x0, cfg)
+    # (the first m states of one flow: no config integrates zero steps)
+    W, What, states = flow("dissipative-n3")
+    traj, cfg = verify.Trajectory(np.arange(m) * 1e-3, states[:m]), CheckConfig()
+    batched = verify.trajectory_drift(W, What, traj, cfg)
     assert batched.points == m
 
     def refuse(*args):
         raise ArithmeticError("batched route refused")
 
     monkeypatch.setattr(verify, "pencil_coefficients_batch", refuse)
-    assert conservation_drift(spec.W, spec.E, spec.h, x0, cfg) == batched
+    assert verify.trajectory_drift(W, What, traj, cfg) == batched
 
 
 def test_involution_roots_replay_the_point_loop(monkeypatch):

@@ -190,6 +190,16 @@ class TestErrors:
         code = main(["check", "no-such-file.sys"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["flow", "--builtin", "dissipative", "--n", "1", "--from", "q1=0.3,p1=0.5"],
+        ["check", "--builtin", "dissipative", "--n", "1"],
+    ])
+    def test_a_horizon_shorter_than_half_a_step(self, capsys, command):
+        # no RK4 step: the drift audit would pass over the start state alone
+        assert main([*command, "--t-end", "0.0001"]) == 2
+        captured = capsys.readouterr()
+        assert "must exceed half of dt" in captured.err and "PASS" not in captured.out
+
     def test_no_system_given(self, capsys):
         code = main(["check"])
         assert code == 2

@@ -76,6 +76,12 @@ class TestConfigAndTypes:
         with pytest.raises(ValueError, match="dt"):
             CheckConfig(dt=0.0)
 
+    @pytest.mark.parametrize("t_end, dt", [(1e-4, 1e-3), (5e-4, 1e-3), (0.04, 0.1)])
+    def test_a_horizon_of_no_step_is_refused(self, t_end, dt):
+        # t_end / dt rounds to 0 steps, so a drift audit would see x0 alone
+        with pytest.raises(ValueError, match="t_end must exceed half of dt"):
+            CheckConfig(t_end=t_end, dt=dt)
+
     def test_trajectory_requires_uniform_steps(self):
         with pytest.raises(ValueError, match="uniform"):
             Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros((3, 2)))
@@ -456,6 +462,13 @@ class TestConservationDrift:
         record = conservation_drift(W, E, h, PhasePoint((0.1, -0.4, 1.3, 0.8)), CFG)
         assert record.passed
         assert rel(record) <= 1e-6
+
+    @pytest.mark.parametrize("t_end, horizon", [(0.0025, "0.002"), (10.0, "10")])
+    def test_notes_name_the_horizon_integrated(self, t_end, horizon):
+        # 0.0025 / 1e-3 rounds to 2 steps, which end at t = 0.002
+        _, W, h, E = dissipative_fields(1)
+        record = conservation_drift(W, E, h, PhasePoint((0.3, 0.5)), CheckConfig(t_end=t_end))
+        assert f"relative drifts over T={horizon}: " in record.notes
 
     def test_noether_generator_all_zero(self):
         space, W, h, E = dissipative_fields(2)
