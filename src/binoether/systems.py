@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 
 from .expr import Num, ParseError, PhaseSpace, ScalarExpr, Var, parse
@@ -258,12 +259,14 @@ def run_report(
     noether = noether_rec.passed and noether_rec.residual <= cfg.tol * noether_rec.scale
     run(lambda: check_yang_baxter(E, W, cfg), "yang_baxter")
 
-    What = lie_derivative_mv(E, W)
-    run(lambda: check_compatibility(W, What, cfg), "compat_mixed", "compat_deformed")
+    # built by the first stage that needs it, inside run(), so that a failing
+    # build leaves error records; a build that succeeds is kept
+    what = cache(lambda: lie_derivative_mv(E, W))
+    run(lambda: check_compatibility(W, what(), cfg), "compat_mixed", "compat_deformed")
 
     def spectral_stage():
         nonlocal samples
-        record, samples = check_spectral_routes(W, What, cfg)
+        record, samples = check_spectral_routes(W, what(), cfg)
         return record
 
     run(spectral_stage, "spectral_routes")

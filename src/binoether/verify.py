@@ -50,8 +50,8 @@ from .spectral import (
     y_from_coefficients,
 )
 
-# The forward-mode jet route, no longer called here; perfbench/tracing.py
-# still wraps these names in this module.
+# not called here: perfbench/tracing.py's WRAPS resolves these names in this
+# module, and a missing name fails the traced smoke job
 from .spectral import pencil_coefficient_jets, root_gradients  # noqa: F401
 
 __all__ = [
@@ -125,7 +125,10 @@ class CheckConfig:
         if self.samples < 8:
             raise ValueError("samples must be >= 8")
         for name in ("box", "tol", "t_end", "dt", "drift_tol"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
         if round(self.t_end / self.dt) < 1:
             raise ValueError(f"t_end must exceed half of dt ({self.dt:g}), or no step is taken")
@@ -636,9 +639,10 @@ def _pair_brackets(grads: np.ndarray, w: np.ndarray, what: np.ndarray, points) -
     a, b = np.triu_indices(grads.shape[1])
     ga, gb = grads[:, a], grads[:, b]
     raw = np.stack([np.abs(np.einsum("mpd,mde,mpe->mp", ga, V, gb)) for V in (w, what)], axis=-1)
-    # one pair at a time, so that no (m, pairs, dim, dim) product is held
-    scale = np.array([[np.max(np.abs(V * ga[:, p, :, None] * gb[:, p, None, :]), axis=(1, 2))
-                       for V in (w, what)] for p in range(len(a))]).transpose(2, 0, 1)
+    with np.errstate(all="ignore"):  # inf and NaN fail the check
+        # one pair at a time, so that no (m, pairs, dim, dim) product is held
+        scale = np.array([[np.max(np.abs(V * ga[:, p, :, None] * gb[:, p, None, :]), axis=(1, 2))
+                           for V in (w, what)] for p in range(len(a))]).transpose(2, 0, 1)
     return [(r, s, x) for k, x in enumerate(points)
             for r, s in zip(raw[k].ravel().tolist(), scale[k].ravel().tolist())]
 

@@ -544,6 +544,20 @@ class TestPerStateEdgeCases:
         assert same(pencil_coefficients_batch(big, What, states),
                     [pencil_coefficients(big, What, x) for x in states])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_products_warn_nothing(self):
+        # ||W||^2 = 1e400 overflows in the batched norms, and the bracket
+        # scales of 5e199-sized gradients overflow; both stay inf or NaN,
+        # which fail closed, without a numpy warning
+        space = PhaseSpace.canonical(1)
+        big = MultiVectorField(space, 2, {(0, 1): Num(1e200)})
+        assert regularity_margins(big, [[0.5, 0.1]]).tolist() == [0.0]
+        assert regularity_margin(evaluate_mv(big, (0.5, 0.1))) == 0.0
+        W = MultiVectorField(space, 2, {(0, 1): Num(-1.0)})
+        E = MultiVectorField(space, 1, {(0,): parse("5e199 * q1^2", space)})
+        record = check_involution(W, E, CheckConfig(t_end=0.01))
+        assert not record.passed and math.isnan(record.residual)
+
 
 @pytest.mark.parametrize("case", sorted(CASES) + ["zero-trailing-coefficients", "non-real"])
 def test_batched_roots_match_np_roots(case):

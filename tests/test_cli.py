@@ -9,6 +9,21 @@ from binoether.verify import CheckConfig, CheckReport, FlowError, integrate_flow
 FIXTURES = Path(__file__).resolve().parent.parent / "systems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+DEFORMATION_SYSTEM = """
+[system]
+name = deformation
+dof = 1
+
+[poisson]
+W(q1,p1) = {w}
+
+[hamiltonian]
+h = p1 + q1
+
+[symmetry]
+E(q1) = {e}
+"""
+
 
 class TestCheck:
     def test_builtin_passes(self, capsys):
@@ -199,6 +214,34 @@ class TestErrors:
         assert main([*command, "--t-end", "0.0001"]) == 2
         captured = capsys.readouterr()
         assert "must exceed half of dt" in captured.err and "PASS" not in captured.out
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag, field", [("--t-end", "t_end"), ("--dt", "dt")])
+    @pytest.mark.parametrize("command", [
+        ["flow", "--builtin", "dissipative", "--n", "1", "--from", "q1=0.3,p1=0.5"],
+        ["check", "--builtin", "dissipative", "--n", "1"],
+        ["report", "--builtin", "dissipative", "--n", "1"],
+    ])
+    def test_a_non_finite_config_float(self, capsys, command, flag, field, value):
+        assert main([*command, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {field} must be finite, got {value}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("w, e, error", [
+        # 3000 nested sums: differentiating W exceeds the recursion limit
+        ("-(" + " + ".join(["p1"] * 3000) + ")/3000", "q1*p1", "maximum recursion depth exceeded"),
+        # L_E W folds 1e200 * 1e200 into a literal, which overflows
+        ("1e200", "1e200*q1", "numeric literals must be finite"),
+    ], ids=["deep-sum", "huge-literals"])
+    def test_a_deformation_that_cannot_be_built(self, tmp_path, capsys, w, e, error):
+        # the stages that need L_E W fail, and the table is still printed
+        path = tmp_path / "deformation.sys"
+        path.write_text(DEFORMATION_SYSTEM.format(w=w, e=e), encoding="utf-8")
+        assert main(["check", str(path), "--points", "8", "--t-end", "2.0", "--dt", "0.005"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  compat_mixed" in out and "verdict: fail" in out
+        assert f"error: {error}" in out
 
     def test_no_system_given(self, capsys):
         code = main(["check"])

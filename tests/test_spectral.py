@@ -1,3 +1,5 @@
+import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ from binoether.spectral import (
     roots_near,
     secular_roots,
     trace_invariants,
-    y_from_coefficients,
     y_from_roots,
 )
 from binoether.systems import builtin_system, load_system
@@ -329,6 +330,44 @@ def _oracle_case(key):
     return W, lie_derivative_mv(E, W), points
 
 
+def _elementary(c, l):
+    """e_l(c): the sum over l-element index sets of the product of c."""
+    return sum(math.prod(c[i] for i in subset) for subset in combinations(range(len(c)), l))
+
+
+def _closed_forms(key, states):
+    """Y^(1..n), their gradients, and the gradients of the ascending secular
+    roots at each of the (m, 2n) states, exactly, for an ORACLE_SYSTEMS key.
+
+    Dissipative model: c_i = -2 (q_i + p_i) and Y^(l) = e_l(c) / C(n,l),
+    so dY^(l) = sum_i e_(l-1)(c without c_i) dc_i / C(n,l).  The dense frame
+    is that model in y = A x, A = I + U(-0.3, 0.3) drawn from default_rng(7)
+    as `dense_frame_fields` draws it: the same forms at x = A^-1 y, with
+    gradients d/dy = (d/dx) A^-1.  The canonical pencil has What = 0, so Y,
+    the roots and every gradient are 0."""
+    m, N = states.shape
+    n = N // 2
+    if key.startswith("canonical-noether"):
+        return np.zeros((m, n)), np.zeros((m, n, N)), np.zeros((m, n)), np.zeros((m, n, N))
+    frame = np.eye(N)
+    if key.startswith("dense-frame"):
+        frame += np.random.default_rng(7).uniform(-0.3, 0.3, size=(N, N))
+    inv = np.linalg.inv(frame)
+    dc = np.zeros((n, N))
+    dc[range(n), range(n)] = dc[range(n), range(n, N)] = -2.0
+    dc = dc @ inv
+    ys, dys, roots, droots = [], [], [], []
+    for x in states @ inv.T:
+        c = -2.0 * (x[:n] + x[n:])
+        ys.append([_elementary(c, l) / math.comb(n, l) for l in range(1, n + 1)])
+        dys.append([sum(_elementary(np.delete(c, i), l - 1) * dc[i] for i in range(n))
+                    / math.comb(n, l) for l in range(1, n + 1)])
+        order = np.argsort(c)
+        roots.append(c[order])
+        droots.append(dc[order])
+    return np.array(ys), np.array(dys), np.array(roots), np.array(droots)
+
+
 def _central_difference(f, x, h=1e-6):
     """d f / d x_i for i = 0..dim-1, f returning a vector."""
     base = np.asarray(tuple(x))
@@ -347,35 +386,35 @@ def _close(got, want, tol):
 
 
 class TestRecursionOperatorRoute:
-    """The trace route against the forward-mode jets through the Pfaffian
-    (an independent oracle) and central finite differences."""
+    """The trace route against exact closed forms (`_closed_forms`) and
+    central finite differences."""
 
     @pytest.mark.parametrize("key", sorted(ORACLE_SYSTEMS))
-    def test_invariant_gradients_match_jets_and_differences(self, key):
+    def test_invariant_gradients_match_closed_forms_and_differences(self, key):
         W, What, points = _oracle_case(key)
-        _, _, op, grad = recursion_operator_batch(W, What, [x.coords for x in points])
+        states = np.array([x.coords for x in points])
+        _, _, op, grad = recursion_operator_batch(W, What, states)
         values, grads = trace_invariants(op, grad)
-        for x, y, dy in zip(points, values, grads):
-            jets = y_from_coefficients(pencil_coefficient_jets(W, What, x))
-            _close(y, [j.value for j in jets], 1e-10)
-            _close(dy, np.array([j.gradient for j in jets]), 1e-10)
+        want, want_grads, _, _ = _closed_forms(key, states)
+        for x, y, dy, wy, wdy in zip(points, values, grads, want, want_grads):
+            _close(y, wy, 1e-10)
+            _close(dy, wdy, 1e-10)
             fd = _central_difference(lambda z: mixed_wedge_ratios(W, What, z).values, x)
             _close(dy, fd, 1e-5)
 
     @pytest.mark.parametrize("key", sorted(ORACLE_SYSTEMS))
-    def test_simple_root_gradients_match_jets_and_differences(self, key):
+    def test_simple_root_gradients_match_closed_forms_and_differences(self, key):
         W, What, points = _oracle_case(key)
-        _, _, op, grad = recursion_operator_batch(W, What, [x.coords for x in points])
+        states = np.array([x.coords for x in points])
+        _, _, op, grad = recursion_operator_batch(W, What, states)
         with np.errstate(all="ignore"):  # no projector at repeated roots
             grads = root_pair_gradients(op, grad, operator_roots(op))
+        _, _, roots, want_grads = _closed_forms(key, states)
         compared = 0
-        for x, dc in zip(points, grads):
-            coeff_jets = pencil_coefficient_jets(W, What, x)
-            roots = roots_from_coefficients([j.value for j in coeff_jets])
-            if any(multiple_root_flags(roots)):
+        for x, dc, c, wdc in zip(points, grads, roots, want_grads):
+            if any(multiple_root_flags(c)):
                 continue  # repeated roots: only the invariant gradients count
-            # the jets carry interpolation rounding through 1/P'(-c)
-            _close(dc, np.array(root_gradients(coeff_jets, tuple(roots))), 1e-6)
+            _close(dc, wdc, 1e-10)
             _close(dc, _central_difference(lambda z: secular_roots(W, What, z).roots, x), 1e-5)
             compared += 1
         assert compared == (0 if key.startswith("canonical-noether") else len(points))

@@ -221,6 +221,33 @@ class TestRunReport:
             assert r.paper_anchor == success.record(r.id).paper_anchor, r.id
         assert not report.verdict
 
+    @pytest.mark.parametrize("w, e, error", [
+        # 3000 nested sums: differentiating W exceeds the recursion limit
+        ("-(" + " + ".join(["p1"] * 3000) + ")/3000", "(p1 + q1)^2",
+         "maximum recursion depth exceeded"),
+        # L_E W folds 1e200 * 1e200 into a literal, which overflows
+        ("1e200", "1e200*q1", "numeric literals must be finite"),
+    ], ids=["deep-sum", "huge-literals"])
+    def test_a_deformation_that_cannot_be_built_leaves_error_records(self, tmp_path, w, e, error):
+        text = (VALID_N1.replace("W(q1,p1) = -p1", f"W(q1,p1) = {w}")
+                .replace("E(q1) = (p1 + q1)^2", f"E(q1) = {e}"))
+        report = run_report(load_system(write_system(tmp_path, text)), FAST)
+        assert len(report.records) == 10 and not report.verdict
+        for check_id in ("compat_mixed", "compat_deformed", "spectral_routes"):
+            record = report.record(check_id)
+            assert not record.passed and record.notes.startswith(f"error: {error}"), check_id
+
+    def test_the_deformation_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(E, W):
+            calls.append((E, W))
+            return lie_derivative_mv(E, W)
+
+        monkeypatch.setattr("binoether.systems.lie_derivative_mv", counted)
+        report = run_report(builtin_system("dissipative", 1), FAST)
+        assert report.verdict and len(calls) == 1
+
     def test_explicit_start_point(self):
         spec = builtin_system("dissipative", 1)
         report = run_report(spec, FAST, start=PhasePoint((0.0, 1.0)))

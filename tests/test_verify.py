@@ -82,6 +82,12 @@ class TestConfigAndTypes:
         with pytest.raises(ValueError, match="t_end must exceed half of dt"):
             CheckConfig(t_end=t_end, dt=dt)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["box", "tol", "t_end", "dt", "drift_tol"])
+    def test_non_finite_floats_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            CheckConfig(**{name: value})
+
     def test_trajectory_requires_uniform_steps(self):
         with pytest.raises(ValueError, match="uniform"):
             Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros((3, 2)))
