@@ -544,10 +544,14 @@ _ZERO = Num(0.0)
 _ONE = Num(1.0)
 
 
-def _folded(value: float, a: Num, b: Num) -> Num:
+def _folded(value: float, a: Num, b: Num) -> Num | None:
     """Num(value), or an operand that holds exactly that value (the same
     bits, so -0.0 and 0.0 stay apart): derivatives of long sums fold
-    mostly zeros, and the per-node derivative cache keeps what they fold to."""
+    mostly zeros, and the per-node derivative cache keeps what they fold to.
+    None where the value overflowed: no literal holds it, so the caller keeps
+    its node, and eval yields the inf where it is used, as for `_pow`."""
+    if not math.isfinite(value):
+        return None
     sign = math.copysign(1.0, value)
     for operand in (a, b):
         if operand.value == value and math.copysign(1.0, operand.value) == sign:
@@ -557,7 +561,7 @@ def _folded(value: float, a: Num, b: Num) -> Num:
 
 def _add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return _folded(a.value + b.value, a, b)
+        return _folded(a.value + b.value, a, b) or Add(a, b)
     if a.is_zero():
         return b
     if b.is_zero():
@@ -567,7 +571,7 @@ def _add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 def _sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return _folded(a.value - b.value, a, b)
+        return _folded(a.value - b.value, a, b) or Sub(a, b)
     if b.is_zero():
         return a
     if a.is_zero():
@@ -577,7 +581,7 @@ def _sub(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 def _mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if isinstance(a, Num) and isinstance(b, Num):
-        return _folded(a.value * b.value, a, b)
+        return _folded(a.value * b.value, a, b) or Mul(a, b)
     if a.is_zero() or b.is_zero():
         return _ZERO
     if isinstance(a, Num) and a.value == 1.0:

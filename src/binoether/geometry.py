@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -55,10 +56,11 @@ class PhasePoint:
         return iter(self.coords)
 
 
+@lru_cache(maxsize=4096)
 def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
     """Sort an index tuple, returning (sorted, permutation sign); repeated
-    indices return (None, 0)."""
-    idx = tuple(idx)
+    indices return (None, 0).  Memoized per tuple: a field of degree k
+    over 2n coordinates has at most (2n)^k of them."""
     if len(set(idx)) != len(idx):
         return None, 0
     sign = 1
@@ -110,7 +112,7 @@ class MultiVectorField:
     def component(self, idx: tuple[int, ...]) -> ScalarExpr:
         """Signed access by an arbitrary index tuple (zero when absent or
         when an index repeats)."""
-        key, sign = _sort_with_sign(idx)
+        key, sign = _sort_with_sign(tuple(idx))
         if key is None:
             return Num(0.0)
         e = self.components.get(key)
@@ -266,10 +268,16 @@ def evaluate_mv(A: MultiVectorField, x) -> np.ndarray | float:
     if A.degree == 0:
         return float(A.component(()).eval(x))
     arr = np.zeros((N,) * A.degree)
+    signs = _permutation_signs(A.degree)
     for idx, e in A.components.items():
         v = e.eval(x)
-        for perm in permutations(range(A.degree)):
-            target = tuple(idx[p] for p in perm)
-            _, sign = _sort_with_sign(target)
-            arr[target] = sign * v
+        for perm, sign in signs:
+            arr[tuple(idx[p] for p in perm)] = sign * v
     return arr
+
+
+@cache
+def _permutation_signs(degree: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each permutation of range(degree) with its sign: the sign that
+    carries a strictly increasing index tuple to its permuted entries."""
+    return tuple((perm, _sort_with_sign(perm)[1]) for perm in permutations(range(degree)))

@@ -26,8 +26,14 @@ The roots of P(-c) are the eigenvalues of its companion matrix
 known, as along a flow, Newton roots whose accuracy is certified
 (`roots_near`), with the eigenvalue route wherever the certificate fails.
 
-The Pfaffian recursion runs on floats (the point route) and on matrices
-of arrays, one element per state (the `*_batch` functions and
+Pfaffians are the memoized first-row expansion, written out as
+straight-line code: `_pfaffian_kernel` generates one function per matrix
+size and pattern of skipped (zero) entries, compiled once per process and
+kept in a bounded cache.  A kernel does every float operation of the
+recursive expansion, in the same order, so its results are the
+recursion's bit for bit (`tests/helpers.py` keeps the recursion as the
+oracle).  The kernels run on floats (the point route) and on matrices of
+arrays, one element per state (the `*_batch` functions and
 `regularity_margins` return the point route's values bit for bit;
 `roots_from_coefficients` is the one-row call of its batch).  Every
 gradient comes from the recursion operator: `invariant_jets` and
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -152,36 +158,64 @@ def _absent(v) -> bool:
     return type(v) is float
 
 
-def _pfaffian_rec(rows, active: tuple[int, ...], memo: dict, is_zero=_entry_is_zero):
-    """First-row expansion Pf(M) = sum_j (-1)^pos M[i0,j] Pf(M minus i0,j),
-    memoized on the set of active indices, skipping entries for which
-    is_zero holds.  Works for floats (the point route) and batched rows
-    (with _absent).  Only the entries above the diagonal are read."""
-    if not active:
-        return 1.0
-    hit = memo.get(active)
-    if hit is not None:
-        return hit
-    i0 = active[0]
-    rest = active[1:]
-    total = None
-    for pos, j in enumerate(rest):
-        entry = rows[i0][j]
-        if is_zero(entry):
-            continue
-        term = entry * _pfaffian_rec(rows, rest[:pos] + rest[pos + 1 :], memo, is_zero)
-        if pos % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        total = 0.0 * rows[active[0]][active[1]]
-    memo[active] = total
-    return total
+def _pfaffian(rows, is_zero=_entry_is_zero):
+    """Pf of the skew matrix with the entries of rows above the diagonal
+    (the others are not read): floats on the point route, batched rows
+    with is_zero=_absent.  The kernel of the matrix's size and of the
+    entries is_zero holds for (`_pfaffian_kernel`) does the arithmetic."""
+    upper = [v for i, row in enumerate(rows) for v in row[i + 1 :]]
+    return _pfaffian_kernel(len(rows), tuple(map(is_zero, upper)))(*upper)
+
+
+@lru_cache(maxsize=64)
+def _pfaffian_kernel(N: int, skipped: tuple[bool, ...]):
+    """The Pfaffian of an N x N skew matrix as one straight-line function of
+    its entries above the diagonal, row by row, compiled once per process
+    for each N and tuple of entries to skip (true where the caller's zero
+    test holds).
+
+    The text is the first-row expansion Pf(M) = sum_j (-1)^pos M[i0,j]
+    Pf(M minus rows and columns i0, j) over the ascending tuple of active
+    indices, memoized on that tuple and written out: one assignment per
+    tuple, in the order the recursion completes them; its terms in the
+    order of j, summed left to right, with ``-`` at odd positions (``-(..)``
+    where the first term kept is odd); a skipped entry's term left out;
+    ``0.0 * M[i0,i1]`` where every entry of the first row is skipped; 1.0
+    for the empty tuple.  So each float operation and its order are those
+    of the memoized recursion (`tests/helpers.py` keeps it as the oracle):
+    the result is bit for bit the recursion's, on floats and on arrays."""
+    entry = {(i, j): f"e{i}_{j}" for i in range(N) for j in range(i + 1, N)}
+    skip = {pair for pair, s in zip(entry, skipped) if s}
+    names, lines = {(): "1.0"}, []
+
+    def expand(active):
+        if active in names:
+            return names[active]
+        i0, rest = active[0], active[1:]
+        total = ""
+        for pos, j in enumerate(rest):
+            if (i0, j) in skip:
+                continue
+            term = f"{entry[i0, j]} * {expand(rest[:pos] + rest[pos + 1 :])}"
+            if total:
+                total += f" - {term}" if pos % 2 else f" + {term}"
+            else:
+                total = f"-({term})" if pos % 2 else term
+        names[active] = f"p{len(lines)}"
+        lines.append(f"{names[active]} = {total or '0.0 * ' + entry[active[:2]]}")
+        return names[active]
+
+    result = expand(tuple(range(N)))
+    head = f"def pfaffian({', '.join(entry.values())}):"
+    source = "\n    ".join([head, *lines, f"return {result}"])
+    env: dict = {}
+    exec(compile(source, f"<pfaffian {N}x{N}>", "exec"), env)
+    return env["pfaffian"]
 
 
 def pfaffian(M: np.ndarray) -> float:
     """Pfaffian of an antisymmetric even-dimensional real matrix, computed
-    by recursive first-row expansion (Pf(M)^2 = det(M))."""
+    by the memoized first-row expansion (`_pfaffian_kernel`; Pf(M)^2 = det(M))."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
@@ -192,7 +226,7 @@ def pfaffian(M: np.ndarray) -> float:
     scale = max(1.0, float(np.max(np.abs(M)))) if N else 1.0
     if residual > 1e-12 * scale:
         raise ValueError(f"matrix is not antisymmetric (symmetrized residual {residual:.3e})")
-    return float(_pfaffian_rec(M.tolist(), tuple(range(N)), {}))
+    return float(_pfaffian(M.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +287,18 @@ def _pencil_coefficients(w_rows, h_rows, pf_w=None):
         # of amplifying solver noise through the roots
         return _zero_deformation(n)
     if pf_w is None:
-        pf_w = _pfaffian_rec(w_rows, tuple(range(N)), {})
+        pf_w = _pfaffian(w_rows)
     s = float(_node_scales(_frobenius(w_rows), _frobenius(h_rows)))
     u, vander = _interpolation_nodes(n)
-    vals = []
-    for uk in u:
+    pfs = []
+    for uk in u.tolist():  # Python floats: the kernel's zero tests and arithmetic are faster
         t = s * uk
         pencil = [
             [h_rows[i][j] + t * w_rows[i][j] for j in range(N)] for i in range(N)
         ]
-        vals.append(_pfaffian_rec(pencil, tuple(range(N)), {}) / pf_w)
-    b = list(np.linalg.solve(vander, np.array(vals, dtype=float)))
+        pfs.append(_pfaffian(pencil))
+    # numpy's division, which gives inf or NaN where Pf(W) = 0, as the batch does
+    b = list(np.linalg.solve(vander, np.array(pfs) / pf_w))
     # undo the node scaling: P(t) = R(t/s) with R(u) = sum b_m u^m
     return [b[m] / (s ** m) for m in range(n + 1)]
 
@@ -300,29 +335,43 @@ def _frobenius_batch(rows, live: np.ndarray) -> np.ndarray:
 
 
 def _margin(w_matrix: np.ndarray, pf: float) -> float:
-    """|Pf(W)| / ||W||_F^n of W's matrix and its Pfaffian (0 when W = 0)."""
-    with np.errstate(all="ignore"):  # an overflowing norm gives margin 0
+    """|Pf(W)| / ||W||_F^n of W's matrix and its Pfaffian (0 when W = 0).
+    Where every entry is finite but the norm or its n-th power is not finite
+    and positive, the same ratio for W / max|W_ij|, whose norm lies in
+    [sqrt(2), 2n]: the ratio is scale-free, so only the floats' range is at
+    stake."""
+    n = w_matrix.shape[0] // 2
+    with np.errstate(all="ignore"):
         norm = float(np.linalg.norm(w_matrix))
-    return 0.0 if norm == 0.0 else abs(pf) / norm ** (w_matrix.shape[0] // 2)
+        top = float(np.max(np.abs(w_matrix), initial=0.0))
+    if top == 0.0:  # W = 0
+        return 0.0
+    try:
+        power = norm ** n
+    except OverflowError:
+        power = math.inf
+    if 0.0 < power < math.inf or not top < math.inf:  # in range, or an entry is inf or NaN
+        return abs(pf) / power
+    scaled = w_matrix / top
+    return abs(_pfaffian(scaled.tolist())) / float(np.linalg.norm(scaled)) ** n
 
 
 def regularity_margin(w_matrix: np.ndarray) -> float:
-    """Scale-free regularity measure |Pf(W)| / ||W||_F^n (0 when W = 0)."""
+    """Scale-free regularity measure |Pf(W)| / ||W||_F^n (0 when W = 0);
+    see `_margin` for a W whose norm is out of the floats' range."""
     w_matrix = np.asarray(w_matrix, dtype=float)
-    return _margin(w_matrix, _pfaffian_rec(w_matrix.tolist(), tuple(range(len(w_matrix))), {}))
+    return _margin(w_matrix, _pfaffian(w_matrix.tolist()))
 
 
 def regularity_margins(W: MultiVectorField, states) -> np.ndarray:
     """regularity_margin(evaluate_mv(W, x)) at every row x of a (m, 2n)
-    state array, bit for bit; states where a component of W is exactly 0
-    take the point route.  Where the point route's ``norm ** n`` overflows,
-    or underflows to 0 and is divided by, at some state, this raises its
-    error as well."""
+    state array, bit for bit.  States where a component of W is exactly 0,
+    or where the norm or its n-th power is not finite and positive, take
+    the point route."""
     states = np.asarray(states, dtype=float)
     m = len(states)
     rows = _batch_rows(W, states)
     N = len(rows)
-    n = N // 2
     mats = np.zeros((m, N, N))
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
@@ -333,14 +382,10 @@ def regularity_margins(W: MultiVectorField, states) -> np.ndarray:
     flat = mats.reshape(m, 1, N * N)
     with np.errstate(all="ignore"):
         norms = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
-        pf = np.broadcast_to(_pfaffian_rec(rows, tuple(range(N)), {}, _absent), (m,))
-        powers = _float_power(norms, float(n))
-        # Python's division by a power that underflowed to 0 (not a 0 norm)
-        zero = np.flatnonzero((powers == 0.0) & (norms != 0.0))
-        if zero.size:
-            abs(float(pf[zero[0]])) / float(norms[zero[0]]) ** n
-        margins = np.where(norms == 0.0, 0.0, np.abs(pf) / powers)
-    for k in np.flatnonzero(skipped):
+        powers = np.float_power(norms, float(N // 2))  # rounded as Python's ** rounds
+        margins = np.abs(np.broadcast_to(_pfaffian(rows, _absent), (m,))) / powers
+    in_range = (norms > 0.0) & (powers > 0.0) & (powers < np.inf)
+    for k in np.flatnonzero(skipped | ~in_range):
         margins[k] = regularity_margin(mats[k])
     return margins
 
@@ -352,7 +397,7 @@ def is_regular(W: MultiVectorField, x) -> bool:
 def _require_regular(W: MultiVectorField, x) -> tuple[list[list[float]], float]:
     """W's matrix rows at x and Pf(W(x)); RegularityError where W is degenerate."""
     rows = _matrix_rows(W, x)
-    pf = _pfaffian_rec(rows, tuple(range(len(rows))), {})
+    pf = _pfaffian(rows)
     if not _margin(np.array(rows), pf) > REGULARITY_FACTOR:  # a NaN margin is not regular
         raise RegularityError(f"bivector is numerically degenerate at {tuple(x)}")
     return rows, pf
@@ -582,7 +627,7 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
     """pencil_coefficients(W, What, x) at every row x of a (m, 2n) state
     array, as an (m, n+1) array, bit for bit.
 
-    One Pfaffian recursion runs on arrays over all states, and the
+    One Pfaffian kernel runs on arrays over all states, and the
     interpolation systems go to one stacked solve.  A state where every
     entry of What is 0 takes the zero-deformation shortcut, and a state
     where the point route skips some other entry as exactly 0 takes the
@@ -593,7 +638,6 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
     w_rows, h_rows = _batch_rows(W, states), _batch_rows(What, states)
     N = len(w_rows)
     n = N // 2
-    full = tuple(range(N))
     zero_deformation = np.ones(m, dtype=bool)
     for h in _upper(h_rows):
         zero_deformation &= h == 0.0
@@ -610,14 +654,14 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
     h_support, w_support = (np.array([np.broadcast_to(rows[i][j], m) for i, j in support])
                             .reshape(len(support), m) for rows in (h_rows, w_rows))
     with np.errstate(all="ignore"):
-        pf_w = _pfaffian_rec(w_rows, full, {}, _absent)
+        pf_w = _pfaffian(w_rows, _absent)
         for k, uk in enumerate(u):
             entries = h_support + (s * uk) * w_support
             skipped |= np.any(entries == 0.0, axis=0)
             pencil: list[list] = [[0.0] * N for _ in range(N)]
             for (i, j), e in zip(support, entries):
                 pencil[i][j] = e
-            vals[:, k] = _pfaffian_rec(pencil, full, {}, _absent) / pf_w
+            vals[:, k] = _pfaffian(pencil, _absent) / pf_w
         b = np.linalg.solve(np.broadcast_to(vander, (m, n + 1, n + 1)), vals[:, :, None])[:, :, 0]
         out = b / _float_power(s[:, None], np.arange(n + 1.0))
         out[zero_deformation] = _zero_deformation(n)

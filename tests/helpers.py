@@ -232,6 +232,39 @@ def reference_sample_points(W: MultiVectorField, cfg):
     return points
 
 
+def reference_pfaffian(rows, is_zero=lambda v: v == 0.0):
+    """The memoized first-row expansion Pf(M) = sum_j (-1)^pos M[i0,j]
+    Pf(M minus i0,j), skipping entries for which is_zero holds, evaluated
+    recursively: the oracle that `spectral._pfaffian` and its generated
+    kernels must match bit for bit, on floats and on batched rows (with
+    `spectral._absent`).  Only the entries above the diagonal are read."""
+    memo: dict = {}
+
+    def expand(active):
+        if not active:
+            return 1.0
+        hit = memo.get(active)
+        if hit is not None:
+            return hit
+        i0 = active[0]
+        rest = active[1:]
+        total = None
+        for pos, j in enumerate(rest):
+            entry = rows[i0][j]
+            if is_zero(entry):
+                continue
+            term = entry * expand(rest[:pos] + rest[pos + 1 :])
+            if pos % 2 == 1:
+                term = -term
+            total = term if total is None else total + term
+        if total is None:
+            total = 0.0 * rows[active[0]][active[1]]
+        memo[active] = total
+        return total
+
+    return expand(tuple(range(len(rows))))
+
+
 def reference_roots(coeffs):
     """The n roots of P(-c) = 0 for coefficients a_0..a_n of P, by np.roots,
     real and ascending: the oracle that `spectral.roots_from_coefficients_batch`

@@ -269,6 +269,18 @@ class TestDiff:
             evaluate(Num(5e-324) ** -1, (0.3, 0.4))
 
 
+    def test_constant_sum_or_product_that_overflows_is_not_folded(self):
+        # the second derivative of (1e200 q1)^2 multiplies 1e200 by 1e200:
+        # no literal holds the product, so the node stays, as for a power,
+        # and evaluates to inf where it is used
+        d = diff(diff(parse("(1e200*q1)*(1e200*q1)", S1), "q1", S1), "q1", S1)
+        assert evaluate(d, (0.3, 0.4)) == math.inf
+        big = Num(1e308)
+        assert type(big * big) is Mul and evaluate(big * big, (0.3, 0.4)) == math.inf
+        assert type(big + big) is Add and type(-big - big) is Sub
+        assert evaluate(-big - big, (0.3, 0.4)) == -math.inf
+
+
 class TestJets:
     def test_hand_examples(self):
         j = evaluate_jet(parse("(p1+q1)^2", S1), (1.0, 2.0))

@@ -36,6 +36,8 @@ class TestMultiVectorField:
         W = MultiVectorField(S1, 2, {(0, 1): Num(3.0)})
         assert W.component((1, 0)).eval((0, 0)) == -3.0
         assert W.component((0, 0)).is_zero()
+        # any index sequence, not only a tuple
+        assert W.component([1, 0]).eval((0, 0)) == -3.0 and W.component(range(2)).eval((0, 0)) == 3.0
 
     def test_rejects_bad_tuples(self):
         with pytest.raises(ValueError, match="repeated"):

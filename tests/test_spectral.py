@@ -22,6 +22,8 @@ from binoether.spectral import (
     pencil_coefficients_batch,
     pfaffian,
     recursion_operator_batch,
+    regularity_margin,
+    regularity_margins,
     root_gradients,
     root_pair_gradients,
     roots_from_coefficients,
@@ -32,7 +34,7 @@ from binoether.spectral import (
     y_from_roots,
 )
 from binoether.systems import builtin_system, load_system
-from binoether.verify import CheckConfig, sample_regular_points
+from binoether.verify import CheckConfig, check_regularity, sample_regular_points
 from helpers import (
     block_action_system,
     coupled_system,
@@ -87,6 +89,52 @@ class TestPfaffian:
             pfaffian(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="antisymmetric"):
             pfaffian(np.eye(4))
+
+
+def canonical_matrix(n: int) -> np.ndarray:
+    J = np.zeros((2 * n, 2 * n))
+    J[range(n), range(n, 2 * n)] = 1.0
+    return J - J.T
+
+
+class TestRegularityMargin:
+    @pytest.mark.parametrize("n, scale", [
+        (1, 1e200),   # the squares overflow: the norm is inf
+        (1, 1e-170),  # the squares underflow: the norm is 0
+        (6, 1e200),
+        (6, 1e60),    # the norm's sixth power overflows
+        (6, 1e-60),   # the norm's sixth power underflows to 0
+        (6, 1e-170),
+    ])
+    def test_scale_free_beyond_the_floats_range(self, n, scale):
+        # the margin of scale * J is taken of J itself (W / max|W_ij|)
+        J = canonical_matrix(n)
+        assert regularity_margin(scale * J) == regularity_margin(J)
+        assert regularity_margin(scale * J) == pytest.approx(1.0 / (2 * n) ** (n / 2), rel=1e-15)
+        # a dense W: the same margin up to the rounding of W / max|W_ij|
+        M = random_antisymmetric(np.random.default_rng(n), 2 * n)
+        assert rel_err(regularity_margin(scale * M), regularity_margin(M)) <= 1e-13
+        # the batched route takes the point route's value, bit for bit
+        space = PhaseSpace.canonical(n)
+        W = MultiVectorField(space, 2, {(i, j): Num(scale * M[i, j])
+                                        for i in range(2 * n) for j in range(i + 1, 2 * n)})
+        states = np.zeros((2, 2 * n))
+        assert regularity_margins(W, states).tolist() == [regularity_margin(scale * M)] * 2
+
+    def test_margins_in_range_keep_their_formula(self):
+        M = random_antisymmetric(np.random.default_rng(5), 6)
+        expected = abs(pfaffian(M)) / float(np.linalg.norm(M)) ** 3
+        assert regularity_margin(M) == expected
+        assert regularity_margin(np.zeros((4, 4))) == 0.0
+        # an infinite entry is not scaled away: |Pf| / ||W|| = inf / inf
+        assert math.isnan(regularity_margin([[0.0, math.inf], [-math.inf, 0.0]]))
+
+    def test_a_huge_constant_w_has_regular_points(self):
+        # W(q1,p1) = 1e200, whose square overflows: every sample is regular
+        space = PhaseSpace.canonical(1)
+        W = MultiVectorField(space, 2, {(0, 1): Num(1e200)})
+        record = check_regularity(W, CheckConfig())
+        assert record.passed and record.residual == regularity_margin(canonical_matrix(1))
 
 
 class TestMixedWedgeRatios:

@@ -225,9 +225,7 @@ class TestRunReport:
         # 3000 nested sums: differentiating W exceeds the recursion limit
         ("-(" + " + ".join(["p1"] * 3000) + ")/3000", "(p1 + q1)^2",
          "maximum recursion depth exceeded"),
-        # L_E W folds 1e200 * 1e200 into a literal, which overflows
-        ("1e200", "1e200*q1", "numeric literals must be finite"),
-    ], ids=["deep-sum", "huge-literals"])
+    ], ids=["deep-sum"])
     def test_a_deformation_that_cannot_be_built_leaves_error_records(self, tmp_path, w, e, error):
         text = (VALID_N1.replace("W(q1,p1) = -p1", f"W(q1,p1) = {w}")
                 .replace("E(q1) = (p1 + q1)^2", f"E(q1) = {e}"))
@@ -236,6 +234,16 @@ class TestRunReport:
         for check_id in ("compat_mixed", "compat_deformed", "spectral_routes"):
             record = report.record(check_id)
             assert not record.passed and record.notes.startswith(f"error: {error}"), check_id
+
+    def test_an_overflowing_literal_product_errs_at_evaluation(self, tmp_path):
+        # L_E W and L_E L_E W multiply 1e200 by 1e200: the product stays a
+        # node, so every deformation is built, and every record errs where
+        # sin(inf) is evaluated
+        text = VALID_N1.replace("W(q1,p1) = -p1", "W(q1,p1) = 2 + sin((1e200*q1)*(1e200*q1))")
+        report = run_report(load_system(write_system(tmp_path, text)), FAST)
+        assert len(report.records) == 10 and not report.verdict
+        for record in report.records:
+            assert not record.passed and record.notes == "error: math domain error", record.id
 
     def test_the_deformation_is_built_once(self, monkeypatch):
         calls = []
