@@ -1,5 +1,5 @@
 """Expressions over phase-space coordinates: parsing, evaluation, exact
-derivatives, and forward-mode jets."""
+derivatives, and the value with its gradient."""
 
 from binoether import PhaseSpace, diff, evaluate, evaluate_jet, parse
 
@@ -16,7 +16,7 @@ for name in space.names:
     d = diff(e, name, space)
     print(f"d/d{name}:          {d}   -> at (1,2): {evaluate(d, (1.0, 2.0))}")
 
-# one forward pass gives the value and the full gradient together
+# the value and the full gradient together, from eval and the derivatives
 jet = evaluate_jet(e, (1.0, 2.0))
 print("\njet value:      ", jet.value)
 print("jet gradient:   ", jet.gradient, " (order q1, p1)")

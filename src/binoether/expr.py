@@ -2,14 +2,14 @@
 
 Expressions are immutable trees over decimal literals, coordinate names,
 ``+ - * /``, integer powers ``^``, unary minus, and the functions
-``sin cos exp ln``.  They support exact evaluation, exact symbolic partial
-derivatives, and forward-mode jet evaluation (value plus full gradient in
-one pass).  `evaluate_batch` evaluates a list of expressions at many points
+``sin cos exp ln``.  They support exact evaluation and exact symbolic
+partial derivatives; `evaluate_jet` is the value and the gradient from
+the two.  `evaluate_batch` evaluates a list of expressions at many points
 at once, and `compile_kernel` turns a list of expressions into one
 straight-line Python function of the coordinates, both with the same
 floating-point results and errors as evaluating point by point.  The four
 binary nodes share one base: each names its Python operator, which
-batched evaluation, jets and `substitute` apply, and its printed symbol,
+batched evaluation and `substitute` apply, and its printed symbol,
 which the parser reads.  Powers and functions share another, `_Unary`:
 each applies one float operation, with its domain check, to one argument;
 each function is one row of `_FUNCTIONS`.  Everything here is pure and
@@ -102,70 +102,12 @@ class PhaseSpace:
             raise KeyError(f"unknown coordinate '{name}'") from None
 
 
+@dataclass(frozen=True, eq=False)
 class Jet:
-    """First-order jet: a value together with its full coordinate gradient.
+    """A value together with its full coordinate gradient."""
 
-    Arithmetic propagates exact derivatives (dual-number style, but with a
-    gradient vector instead of a single dual part), so any computation built
-    from jets yields machine-accurate partial derivatives of its result.
-    """
-
-    __slots__ = ("value", "gradient")
-
-    def __init__(self, value: float, gradient: np.ndarray):
-        self.value = float(value)
-        self.gradient = np.asarray(gradient, dtype=float)
-
-    @classmethod
-    def constant(cls, value: float, dim: int) -> "Jet":
-        return cls(value, np.zeros(dim))
-
-    @classmethod
-    def variable(cls, value: float, index: int, dim: int) -> "Jet":
-        g = np.zeros(dim)
-        g[index] = 1.0
-        return cls(value, g)
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(float(other), len(self.gradient))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.value + o.value, self.gradient + o.gradient)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.value - o.value, self.gradient - o.gradient)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return Jet(o.value - self.value, o.gradient - self.gradient)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Jet(self.value * o.value, self.value * o.gradient + o.value * self.gradient)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.value == 0.0:
-            raise ZeroDivisionError("jet division by zero value")
-        v = self.value / o.value
-        return Jet(v, (self.gradient - v * o.gradient) / o.value)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return Jet(-self.value, -self.gradient)
-
-    def __repr__(self):
-        return f"Jet({self.value!r}, grad={self.gradient.tolist()!r})"
+    value: float
+    gradient: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +140,6 @@ class ScalarExpr:
         return memo[key]
 
     def _eval_many(self, states, memo):
-        raise NotImplementedError
-
-    def jet(self, jets: list[Jet]) -> Jet:
         raise NotImplementedError
 
     def diff(self, index: int) -> "ScalarExpr":
@@ -279,9 +218,6 @@ class Num(ScalarExpr):
     def _eval_many(self, states, memo):
         return self.value
 
-    def jet(self, jets):
-        return Jet.constant(self.value, len(jets[0].gradient))
-
     def diff(self, index):
         return _ZERO
 
@@ -309,9 +245,6 @@ class Var(ScalarExpr):
     def _eval_many(self, states, memo):
         return states[:, self.index]
 
-    def jet(self, jets):
-        return jets[self.index]
-
     def diff(self, index):
         return _ONE if index == self.index else _ZERO
 
@@ -325,7 +258,7 @@ class Var(ScalarExpr):
 @dataclass(frozen=True, repr=False)
 class _Binary(ScalarExpr):
     """A binary node: ``_op`` is its Python operator, which works alike on
-    floats, numpy arrays, jets and expressions, and ``_sym`` its symbol.
+    floats, numpy arrays and expressions, and ``_sym`` its symbol.
     Each node keeps its own `eval`, written out, for tree-evaluation speed."""
 
     a: ScalarExpr
@@ -333,9 +266,6 @@ class _Binary(ScalarExpr):
 
     def _eval_many(self, states, memo):
         return self._op(self.a.eval_many(states, memo), self.b.eval_many(states, memo))
-
-    def jet(self, jets):
-        return self._op(self.a.jet(jets), self.b.jet(jets))
 
     def _fmt_raw(self):
         return f"{self.a._fmt(self._prec)} {self._sym} {self.b._fmt(self._prec + 1)}"
@@ -389,12 +319,6 @@ class Div(_Binary):
             raise EvalDomainError("division by zero", self)
         return self.a.eval_many(states, memo) / d
 
-    def jet(self, jets):
-        d = self.b.jet(jets)
-        if d.value == 0.0:
-            raise EvalDomainError("division by zero", self)
-        return self.a.jet(jets) / d
-
     def _diff(self, index):
         # (a/b)' = a'/b - a*b'/b^2
         return self.a.diff(index) / self.b - self.a * self.b.diff(index) / (self.b * self.b)
@@ -412,9 +336,6 @@ class Neg(ScalarExpr):
     def _eval_many(self, states, memo):
         return -self.a.eval_many(states, memo)
 
-    def jet(self, jets):
-        return -self.a.jet(jets)
-
     def _diff(self, index):
         return -self.a.diff(index)
 
@@ -427,8 +348,7 @@ class Neg(ScalarExpr):
 
 class _Unary(ScalarExpr):
     """One float operation on one argument, ``arg``: ``_apply`` is the operation
-    with its domain check, which eval, batches, kernels and jets all go through,
-    and ``_jet_gradient(x, y, g)`` the gradient of y = _apply(x) given x's, g."""
+    with its domain check, which eval, batches and kernels all go through."""
 
     def eval(self, point):
         return self._apply(self.arg.eval(point))
@@ -440,11 +360,6 @@ class _Unary(ScalarExpr):
             # that every result rounds exactly as on the point path
             return np.array([self._apply(v) for v in values.tolist()], dtype=float)
         return self._apply(values)
-
-    def jet(self, jets):
-        a = self.arg.jet(jets)
-        value = self._apply(a.value)
-        return Jet(value, self._jet_gradient(a.value, value, a.gradient))
 
 
 @dataclass(frozen=True, repr=False)
@@ -462,10 +377,6 @@ class Pow(_Unary):
         if b == 0.0 and self.exponent < 0:
             raise EvalDomainError("zero raised to a negative power", self)
         return b ** self.exponent
-
-    def _jet_gradient(self, x, y, g):
-        k = self.exponent
-        return k * x ** (k - 1) * g if k != 0 else 0.0 * g
 
     def _diff(self, index):
         return float(self.exponent) * _pow(self.arg, self.exponent - 1) * self.arg.diff(index)
@@ -490,14 +401,12 @@ def _ln(v: float, node: "Call") -> float:
     return math.log(v)
 
 
-# name -> (float function of (v, node), derivative builder of (a, da), jet gradient)
+# name -> (float function of (v, node), derivative builder of (a, da))
 _FUNCTIONS = {
-    "sin": (lambda v, node: math.sin(v), lambda a, da: Call("cos", a) * da,
-            lambda x, y, g: math.cos(x) * g),
-    "cos": (lambda v, node: math.cos(v), lambda a, da: -(Call("sin", a) * da),
-            lambda x, y, g: -math.sin(x) * g),
-    "exp": (_exp, lambda a, da: Call("exp", a) * da, lambda x, y, g: y * g),
-    "ln": (_ln, lambda a, da: da / a, lambda x, y, g: g / x),
+    "sin": (lambda v, node: math.sin(v), lambda a, da: Call("cos", a) * da),
+    "cos": (lambda v, node: math.cos(v), lambda a, da: -(Call("sin", a) * da)),
+    "exp": (_exp, lambda a, da: Call("exp", a) * da),
+    "ln": (_ln, lambda a, da: da / a),
 }
 
 
@@ -512,9 +421,6 @@ class Call(_Unary):
 
     def _apply(self, v: float) -> float:
         return _FUNCTIONS[self.fn][0](v, self)
-
-    def _jet_gradient(self, x, y, g):
-        return _FUNCTIONS[self.fn][2](x, y, g)
 
     def _diff(self, index):
         return _FUNCTIONS[self.fn][1](self.arg, self.arg.diff(index))
@@ -852,10 +758,9 @@ def diff(expr: ScalarExpr, coord: int | str, space: PhaseSpace | None = None) ->
 
 
 def evaluate_jet(expr: ScalarExpr, point) -> Jet:
-    """Evaluate value and exact gradient in a single forward pass."""
-    dim = len(point)
-    jets = [Jet.variable(float(point[i]), i, dim) for i in range(dim)]
-    return expr.jet(jets)
+    """Value and exact gradient at a point: `eval` of the expression and of
+    its partial derivatives (`diff`), so the errors are `eval`'s."""
+    return Jet(expr.eval(point), np.array([expr.diff(i).eval(point) for i in range(len(point))]))
 
 
 def substitute(expr: ScalarExpr, mapping: dict[int, ScalarExpr]) -> ScalarExpr:

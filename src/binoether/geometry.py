@@ -81,6 +81,8 @@ class MultiVectorField:
     missing tuples read as zero.  Instances are immutable.
     """
 
+    _diffs = None  # the components' partial derivatives, set by `component_diffs`
+
     def __init__(self, space: PhaseSpace, degree: int, components: dict):
         # degree > dim is allowed but forces the zero field (no strictly
         # increasing tuple of that length exists), e.g. trivector brackets
@@ -253,12 +255,16 @@ def poisson_bracket(V: MultiVectorField, f: ScalarExpr, g: ScalarExpr) -> Scalar
 def component_diffs(F: MultiVectorField) -> list[dict[tuple[int, ...], ScalarExpr]]:
     """The partial derivatives of F's components, one dict per coordinate l:
     entry l maps each index tuple I whose component depends on x_l to
-    d_l F^I, in the order of F.components."""
-    out = []
-    for l in range(F.space.dim):
-        ds = {idx: e.diff(l) for idx, e in F.components.items()}
-        out.append({idx: d for idx, d in ds.items() if not d.is_zero()})
-    return out
+    d_l F^I, in the order of F.components.  Built once per field and kept
+    on it, as `ScalarExpr.diff` keeps its derivatives: callers only read
+    the dicts."""
+    if F._diffs is None:
+        out = []
+        for l in range(F.space.dim):
+            ds = {idx: e.diff(l) for idx, e in F.components.items()}
+            out.append({idx: d for idx, d in ds.items() if not d.is_zero()})
+        F._diffs = out
+    return F._diffs
 
 
 def evaluate_mv(A: MultiVectorField, x) -> np.ndarray | float:

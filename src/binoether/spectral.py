@@ -37,7 +37,8 @@ arrays, one element per state (the `*_batch` functions and
 `regularity_margins` return the point route's values bit for bit;
 `roots_from_coefficients` is the one-row call of its batch).  Every
 gradient comes from the recursion operator: `invariant_jets` and
-`pencil_coefficient_jets` are one-row calls of that route.
+`pencil_coefficient_jets` are one-row calls of that route, and return
+(value, gradient) records, `Jet`.
 """
 
 from __future__ import annotations
@@ -717,10 +718,11 @@ def recursion_operator_batch(W: MultiVectorField, What: MultiVectorField, states
     w, what = mats[0], mats[1]
     dw, dwhat = mats[2::2].transpose(1, 0, 2, 3), mats[3::2].transpose(1, 0, 2, 3)
     w_inv = np.linalg.inv(w)
-    op = w_inv @ what
-    rhs = dw @ op[:, None]
-    np.subtract(dwhat, rhs, out=rhs)
-    return w, what, op, w_inv[:, None] @ rhs
+    with np.errstate(all="ignore"):  # inf entries give inf or NaN, which fail closed
+        op = w_inv @ what
+        rhs = dw @ op[:, None]
+        np.subtract(dwhat, rhs, out=rhs)
+        return w, what, op, w_inv[:, None] @ rhs
 
 
 def trace_invariants(op: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -733,8 +735,9 @@ def trace_invariants(op: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.n
     m, N = op.shape[:2]
     n = N // 2
     powers = [np.broadcast_to(np.eye(N), op.shape)]  # N^0 .. N^n
-    for _ in range(n):
-        powers.append(powers[-1] @ op)
+    with np.errstate(all="ignore"):  # as in `recursion_operator_batch`
+        for _ in range(n):
+            powers.append(powers[-1] @ op)
     p = [np.trace(P, axis1=1, axis2=2) / 2 for P in powers[1:]]
     dp = [k / 2 * np.einsum("mab,mlba->ml", P, grad) for k, P in enumerate(powers[:-1], 1)]
     # l e_l = sum_{k=1..l} (-1)^(k-1) e_{l-k} p_k, and its gradient
@@ -791,7 +794,8 @@ def pencil_coefficient_jets(W: MultiVectorField, What: MultiVectorField, x) -> l
     a_(n-l) = C(n,l) Y^(l) from `invariant_jets`, and a_n = 1."""
     ys = invariant_jets(W, What, x)
     n = len(ys)
-    return [ys[n - 1 - m] * math.comb(n, m) for m in range(n)] + [Jet.constant(1.0, 2 * n)]
+    return [Jet(y.value * math.comb(n, m), y.gradient * math.comb(n, m))
+            for m, y in enumerate(ys[::-1])] + [Jet(1.0, np.zeros(2 * n))]
 
 
 def invariant_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:

@@ -368,9 +368,13 @@ def check_symmetry(
 
 def check_non_noether(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """Classify the symmetry: Noether when [E, W] vanishes, non-Noether
-    otherwise.  Informational - the record always passes."""
+    otherwise.  Informational - the record passes unless a non-finite
+    residual or scale leaves the symmetry unclassified."""
     points = sample_regular_points(W, cfg)
     probe = _bracket_check("non_noether", lie_derivative_mv(E, W), E, W, points, cfg.tol)
+    if not (math.isfinite(probe.residual) and math.isfinite(probe.scale)):
+        return replace(probe, passed=False,
+                       notes="cannot be classified: the residual or its scale is not finite")
     notes = (
         "Noether: generator preserves the Poisson bivector; downstream invariants are vacuous"
         if probe.passed

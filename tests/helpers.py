@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from binoether.expr import Num, PhaseSpace, ScalarExpr, Var, substitute
+from binoether.expr import (
+    Call,
+    Div,
+    Mul,
+    Neg,
+    Num,
+    PhaseSpace,
+    Pow,
+    ScalarExpr,
+    Var,
+    _Binary,
+    substitute,
+)
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
@@ -263,6 +277,41 @@ def reference_pfaffian(rows, is_zero=lambda v: v == 0.0):
         return total
 
     return expand(tuple(range(len(rows))))
+
+
+def forward_jet(expr: ScalarExpr, point) -> tuple[float, np.ndarray]:
+    """(value, gradient) of expr at point by forward-mode differentiation:
+    the chain rule applied to (value, gradient) pairs node by node, the
+    oracle for the `diff` trees.  Powers and functions apply the node's own
+    float operation (``_apply``) and their derivative in the form `diff`
+    builds, so that on such nodes the two routes round alike."""
+    if isinstance(expr, Num):
+        return expr.value, np.zeros(len(point))
+    if isinstance(expr, Var):
+        return float(point[expr.index]), np.eye(len(point))[expr.index]
+    if isinstance(expr, Neg):
+        v, g = forward_jet(expr.a, point)
+        return -v, -g
+    if isinstance(expr, (Pow, Call)):
+        x, g = forward_jet(expr.arg, point)
+        y = expr._apply(x)
+        if isinstance(expr, Pow):
+            k = expr.exponent
+            return y, k * x ** (k - 1) * g if k != 0 else 0.0 * g
+        if expr.fn == "sin":
+            return y, math.cos(x) * g
+        if expr.fn == "cos":
+            return y, -math.sin(x) * g
+        return y, y * g if expr.fn == "exp" else g / x
+    if isinstance(expr, _Binary):
+        (a, ga), (b, gb) = forward_jet(expr.a, point), forward_jet(expr.b, point)
+        if isinstance(expr, Mul):
+            return a * b, a * gb + b * ga
+        if isinstance(expr, Div):
+            v = a / b
+            return v, (ga - v * gb) / b
+        return expr._op(a, b), expr._op(ga, gb)
+    raise TypeError(f"unknown node {type(expr).__name__}")
 
 
 def reference_roots(coeffs):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -252,6 +255,20 @@ class TestErrors:
         out = capsys.readouterr().out
         assert "FAIL  yang_baxter" in out and "PASS" not in out
         assert out.count("error: math domain error") == len(verify.PAPER_ANCHORS)
+
+    def test_an_infinite_deformation_fails_closed_and_writes_no_stderr(self, tmp_path):
+        # a process of its own: pytest would capture numpy's warnings
+        # before they reached stderr
+        path = tmp_path / "deformation.sys"
+        path.write_text(DEFORMATION_SYSTEM.format(w="1e200", e="1e200*q1"), encoding="utf-8")
+        src = os.pathsep.join(p for p in (str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-m", "binoether.cli", "check", str(path),
+                                 "--points", "8", "--t-end", "2.0", "--dt", "0.005"],
+                                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                                timeout=300)
+        assert result.returncode == 1 and result.stderr == ""
+        assert "FAIL  non_noether" in result.stdout and "cannot be classified" in result.stdout
+        assert "vacuous" not in result.stdout
 
     def test_no_system_given(self, capsys):
         code = main(["check"])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from binoether.expr import Num, PhaseSpace, Var, evaluate_jet, parse
+from binoether.expr import Num, PhaseSpace, Var, parse
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
+    component_diffs,
     evaluate_mv,
     hamiltonian_vf,
     lie_derivative_mv,
@@ -13,6 +14,7 @@ from binoether.geometry import (
 )
 from helpers import (
     dissipative_fields,
+    forward_jet,
     max_component_at,
     random_bivector,
     random_points,
@@ -53,6 +55,12 @@ class TestMultiVectorField:
         assert combo.component((0, 1)).eval((1.0, 2.0)) == 3 * W.component((0, 1)).eval((1.0, 2.0))
         diffd = W - W
         assert max_component_at(diffd, (1.0, 2.0)) == 0.0
+
+    def test_component_diffs_are_built_once_per_field(self):
+        _, W, _, _ = dissipative_fields(2)  # W^{q_i p_i} = -p_i
+        diffs = component_diffs(W)
+        assert component_diffs(W) is diffs
+        assert diffs == [{}, {}, {(0, 2): Num(-1.0)}, {(1, 3): Num(-1.0)}]
 
     def test_phase_point_validation(self):
         with pytest.raises(ValueError):
@@ -96,7 +104,7 @@ class TestLieDerivative:
         E = random_vector_field(rng, S2)
         Lf = lie_derivative_mv(E, MultiVectorField(S2, 0, {(): f}))
         for pt in random_points(rng, 4, 8):
-            grad = evaluate_jet(f, pt).gradient
+            _, grad = forward_jet(f, pt)
             Evec = evaluate_mv(E, pt)
             want = float(Evec @ grad)
             got = evaluate_mv(Lf, pt)

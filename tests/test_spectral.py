@@ -344,15 +344,23 @@ class TestScalingAndPairing:
 
 
 class TestRootGradients:
-    def test_matches_invariant_gradient_n1(self):
-        space, W, _, E = dissipative_fields(1)
+    @pytest.mark.parametrize("n", [1, 2, 3], ids=lambda n: f"n{n}")
+    def test_matches_invariant_gradient(self, n):
+        space, W, _, E = dissipative_fields(n)
         What = lie_derivative_mv(E, W)
-        pt = PhasePoint((1.0, 2.0))
+        q, p = [1.0, 0.25, -0.5][:n], [2.0, 1.5, 3.0][:n]
+        pt = PhasePoint(q + p)
         coeffs = pencil_coefficient_jets(W, What, pt)
         spec = secular_roots(W, What, pt)
-        (g,) = root_gradients(coeffs, spec.roots)
-        # c1 = -2 (p+q)
-        assert np.allclose(g, [-2.0, -2.0], rtol=1e-9)
+        grads = root_gradients(coeffs, spec.roots)
+        # c_i = -2 (p_i + q_i): dc_i = -2 at q_i and p_i, 0 elsewhere
+        closed = [-2.0 * (p[i] + q[i]) for i in range(n)]
+        assert np.allclose(spec.roots, sorted(closed)) and len(grads) == n
+        for c, g in zip(spec.roots, grads):
+            i = int(np.argmin(np.abs(np.subtract(closed, c))))
+            want = np.zeros(2 * n)
+            want[[i, n + i]] = -2.0
+            assert np.allclose(g, want, rtol=1e-9, atol=1e-9)
 
 
 def _builtin(name, n):

@@ -245,6 +245,16 @@ class TestRunReport:
         for record in report.records:
             assert not record.passed and record.notes == "error: math domain error", record.id
 
+    def test_an_infinite_deformation_is_not_classified_as_noether(self, tmp_path):
+        # [E, W] and its scale are both inf, and inf <= tol * inf: the
+        # symmetry cannot be classified, so no record is called vacuous
+        text = VALID_N1.replace("-p1\n", "1e200\n").replace("(p1 + q1)^2", "1e200*q1")
+        report = run_report(load_system(write_system(tmp_path, text)), FAST)
+        record = report.record("non_noether")
+        assert record.residual == record.scale == float("inf")
+        assert not record.passed and "cannot be classified" in record.notes
+        assert not any("vacuous" in r.notes for r in report.records)
+
     def test_the_deformation_is_built_once(self, monkeypatch):
         calls = []
 
