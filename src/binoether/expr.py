@@ -320,8 +320,12 @@ class Div(_Binary):
         return self.a.eval_many(states, memo) / d
 
     def _diff(self, index):
-        # (a/b)' = a'/b - a*b'/b^2
-        return self.a.diff(index) / self.b - self.a * self.b.diff(index) / (self.b * self.b)
+        # (a/b)' = a'/b - a*b'/b^2, which is a'/b where b' is the literal 0:
+        # b*b may fold to 0.0 (b = 1e-200), and 0.0/0.0 has no value
+        db = self.b.diff(index)
+        if db.is_zero():
+            return self.a.diff(index) / self.b
+        return self.a.diff(index) / self.b - self.a * db / (self.b * self.b)
 
 
 @dataclass(frozen=True, repr=False)
@@ -502,7 +506,7 @@ def _div(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
         if b.value == 1.0:
             return a
         if isinstance(a, Num):
-            return Num(a.value / b.value)
+            return _folded(a.value / b.value, a, b) or Div(a, b)
     if a.is_zero() and not (isinstance(b, Num) and b.value == 0.0):
         return Num(0.0)
     return Div(a, b)

@@ -25,6 +25,9 @@ The roots of P(-c) are the eigenvalues of its companion matrix
 (`roots_from_coefficients_batch`), or, where a close guess of them is
 known, as along a flow, Newton roots whose accuracy is certified
 (`roots_near`), with the eigenvalue route wherever the certificate fails.
+A k-fold root splits there by about eps^(1/k), off the real line, but
+stays a real, semisimple eigenvalue of N, so `secular_roots` and the
+involution audit take N's (`operator_roots`).
 
 Pfaffians are the memoized first-row expansion, written out as
 straight-line code: `_pfaffian_kernel` generates one function per matrix
@@ -304,10 +307,6 @@ def _pencil_coefficients(w_rows, h_rows, pf_w=None):
     return [b[m] / (s ** m) for m in range(n + 1)]
 
 
-def _matrix_rows(V: MultiVectorField, x) -> list[list[float]]:
-    return evaluate_mv(V, x).tolist()
-
-
 def _batch_rows(V: MultiVectorField, states: np.ndarray) -> list[list]:
     """V's matrix at every state: an array over the states for each
     component of V, the float 0.0 where V has none (see _absent)."""
@@ -397,16 +396,11 @@ def is_regular(W: MultiVectorField, x) -> bool:
 
 def _require_regular(W: MultiVectorField, x) -> tuple[list[list[float]], float]:
     """W's matrix rows at x and Pf(W(x)); RegularityError where W is degenerate."""
-    rows = _matrix_rows(W, x)
+    rows = evaluate_mv(W, x).tolist()
     pf = _pfaffian(rows)
     if not _margin(np.array(rows), pf) > REGULARITY_FACTOR:  # a NaN margin is not regular
         raise RegularityError(f"bivector is numerically degenerate at {tuple(x)}")
     return rows, pf
-
-
-def _regular_coefficients(W: MultiVectorField, What: MultiVectorField, x) -> list[float]:
-    rows, pf = _require_regular(W, x)
-    return _pencil_coefficients(rows, _matrix_rows(What, x), pf)
 
 
 def _as_point(x) -> PhasePoint:
@@ -421,7 +415,7 @@ def pencil_coefficients(W: MultiVectorField, What: MultiVectorField, x) -> list[
     """Coefficients a_0..a_n of P(t) = Pf(W_hat + tW)/Pf(W) at x.  W is not
     tested for regularity here: pass a regular point (`is_regular`), or use
     `secular_roots` / `mixed_wedge_ratios`, which raise RegularityError."""
-    return _pencil_coefficients(_matrix_rows(W, x), _matrix_rows(What, x))
+    return _pencil_coefficients(evaluate_mv(W, x).tolist(), evaluate_mv(What, x).tolist())
 
 
 def _real_roots(raw: np.ndarray) -> np.ndarray:
@@ -674,15 +668,19 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
 def mixed_wedge_ratios(W: MultiVectorField, What: MultiVectorField, x) -> InvariantVector:
     """Invariants Y^(l) = (coefficient of t^{n-l} in P) / C(n,l) for
     l = 1..n, i.e. the top-wedge ratios W_hat^l ^ W^{n-l} / W^n."""
-    values = y_from_coefficients(_regular_coefficients(W, What, x))
+    rows, pf = _require_regular(W, x)
+    values = y_from_coefficients(_pencil_coefficients(rows, evaluate_mv(What, x).tolist(), pf))
     return InvariantVector(_as_point(x), tuple(float(v) for v in values))
 
 
 def secular_roots(W: MultiVectorField, What: MultiVectorField, x) -> SecularSpectrum:
     """The n roots of P(-c) = 0 - equivalently the eigenvalue pairs of the
     generalized problem W_hat v = c W v - sorted ascending, with
-    near-coincident roots flagged."""
-    roots = roots_from_coefficients(_regular_coefficients(W, What, x))
+    near-coincident roots flagged: N's eigenvalues at x (`operator_roots`),
+    real at a repeated root too; RegularityError where W is degenerate."""
+    rows, _ = _require_regular(W, x)
+    with np.errstate(all="ignore"):  # N alone, not dN; inf entries fail closed
+        roots = operator_roots((np.linalg.inv(rows) @ evaluate_mv(What, x))[None])[0]
     return SecularSpectrum(
         _as_point(x), tuple(float(r) for r in roots), multiple_root_flags(roots)
     )
@@ -760,8 +758,10 @@ def operator_roots(op: np.ndarray) -> np.ndarray:
     eigenvalue of N, and its two computed copies are averaged.  These are
     the roots that N's own rounding is consistent with, which the
     projectors of `root_pair_gradients` need: they amplify a root's error
-    by ratios of root gaps.  Valid where the roots are simple."""
-    values = np.sort(np.linalg.eigvals(op).real, axis=1)
+    by ratios of root gaps.  Each root is a semisimple eigenvalue of N, so
+    a repeated root stays real to the rounding level.  NonRealSpectrumError
+    at the first state whose eigenvalues are not real (`_real_roots`)."""
+    values = _real_roots(np.linalg.eigvals(op))
     return (values[:, ::2] + values[:, 1::2]) / 2
 
 

@@ -228,9 +228,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def point(self, i: int) -> PhasePoint:
-        return PhasePoint(tuple(self.states[i]))
-
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -410,18 +407,18 @@ def check_compatibility(
 
 def _pencil_roots(W: MultiVectorField, What: MultiVectorField, states,
                   roots=roots_from_coefficients_batch):
-    """Pencil coefficients at the states, and secular roots from them by
-    ``roots`` (a function of an (m, n+1) coefficient array whose result for
-    each row depends on that row alone), in one batched pass; where that
-    raises, by the point routes state by state, so that the first error met
-    in the states' order is raised."""
+    """The secular roots and the Y^(l) at the states, (m, n) arrays, from the
+    pencil coefficients, the roots by ``roots`` (a function of an (m, n+1)
+    array whose result for each row depends on that row alone): in one
+    batched pass, or where that raises, by the point routes state by state,
+    so that the first error met in the states' order is raised."""
     try:
         coeffs = pencil_coefficients_batch(W, What, states)
-        return coeffs, roots(coeffs)
+        found = roots(coeffs)
     except _BATCH_ERRORS:
         points = (pencil_coefficients(W, What, x) for x in states)
-        coeffs, found = zip(*[(c, roots([c])[0]) for c in points])
-        return np.array(coeffs), np.array(found)
+        coeffs, found = map(np.array, zip(*[(c, roots([c])[0]) for c in points]))
+    return found, np.column_stack(y_from_coefficients(coeffs.T))
 
 
 def check_spectral_routes(
@@ -434,8 +431,7 @@ def check_spectral_routes(
     samples: the secular roots and Y^(l) of the pencil at each point, all in one batched pass."""
     points = sample_regular_points(W, cfg)
     states = [x.coords for x in points]
-    coeffs, roots = _pencil_roots(W, What, states)
-    direct = np.column_stack(y_from_coefficients(coeffs.T))
+    roots, direct = _pencil_roots(W, What, states)
     traces, _ = trace_invariants(*recursion_operator_batch(W, What, states)[2:])
     samples = tuple(SpectrumSample(tuple(x), tuple(c), tuple(y))
                     for x, c, y in zip(points, roots.tolist(), direct.tolist()))
@@ -450,18 +446,14 @@ def check_spectral_routes(
 # ---------------------------------------------------------------------------
 
 def _first_irregular(W: MultiVectorField, states: np.ndarray) -> int | None:
-    """Index of the first state whose margin is not above REGULARITY_FACTOR
-    (a NaN margin included), or None: one array test over the batched
-    margins, or where that pass raises, state by state up to that state, so
-    that the first error met in the states' order wins."""
-    try:
-        irregular = np.flatnonzero(~(regularity_margins(W, states) > REGULARITY_FACTOR))
+    """Index of the first state whose margin (`_margins`) is not above
+    REGULARITY_FACTOR (a NaN margin included), or None: one array test over
+    the batched margins, or the point margins up to that state."""
+    margins = _margins(W, states)
+    if isinstance(margins, np.ndarray):
+        irregular = np.flatnonzero(~(margins > REGULARITY_FACTOR))
         return int(irregular[0]) if irregular.size else None
-    except _BATCH_ERRORS:
-        for k, x in enumerate(states):
-            if not regularity_margin(evaluate_mv(W, x)) > REGULARITY_FACTOR:
-                return k
-        return None
+    return next((k for k, margin in enumerate(margins) if not margin > REGULARITY_FACTOR), None)
 
 
 def _monitor_regularity(W: MultiVectorField, times: np.ndarray, states: np.ndarray) -> None:
@@ -604,20 +596,12 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     n = W.space.n
     m = len(traj)
     series = np.empty((m, 2 * n))  # c_1..c_n, then Y^(1)..Y^(n)
-    guess = None
-
-    def roots(coeffs):
-        # rows in the states' order, so the first row ever solved is state 0's
-        nonlocal guess
-        if guess is None:
-            guess = roots_from_coefficients(coeffs[0])
-        return roots_near(coeffs, guess)
-
+    # state 0's roots first, so that its errors are the first ones raised
+    guess = roots_from_coefficients(pencil_coefficients(W, What, traj.states[0]))
     for start in range(0, m, TRAJECTORY_BLOCK):
-        block = traj.states[start:start + TRAJECTORY_BLOCK]
-        rows = series[start:start + TRAJECTORY_BLOCK]
-        coeffs, rows[:, :n] = _pencil_roots(W, What, block, roots)
-        rows[:, n:] = np.column_stack(y_from_coefficients(coeffs.T))
+        block = slice(start, start + TRAJECTORY_BLOCK)
+        series[block, :n], series[block, n:] = _pencil_roots(
+            W, What, traj.states[block], lambda coeffs: roots_near(coeffs, guess))
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]
     drifts = []
@@ -661,9 +645,10 @@ def check_involution(
     {c_i, c_j} = 0 wherever the secular spectrum is simple.  The gradients
     are exact, from the recursion operator N = W^{-1} W_hat, built over
     all sampled points at once: Newton's identities on tr(N^k) for the
-    Y^(l), spectral projectors of N for the roots (`spectral`).  The
-    pencil's roots decide which points have repeated roots; N's own
-    eigenvalues build the projectors at the others."""
+    Y^(l), spectral projectors of N for the roots (`spectral`).  N's own
+    eigenvalues (`operator_roots`) are the roots at every point: they decide
+    which points have repeated roots, raise NonRealSpectrumError on a
+    non-real spectrum, and build the projectors at the other points."""
     tol = cfg.tol if tol is None else tol
     n = W.space.n
     What = lie_derivative_mv(E, W)
@@ -675,10 +660,10 @@ def check_involution(
     if n == 1:
         notes = "single invariant: only the vanishing self-bracket is checked"
     else:
-        _, roots = _pencil_roots(W, What, states)
+        roots = operator_roots(op)
         simple = [k for k, r in enumerate(roots) if not any(multiple_root_flags(r))]
         if simple:
-            grads = root_pair_gradients(op[simple], grad[simple], operator_roots(op[simple]))
+            grads = root_pair_gradients(op[simple], grad[simple], roots[simple])
             brackets += _pair_brackets(grads, w[simple], what[simple], [points[k] for k in simple])
         skipped = len(points) - len(simple)
         if skipped:

@@ -34,6 +34,7 @@ from binoether.systems import SystemSpec, builtin_system, load_system, run_repor
 from binoether.verify import (
     TRAJECTORY_BLOCK,
     CheckConfig,
+    CheckReport,
     SamplingError,
     check_involution,
     check_spectral_routes,
@@ -51,6 +52,7 @@ from helpers import (
 )
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
     **{f"dissipative-n{n}": (lambda n=n: builtin_system("dissipative", n)) for n in range(1, 7)},
@@ -374,18 +376,20 @@ def test_drift_blocks_match_the_point_loop(monkeypatch, m):
     assert verify.trajectory_drift(W, What, traj, cfg) == batched
 
 
-def test_involution_roots_replay_the_point_loop(monkeypatch):
-    # the repeated-root test takes its roots from the batched pencil pass
-    # or, where that raises, from the point route sample by sample, so that
-    # the first error in point order is the one raised; both give one record
-    spec = builtin_system("dissipative", 3)
-    batched = check_involution(spec.W, spec.E, CheckConfig())
+@pytest.mark.parametrize("name", ["dissipative-n3", "sys-coupled-product-n2"])
+def test_involution_runs_no_pencil_pass(monkeypatch, name):
+    # the roots, the repeated-root flags and the non-real test all come
+    # from N's eigenvalues: with both pencil routes refused, the record is
+    # still the golden report's
+    spec = CASES[name]()
+    want = CheckReport.from_json((GOLDEN / f"{name}.json").read_text()).record("involution")
 
     def refuse(*args):
-        raise ArithmeticError("batched route refused")
+        raise AssertionError("the involution audit evaluated the pencil")
 
     monkeypatch.setattr(verify, "pencil_coefficients_batch", refuse)
-    assert check_involution(spec.W, spec.E, CheckConfig()) == batched
+    monkeypatch.setattr(verify, "pencil_coefficients", refuse)
+    assert check_involution(spec.W, spec.E, CheckConfig()) == want
 
 
 class TestPerStateEdgeCases:

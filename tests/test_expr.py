@@ -280,6 +280,23 @@ class TestDiff:
         assert type(big + big) is Add and type(-big - big) is Sub
         assert evaluate(-big - big, (0.3, 0.4)) == -math.inf
 
+    def test_quotient_by_a_constant_squares_no_denominator(self):
+        # d/dq1 (a/b) = a'/b - a b'/b^2, and b*b = 1e-400 folds to 0.0: where
+        # b' is the literal 0 the derivative is a'/b, never 0.0/0.0
+        assert diff(parse("q1/1e-200", S1), "q1", S1) == Num(1e200)
+        d = diff(parse("(q1*p1)/(1e-200*exp(p1))", S1), "q1", S1)
+        assert evaluate(d, (0.3, 0.4)) == 0.4 / (1e-200 * math.exp(0.4))
+        # a b' is not zero: the quotient rule keeps its second term
+        d = diff(parse("q1/(q1*1e-200 + 1)", S1), "q1", S1)
+        assert evaluate(d, (0.3, 0.4)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_constant_quotient_that_overflows_is_not_folded(self):
+        # d/dq1 (1e10 q1)/1e-300 is 1e10/1e-300: no literal holds it, so the
+        # node stays, as for a sum or a product, and evaluates to inf
+        d = diff(parse("(1e10*q1)/1e-300", S1), "q1", S1)
+        assert type(d) is Div and evaluate(d, (0.3, 0.4)) == math.inf
+        assert (Num(1.0) / Num(4.0)) == Num(0.25) and (Num(0.0) / Num(4.0)).value == 0.0
+
 
 class TestJets:
     def test_hand_examples(self):

@@ -198,6 +198,18 @@ class TestSecularRoots:
         assert spec.roots[0] == pytest.approx(-6.0, rel=1e-10)
         assert spec.roots[1] == pytest.approx(-2.0, rel=1e-10)
 
+    @pytest.mark.parametrize("system, n", [("dissipative", 6), ("coupled-squares-n2", 2)])
+    def test_repeated_roots_are_real(self, system, n):
+        # c_i = -2 (q_i + p_i) = -1.6 n times; the companion matrix of the
+        # pencil coefficients splits this root into non-real values (by 4e-3
+        # at n = 6), while N's eigenvalues stay real
+        spec = (builtin_system(system, n) if system == "dissipative"
+                else load_system(SYSTEMS / f"{system}.sys"))
+        What = lie_derivative_mv(spec.E, spec.W)
+        spectrum = secular_roots(spec.W, What, PhasePoint((0.3,) * n + (0.5,) * n))
+        assert np.max(np.abs(np.array(spectrum.roots) + 1.6)) <= 1e-12
+        assert spectrum.multiple == (True,) * n
+
     def test_non_real_spectrum_reported(self):
         space = PhaseSpace.canonical(2)
         W = MultiVectorField(space, 2, {(0, 2): Num(-1.0), (1, 3): Num(-1.0)})
@@ -582,6 +594,14 @@ class TestCoupledClosedForms:
         grads = root_pair_gradients(op[real], grad[real], operator_roots(op[real]))
         assert np.max(np.abs(grads[:, 0] + half)) <= 1e-9
         assert np.max(np.abs(grads[:, 1] - half)) <= 1e-9
+
+    def test_operator_roots_refuse_a_non_real_spectrum(self):
+        # N's eigenvalues are +-2 sqrt(I1 I2) twice, non-real at the default
+        # samples where I1 I2 < 0: no real parts are taken in silence
+        W, What, states, i1, i2 = _coupled("swap", 0)
+        assert np.any(i1 * i2 < 0)
+        with pytest.raises(NonRealSpectrumError, match="non-real spectrum"):
+            operator_roots(recursion_operator_batch(W, What, states)[2])
 
     def test_swap_non_real_rows_fall_back_to_the_eigenvalue_route(self):
         # a real guess certifies the real rows; the non-real ones fall back,
