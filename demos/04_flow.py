@@ -5,7 +5,7 @@ import numpy as np
 
 from binoether import CheckConfig, builtin_system, conservation_drift, integrate_flow
 from binoether.geometry import PhasePoint, lie_derivative_mv
-from binoether.spectral import pencil_coefficients, roots_from_coefficients, y_from_coefficients
+from binoether.spectral import pencil_coefficients, secular_roots, y_from_coefficients
 
 spec = builtin_system("dissipative", 2)
 x0 = PhasePoint((0.0, 0.5, 1.0, 2.0))
@@ -25,9 +25,8 @@ print(f"                      p = {traj.states[-1][2]:.12e} (exact {p_exact:.12e
 What = lie_derivative_mv(spec.E, spec.W)
 print("\n  t      c1          c2          Y1          Y2")
 for k in range(0, len(traj), len(traj) // 5):
-    coeffs = pencil_coefficients(spec.W, What, traj.states[k])
-    c = roots_from_coefficients(coeffs)
-    y = y_from_coefficients(coeffs)
+    c = secular_roots(spec.W, What, traj.states[k]).roots
+    y = y_from_coefficients(pencil_coefficients(spec.W, What, traj.states[k]))
     print(f"{traj.times[k]:5.1f}  {c[0]:.8f} {c[1]:.8f}  {y[0]:.8f} {y[1]:.8f}")
 
 record = conservation_drift(spec.W, spec.E, spec.h, x0, cfg)

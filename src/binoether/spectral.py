@@ -21,13 +21,13 @@ audit.  The projectors are polynomials in N built from N's own eigenvalues
 ill-conditioned where N is not normal.  `recursion_operator_batch` builds N
 and dN for a stack of states from one batched evaluation.
 
-The roots of P(-c) are the eigenvalues of its companion matrix
-(`roots_from_coefficients_batch`), or, where a close guess of them is
-known, as along a flow, Newton roots whose accuracy is certified
-(`roots_near`), with the eigenvalue route wherever the certificate fails.
-A k-fold root splits there by about eps^(1/k), off the real line, but
-stays a real, semisimple eigenvalue of N, so `secular_roots` and the
-involution audit take N's (`operator_roots`).
+The secular roots are N's eigenvalues (`operator_roots`, each pair
+averaged), which stay real and semisimple at a repeated root: `secular_roots`,
+the spectrum samples and the involution audit take them.  Where a close
+guess of them is known, as along a flow, Newton steps on P(-c) from the
+guess find them faster, and an inclusion test certifies them (`roots_near`);
+a state it does not certify takes N's eigenvalues (`operator_batch` builds
+N alone).
 
 Pfaffians are the memoized first-row expansion, written out as
 straight-line code: `_pfaffian_kernel` generates one function per matrix
@@ -37,8 +37,7 @@ recursive expansion, in the same order, so its results are the
 recursion's bit for bit (`tests/helpers.py` keeps the recursion as the
 oracle).  The kernels run on floats (the point route) and on matrices of
 arrays, one element per state (the `*_batch` functions and
-`regularity_margins` return the point route's values bit for bit;
-`roots_from_coefficients` is the one-row call of its batch).  Every
+`regularity_margins` return the point route's values bit for bit).  Every
 gradient comes from the recursion operator: `invariant_jets` and
 `pencil_coefficient_jets` are one-row calls of that route, and return
 (value, gradient) records, `Jet`.
@@ -74,8 +73,6 @@ __all__ = [
     "pfaffian",
     "pencil_coefficients",
     "pencil_coefficients_batch",
-    "roots_from_coefficients",
-    "roots_from_coefficients_batch",
     "roots_near",
     "multiple_root_flags",
     "y_from_coefficients",
@@ -83,6 +80,7 @@ __all__ = [
     "mixed_wedge_ratios",
     "secular_roots",
     "y_from_roots",
+    "operator_batch",
     "recursion_operator_batch",
     "trace_invariants",
     "operator_roots",
@@ -104,10 +102,9 @@ NEWTON_STEPS = 2
 # the inclusion radius, relative to max(1, |c|), up to which `roots_near`
 # accepts a Newton root: 1e-4 of the drift audit's default tolerance (1e-6),
 # so the root finder cannot move a drift verdict.  The radius is a bound: the
-# roots 1..6 get rho = 2.1e-11 while their Newton roots err by 3e-13 and the
-# eigenvalue route's by 5e-13, so a bound of 1e-12 would send such spectra to
-# the eigenvalue route after the Newton steps.  The golden reports'
-# trajectories meet radii up to 9e-15 (n = 6).
+# roots 1..6 get rho = 2.1e-11 while their Newton roots err by 3e-13, so a
+# bound of 1e-12 would send such spectra to N's eigenvalues after the Newton
+# steps.  The golden reports' trajectories meet radii up to 9e-15 (n = 6).
 CERTIFIED_TOL = 1e-10
 # unit roundoff of float64
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -433,60 +430,6 @@ def _real_roots(raw: np.ndarray) -> np.ndarray:
     return np.sort(raw.real, axis=1)
 
 
-def roots_from_coefficients(coeffs) -> np.ndarray:
-    """The n roots of P(-c) = 0 for coefficients a_0..a_n of P, real and
-    ascending; raises NonRealSpectrumError on a complex spectrum, and
-    SpectralError when a zero leading coefficient leaves fewer than n."""
-    return roots_from_coefficients_batch([coeffs])[0]
-
-
-def _descending(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of Q(c) = P(-c), highest degree first, for each row
-    of an (m, n+1) array of a_0..a_n (the coefficient of c^p is (-1)^p a_p),
-    and the mask of the plain rows: those that np.roots would neither strip
-    (a zero leading or trailing coefficient) nor refuse (a non-finite one)."""
-    n = coeffs.shape[1] - 1
-    desc = coeffs[:, ::-1] * np.where(np.arange(n, -1, -1) % 2, -1.0, 1.0)
-    plain = (desc[:, 0] != 0.0) & (desc[:, -1] != 0.0) & np.isfinite(desc).all(axis=1)
-    return desc, plain
-
-
-def _eigen_roots(desc: np.ndarray, plain: np.ndarray, labels) -> np.ndarray:
-    """The real ascending roots of the rows of desc (`_descending`): the
-    companion matrices of the plain rows go to one stacked eigenvalue call,
-    the others through np.roots itself.  A zero leading coefficient raises
-    SpectralError, naming the row by its entry in labels (unless None)."""
-    m, n = desc.shape[0], desc.shape[1] - 1
-    d = desc[plain]
-    companion = np.zeros((len(d), n, n))
-    companion[:, 1:, :-1] = np.eye(n - 1)
-    companion[:, 0, :] = -d[:, 1:] / d[:, :1]
-    raw = np.zeros((m, n), dtype=complex)
-    if len(d):
-        raw[plain] = np.linalg.eigvals(companion)
-    for k in np.flatnonzero(~plain):
-        stripped = np.roots(desc[k])
-        if len(stripped) != n:
-            raise SpectralError(f"zero leading coefficient leaves {len(stripped)} of {n} roots"
-                                + (f" in coefficient row {labels[k]}" if labels is not None else ""))
-        raw[k] = stripped
-    return _real_roots(raw)
-
-
-def roots_from_coefficients_batch(coeffs) -> np.ndarray:
-    """roots_from_coefficients for every row of an (m, n+1) coefficient
-    array, as an (m, n) array, bit for bit.  This is the eigenvalue route:
-    the companion matrices of all rows go to one stacked eigenvalue call,
-    except for rows that np.roots would strip (a zero leading or trailing
-    coefficient) or not accept (a non-finite one): those go through
-    np.roots itself.  A zero leading coefficient leaves fewer than n roots,
-    and raises SpectralError.  `roots_near` finds the same roots faster
-    where a good guess of them is known."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    m = len(coeffs)
-    return _eigen_roots(*_descending(coeffs), range(m) if m > 1 else None)
-
-
 def _horner(d: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q(x) and Q'(x) by Horner's recurrences at each entry of the vector x,
     the polynomial of x[j] having the coefficients d[:, j], highest degree
@@ -530,60 +473,46 @@ def _inclusion_radii(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(slope > 0.0, n * (np.abs(q) + scale * mu) / slope, np.inf)
 
 
-def _newton_roots(desc: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the plain rows of desc (`_descending`, (k, n+1)) by
-    NEWTON_STEPS Newton steps from guess ((k, n)), ascending, and the mask
-    of the rows whose roots are certified (see `roots_near`)."""
-    n = desc.shape[1] - 1
+def roots_near(coeffs, guess) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of P(-c) = 0 for each row of an (m, n+1) coefficient array,
+    by Newton's method from a guess of them (n values, or an (m, n) array),
+    and the mask of the rows whose roots are certified: (m, n) roots,
+    ascending, NaN on the other rows, and (m,) booleans.
+
+    On each row NEWTON_STEPS Newton steps on Q(c) = P(-c) run from the
+    guess.  Each step about squares a simple root's relative error, so two
+    take a guess within the drift audit's default tolerance (1e-6) of
+    well-separated roots to the rounding level.  The row is certified when
+    every root c_i and its inclusion radius rho_i (`_inclusion_radii`) are
+    finite, rho_i <= CERTIFIED_TOL * max(1, |c_i|), and the disks of radius
+    rho_i about the ascending c_i are pairwise disjoint.  Each of the n
+    disjoint disks then holds a root of the degree-n Q, so each holds
+    exactly one; a non-real root would bring its conjugate into the same
+    real-centred disk, so all roots are real and simple.  A certified row's
+    c_i lie each within rho_i of a true root of the row's polynomial.  So
+    a row with a repeated or non-real root is never certified, nor one with
+    a zero leading coefficient (fewer than n roots fill no n disjoint
+    disks), nor one with a non-finite coefficient (its Newton roots or
+    radii are not finite); such rows need another route, N's eigenvalues
+    (`operator_roots`).  Each row's result depends on that row and the
+    guess only."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    # Q(c) = P(-c), highest degree first: the coefficient of c^p is (-1)^p a_p
+    desc = coeffs[:, ::-1] * np.where(np.arange(n, -1, -1) % 2, -1.0, 1.0)
     # one entry per root of each row, with that row's coefficients
     d = np.repeat(desc, n, axis=0).T.copy()
-    x = guess.ravel()
+    x = np.broadcast_to(np.asarray(guess, dtype=float), (m, n)).ravel()
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
             q, dq = _horner(d, x)
             x = x - q / dq
-        c = np.sort(x.reshape(-1, n), axis=1)
-        rho = _inclusion_radii(d, c.ravel()).reshape(-1, n)
+        c = np.sort(x.reshape(m, n), axis=1)
+        rho = _inclusion_radii(d, c.ravel()).reshape(m, n)
         accurate = np.isfinite(c) & (rho <= CERTIFIED_TOL * np.fmax(1.0, np.abs(c)))
         disjoint = c[:, 1:] - c[:, :-1] > rho[:, 1:] + rho[:, :-1]
-    return c, accurate.all(axis=1) & disjoint.all(axis=1)
-
-
-def roots_near(coeffs, guess) -> np.ndarray:
-    """roots_from_coefficients_batch(coeffs), an (m, n) array, by Newton's
-    method from a guess of the roots (n values, or an (m, n) array), where
-    the result can be certified; the eigenvalue route elsewhere.
-
-    On each plain row (see `_descending`) NEWTON_STEPS Newton steps on
-    Q(c) = P(-c) run from the guess.  Each step about squares a simple
-    root's relative error, so two take a guess within the drift audit's
-    default tolerance (1e-6) of well-separated roots to the rounding level.
-    The row is certified when every root c_i and its inclusion radius
-    rho_i (`_inclusion_radii`) are finite, rho_i <= CERTIFIED_TOL *
-    max(1, |c_i|), and the disks of radius rho_i about the ascending c_i
-    are pairwise disjoint.  Each of the n disjoint disks then holds a root
-    of the degree-n Q, so each holds exactly one; a non-real root would
-    bring its conjugate into the same real-centred disk, so all roots are
-    real and simple.  A certified row returns its ascending c_i, each
-    within rho_i of a true root of the row's polynomial; it can never hide
-    a NonRealSpectrumError.
-
-    Every other row takes `roots_from_coefficients_batch` unchanged, so it
-    gets the same roots and raises the same exceptions, with the same
-    messages.  Each row's result depends on that row and the guess only."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    m, n = coeffs.shape[0], coeffs.shape[1] - 1
-    desc, plain = _descending(coeffs)
-    guess = np.broadcast_to(np.asarray(guess, dtype=float), (m, n))
-    c, certified_plain = _newton_roots(desc[plain], guess[plain])
-    certified = np.zeros(m, dtype=bool)
-    certified[plain] = certified_plain
-    out = np.empty((m, n))
-    out[certified] = c[certified_plain]
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        out[rest] = _eigen_roots(desc[rest], plain[rest], rest if m > 1 else None)
-    return out
+    certified = accurate.all(axis=1) & disjoint.all(axis=1)
+    return np.where(certified[:, None], c, np.nan), certified
 
 
 def multiple_root_flags(roots) -> tuple[bool, ...]:
@@ -695,24 +624,41 @@ def y_from_roots(spectrum: SecularSpectrum) -> InvariantVector:
 # Recursion operator
 # ---------------------------------------------------------------------------
 
-def recursion_operator_batch(W: MultiVectorField, What: MultiVectorField, states) -> tuple:
-    """(W, W_hat, N, dN) at every row of a (m, 2n) state array: W, W_hat and
-    the recursion operator N = W^{-1} W_hat as (m, 2n, 2n) arrays, and its
-    partial derivatives dN_l = W^{-1} (d_l W_hat - d_l W N) as an
-    (m, 2n, 2n, 2n) array, l second.  The components of W and W_hat and
-    their first derivatives go to one `evaluate_batch` call; W must be
-    regular at every state."""
+def _matrices(groups, states) -> np.ndarray:
+    """The antisymmetric matrices of component groups ({(i, j): expr}, i < j)
+    at every row of a (m, 2n) state array, as a (groups, m, 2n, 2n) array,
+    from one `evaluate_batch` call."""
     states = np.asarray(states, dtype=float)
-    m, N = len(states), W.space.dim
-    diffs = [component_diffs(F) for F in (W, What)]
-    # W, What, then d_l W and d_l What for each l
-    groups = [W.components, What.components] + [d[l] for l in range(N) for d in diffs]
+    m, N = states.shape
     slots = [(g, i, j) for g, group in enumerate(groups) for i, j in group]
     g, i, j = np.array(slots, dtype=int).reshape(-1, 3).T
     mats = np.zeros((len(groups), N, N, m))
     mats[g, i, j] = evaluate_batch([e for group in groups for e in group.values()], states)
     mats[g, j, i] = -mats[g, i, j]
-    mats = mats.transpose(0, 3, 1, 2)
+    return mats.transpose(0, 3, 1, 2)
+
+
+def operator_batch(W: MultiVectorField, What: MultiVectorField, states) -> np.ndarray:
+    """N = W^{-1} W_hat at every row of a (m, 2n) state array, (m, 2n, 2n):
+    `recursion_operator_batch`'s N without evaluating dN.  W must be
+    regular at every state."""
+    w, what = _matrices([W.components, What.components], states)
+    with np.errstate(all="ignore"):  # inf entries give inf or NaN, which fail closed
+        return np.linalg.inv(w) @ what
+
+
+def recursion_operator_batch(W: MultiVectorField, What: MultiVectorField, states) -> tuple:
+    """(W, W_hat, N, dN) at every row of a (m, 2n) state array: W, W_hat and
+    the recursion operator N = W^{-1} W_hat as (m, 2n, 2n) arrays, and its
+    partial derivatives dN_l = W^{-1} (d_l W_hat - d_l W N) as an
+    (m, 2n, 2n, 2n) array, l second.  The components of W and W_hat and
+    their first derivatives go to one `evaluate_batch` call (`_matrices`);
+    W must be regular at every state."""
+    N = W.space.dim
+    diffs = [component_diffs(F) for F in (W, What)]
+    # W, What, then d_l W and d_l What for each l
+    mats = _matrices([W.components, What.components] + [d[l] for l in range(N) for d in diffs],
+                     states)
     w, what = mats[0], mats[1]
     dw, dwhat = mats[2::2].transpose(1, 0, 2, 3), mats[3::2].transpose(1, 0, 2, 3)
     w_inv = np.linalg.inv(w)
@@ -759,8 +705,14 @@ def operator_roots(op: np.ndarray) -> np.ndarray:
     the roots that N's own rounding is consistent with, which the
     projectors of `root_pair_gradients` need: they amplify a root's error
     by ratios of root gaps.  Each root is a semisimple eigenvalue of N, so
-    a repeated root stays real to the rounding level.  NonRealSpectrumError
-    at the first state whose eigenvalues are not real (`_real_roots`)."""
+    a repeated root stays real to the rounding level.  SpectralError at the
+    first state (the index into op) where N has an inf or NaN entry;
+    NonRealSpectrumError at the first state whose eigenvalues are not real
+    (`_real_roots`)."""
+    bad = np.flatnonzero(~np.isfinite(op).all(axis=(1, 2)))
+    if bad.size:
+        raise SpectralError(f"the recursion operator N = W^-1 What is not finite"
+                            f" (an inf or NaN entry) at state {bad[0]} of {len(op)}")
     values = _real_roots(np.linalg.eigvals(op))
     return (values[:, ::2] + values[:, 1::2]) / 2
 

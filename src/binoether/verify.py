@@ -36,6 +36,7 @@ from .spectral import (
     REGULARITY_FACTOR,
     SpectralError,
     multiple_root_flags,
+    operator_batch,
     operator_roots,
     pencil_coefficients,
     pencil_coefficients_batch,
@@ -43,9 +44,8 @@ from .spectral import (
     regularity_margin,
     regularity_margins,
     root_pair_gradients,
-    roots_from_coefficients,
-    roots_from_coefficients_batch,
     roots_near,
+    secular_roots,
     trace_invariants,
     y_from_coefficients,
 )
@@ -405,20 +405,24 @@ def check_compatibility(
 # Spectrum at samples (route cross-check)
 # ---------------------------------------------------------------------------
 
-def _pencil_roots(W: MultiVectorField, What: MultiVectorField, states,
-                  roots=roots_from_coefficients_batch):
-    """The secular roots and the Y^(l) at the states, (m, n) arrays, from the
-    pencil coefficients, the roots by ``roots`` (a function of an (m, n+1)
-    array whose result for each row depends on that row alone): in one
-    batched pass, or where that raises, by the point routes state by state,
-    so that the first error met in the states' order is raised."""
+def _pencil_pass(W: MultiVectorField, What: MultiVectorField, states, rest) -> tuple:
+    """The Y^(l) at the states from the pencil coefficients, an (m, n)
+    array, followed by the arrays that rest(coeffs, at) returns for
+    coefficient rows and the states they belong to, each with one row per
+    state.  All in one batched pass, or where that raises, state by state
+    (the coefficients, then rest), so that the first error met in the
+    states' order is raised."""
+    states = np.asarray(states, dtype=float)
     try:
         coeffs = pencil_coefficients_batch(W, What, states)
-        found = roots(coeffs)
+        more = rest(coeffs, states)
     except _BATCH_ERRORS:
-        points = (pencil_coefficients(W, What, x) for x in states)
-        coeffs, found = map(np.array, zip(*[(c, roots([c])[0]) for c in points]))
-    return found, np.column_stack(y_from_coefficients(coeffs.T))
+        rows = []
+        for x in states:
+            row = np.array([pencil_coefficients(W, What, x)])
+            rows.append((row, *rest(row, x[None])))
+        coeffs, *more = map(np.concatenate, zip(*rows))
+    return (np.column_stack(y_from_coefficients(coeffs.T)), *more)
 
 
 def check_spectral_routes(
@@ -428,11 +432,15 @@ def check_spectral_routes(
     coefficients against Newton's identities on the traces of the
     recursion operator N = W^{-1} W_hat (`spectral.trace_invariants`),
     which share only the evaluation of W and W_hat - and collect the
-    samples: the secular roots and Y^(l) of the pencil at each point, all in one batched pass."""
+    samples: N's eigenvalues (`operator_roots`) and the pencil's Y^(l) at
+    each point, all in one batched pass (`_pencil_pass`)."""
     points = sample_regular_points(W, cfg)
-    states = [x.coords for x in points]
-    roots, direct = _pencil_roots(W, What, states)
-    traces, _ = trace_invariants(*recursion_operator_batch(W, What, states)[2:])
+
+    def operator_routes(coeffs, at):
+        op, grad = recursion_operator_batch(W, What, at)[2:]
+        return operator_roots(op), trace_invariants(op, grad)[0]
+
+    direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points], operator_routes)
     samples = tuple(SpectrumSample(tuple(x), tuple(c), tuple(y))
                     for x, c, y in zip(points, roots.tolist(), direct.tolist()))
     gaps = [(abs(a - b), max(abs(a), abs(b)), s.point)
@@ -586,22 +594,29 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     constant along the trajectory (relative drift <= cfg.drift_tol).
 
     The states go in blocks of TRAJECTORY_BLOCK through the batched pencil
-    pass.  The roots at every state come from `spectral.roots_near`, with
-    the roots of the first state (by the eigenvalue route) as the guess:
-    along a conserving flow they are every state's roots up to the drift,
-    so Newton's method from them converges and certifies the roots.  A
-    state whose roots it cannot certify, such as one whose roots really
-    moved, takes the eigenvalue route, with its errors.  The Y^(l) come from
+    pass (`_pencil_pass`).  The roots at every state come from
+    `spectral.roots_near`, with the roots of the first state
+    (`secular_roots`, N's eigenvalues) as the guess: along a conserving
+    flow they are every state's roots up to the drift, so Newton's method
+    from them converges and certifies the roots.  A state whose roots it
+    cannot certify, such as one whose roots really moved or repeat, takes
+    N's eigenvalues at that state, with their errors.  The Y^(l) come from
     the pencil coefficients."""
     n = W.space.n
     m = len(traj)
     series = np.empty((m, 2 * n))  # c_1..c_n, then Y^(1)..Y^(n)
     # state 0's roots first, so that its errors are the first ones raised
-    guess = roots_from_coefficients(pencil_coefficients(W, What, traj.states[0]))
+    guess = secular_roots(W, What, traj.states[0]).roots
+
+    def roots(coeffs, at):
+        found, certified = roots_near(coeffs, guess)
+        if not certified.all():
+            found[~certified] = operator_roots(operator_batch(W, What, at[~certified]))
+        return (found,)
+
     for start in range(0, m, TRAJECTORY_BLOCK):
         block = slice(start, start + TRAJECTORY_BLOCK)
-        series[block, :n], series[block, n:] = _pencil_roots(
-            W, What, traj.states[block], lambda coeffs: roots_near(coeffs, guess))
+        series[block, n:], series[block, :n] = _pencil_pass(W, What, traj.states[block], roots)
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]
     drifts = []

@@ -316,8 +316,8 @@ def forward_jet(expr: ScalarExpr, point) -> tuple[float, np.ndarray]:
 
 def reference_roots(coeffs):
     """The n roots of P(-c) = 0 for coefficients a_0..a_n of P, by np.roots,
-    real and ascending: the oracle that `spectral.roots_from_coefficients_batch`
-    must match row by row, bit for bit."""
+    real and ascending: the independent oracle for N's eigenvalues
+    (`spectral.operator_roots`) and for `spectral.roots_near`."""
     n = len(coeffs) - 1
     # Q(c) = P(-c): coefficient of c^m is (-1)^m a_m, highest degree first
     raw = np.roots([((-1) ** m) * coeffs[m] for m in range(n, -1, -1)])

@@ -21,13 +21,13 @@ from binoether.geometry import (
 )
 from binoether.spectral import (
     NonRealSpectrumError,
-    SpectralError,
+    operator_batch,
+    operator_roots,
     pencil_coefficients,
     pencil_coefficients_batch,
     regularity_margin,
     regularity_margins,
-    roots_from_coefficients,
-    roots_from_coefficients_batch,
+    secular_roots,
     y_from_coefficients,
 )
 from binoether.systems import SystemSpec, builtin_system, load_system, run_report
@@ -91,7 +91,10 @@ def test_batched_route_matches_point_route(case, m):
     coeffs = pencil_coefficients_batch(W, What, states)
     point = [pencil_coefficients(W, What, x) for x in states]
     assert same(coeffs, point)
-    assert same(roots_from_coefficients_batch(coeffs), [roots_from_coefficients(c) for c in point])
+    # N's roots in a stack of states, as the drift audit takes them, and
+    # one state at a time, as its point route and `secular_roots` take them
+    assert same(operator_roots(operator_batch(W, What, states)),
+                [secular_roots(W, What, x).roots for x in states])
     assert same(
         np.column_stack(y_from_coefficients(coeffs.T)), [y_from_coefficients(c) for c in point]
     )
@@ -433,37 +436,6 @@ class TestPerStateEdgeCases:
         assert same(margins, [regularity_margin(evaluate_mv(W, x)) for x in states])
         assert margins[0] == 0.0
 
-    def test_zero_trailing_coefficient_is_stripped_as_np_roots_does(self):
-        rows = np.array([
-            [0.0, 3.0, 1.0],   # a_0 = 0: np.roots appends a root at 0
-            [2.0, -3.0, 1.0],  # no zero coefficient
-            [0.0, 0.0, 1.0],   # P = t^2: a double root at 0
-        ])
-        assert same(roots_from_coefficients_batch(rows), [roots_from_coefficients(r) for r in rows])
-
-    def test_zero_leading_coefficient_leaves_too_few_roots(self):
-        # np.roots strips a zero leading coefficient and returns n - 1
-        # roots, which cannot fill a row of n
-        row = [1.0, 2.0, 0.0]
-        with pytest.raises(SpectralError, match="zero leading coefficient leaves 1 of 2 roots"):
-            roots_from_coefficients(row)
-        with pytest.raises(SpectralError, match="zero leading coefficient leaves 1 of 2 roots"
-                                                " in coefficient row 1"):
-            roots_from_coefficients_batch([[2.0, -3.0, 1.0], row])
-        with pytest.raises(SpectralError, match="zero leading coefficient leaves 2 of 3 roots"):
-            roots_from_coefficients([1.0, 2.0, 3.0, 0.0])
-        with pytest.raises(SpectralError, match="zero leading coefficient leaves 2 of 3 roots"
-                                                " in coefficient row 1"):
-            roots_from_coefficients_batch([[-6.0, 11.0, -6.0, 1.0], [1.0, 2.0, 3.0, 0.0]])
-
-    def test_non_real_spectrum_raises_the_point_message(self):
-        rows = [[2.0, -3.0, 1.0], [1.0, 0.0, 1.0]]  # the second: c^2 + 1 = 0
-        with pytest.raises(NonRealSpectrumError) as point:
-            roots_from_coefficients(rows[1])
-        with pytest.raises(NonRealSpectrumError) as batched:
-            roots_from_coefficients_batch(rows)
-        assert str(batched.value) == str(point.value)
-
     def test_norms_add_one_square_at_a_time(self):
         # 1 + 8 * 2^-54 stays 1 when the squares are added one at a time, but
         # not in a compensated sum, which sum() of floats is from Python 3.12
@@ -563,23 +535,15 @@ class TestPerStateEdgeCases:
         assert not record.passed and math.isnan(record.residual)
 
 
-@pytest.mark.parametrize("case", sorted(CASES) + ["zero-trailing-coefficients", "non-real"])
-def test_batched_roots_match_np_roots(case):
-    # roots_from_coefficients is the one-row batch call, so np.roots itself
-    # is the independent oracle
-    if case in CASES:
-        W, What, states = flow(case)
-        coeffs = pencil_coefficients_batch(W, What, states)
-    elif case == "non-real":  # the second row: c^2 + 1 = 0
-        coeffs = np.array([[2.0, -3.0, 1.0], [1.0, 0.0, 1.0]])
-    else:  # np.roots strips these and appends roots at 0
-        coeffs = np.array([[0.0, 3.0, 1.0], [2.0, -3.0, 1.0], [0.0, 0.0, 1.0]])
-    batched = outcome(lambda: roots_from_coefficients_batch(coeffs))
-    reference = outcome(lambda: [reference_roots(c) for c in coeffs])
-    if case == "non-real":
-        assert reference[0] is NonRealSpectrumError and batched == reference
-    else:
-        assert same(batched, reference)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_operator_roots_match_np_roots(case):
+    # N's eigenvalues against np.roots of the pencil coefficients, the
+    # independent oracle, along each case's flow (np.roots errs by up to
+    # 2e-10 on the sampled n = 6 spectra, whose roots can lie 0.014 apart)
+    W, What, states = flow(case)
+    roots = operator_roots(operator_batch(W, What, states))
+    reference = [reference_roots(c) for c in pencil_coefficients_batch(W, What, states)]
+    assert np.max(np.abs(roots - reference) / np.fmax(1.0, np.abs(roots))) <= 1e-9
 
 
 def outcome(fn):
@@ -636,10 +600,13 @@ def test_spectral_route_samples_match_a_point_loop(case, seed):
     expected = []
     for x in sample_regular_points(spec.W, cfg):
         coeffs = pencil_coefficients(spec.W, What, x)
-        expected.append((x.coords, reference_roots(coeffs), y_from_coefficients(coeffs)))
+        expected.append((x.coords, secular_roots(spec.W, What, x).roots, reference_roots(coeffs),
+                         y_from_coefficients(coeffs)))
     assert len(samples) == len(expected)
-    for sample, (point, c, y) in zip(samples, expected):
+    for sample, (point, c, oracle, y) in zip(samples, expected):
         assert same(sample.point, point) and same(sample.c, c) and same(sample.y, y)
+        # np.roots, the independent oracle, as in test_operator_roots_match_np_roots
+        assert np.max(np.abs(np.array(c) - oracle) / np.fmax(1.0, np.abs(oracle))) <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [2, 4])
@@ -655,7 +622,8 @@ def test_spectral_routes_raise_the_first_error_of_a_point_loop(seed):
 
     def point_loop():
         for x in sample_regular_points(W, cfg):
-            roots_from_coefficients(pencil_coefficients(W, What, x))
+            pencil_coefficients(W, What, x)
+            secular_roots(W, What, x)
 
     expected = outcome(point_loop)
     assert expected[0] is {2: NonRealSpectrumError, 4: OverflowError}[seed]

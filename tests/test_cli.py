@@ -186,6 +186,16 @@ class TestFlow:
         assert capsys.readouterr().out == (GOLDEN / "flow-dissipative-n1.txt").read_text(
             encoding="utf-8")
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_repeated_root_stays_real_along_the_flow(self, capsys):
+        # c_1 = c_2 = -1.6: Newton cannot certify a repeated root, and N's
+        # eigenvalues, which the audit takes there, keep it real
+        code = main(["flow", "--builtin", "dissipative", "--n", "2",
+                     "--from", "q1=0.3,q2=0.3,p1=0.5,p2=0.5"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "conservation drift: PASS" in captured.out
+
     def test_broken_generator_drifts(self, capsys):
         code = main(
             [

@@ -12,6 +12,7 @@ from binoether.spectral import (
     NonRealSpectrumError,
     RegularityError,
     SecularSpectrum,
+    SpectralError,
     invariant_gradient,
     invariant_jets,
     is_regular,
@@ -26,8 +27,6 @@ from binoether.spectral import (
     regularity_margins,
     root_gradients,
     root_pair_gradients,
-    roots_from_coefficients,
-    roots_from_coefficients_batch,
     roots_near,
     secular_roots,
     trace_invariants,
@@ -201,14 +200,22 @@ class TestSecularRoots:
     @pytest.mark.parametrize("system, n", [("dissipative", 6), ("coupled-squares-n2", 2)])
     def test_repeated_roots_are_real(self, system, n):
         # c_i = -2 (q_i + p_i) = -1.6 n times; the companion matrix of the
-        # pencil coefficients splits this root into non-real values (by 4e-3
-        # at n = 6), while N's eigenvalues stay real
+        # pencil coefficients would split this root into non-real values (by
+        # 4e-3 at n = 6), while N's eigenvalues stay real
         spec = (builtin_system(system, n) if system == "dissipative"
                 else load_system(SYSTEMS / f"{system}.sys"))
         What = lie_derivative_mv(spec.E, spec.W)
         spectrum = secular_roots(spec.W, What, PhasePoint((0.3,) * n + (0.5,) * n))
         assert np.max(np.abs(np.array(spectrum.roots) + 1.6)) <= 1e-12
         assert spectrum.multiple == (True,) * n
+
+    def test_operator_roots_refuse_a_non_finite_operator(self):
+        # numpy's eigenvalue call would raise a bare LinAlgError here
+        op = np.stack([np.diag([2.0, 2.0]), np.array([[np.inf, 0.0], [0.0, 1.0]])])
+        assert operator_roots(op[:1]).tolist() == [[2.0]]
+        with pytest.raises(SpectralError, match="recursion operator N = W\\^-1 What is not"
+                                                " finite .* at state 1 of 2$"):
+            operator_roots(op)
 
     def test_non_real_spectrum_reported(self):
         space = PhaseSpace.canonical(2)
@@ -563,8 +570,11 @@ class TestCoupledClosedForms:
         want = np.sort(np.column_stack([-2 * i1, -2 * i2]), axis=1)
         _, _, op, grad = recursion_operator_batch(W, What, states)
         coeffs = pencil_coefficients_batch(W, What, states)
+        # Newton from a guess off by 1e-6, as the drift audit's may be
+        near, certified = roots_near(coeffs, want * (1 + 1e-6))
+        assert certified.all()
         for roots in (np.array([secular_roots(W, What, x).roots for x in states]),
-                      operator_roots(op), roots_near(coeffs, want[0])):
+                      operator_roots(op), near):
             assert np.max(np.abs(roots - want)) <= 1e-13
         grads = root_pair_gradients(op, grad, operator_roots(op))
         first_lower = (i1 > i2)[:, None]  # -2 I1 is the lower root
@@ -603,17 +613,15 @@ class TestCoupledClosedForms:
         with pytest.raises(NonRealSpectrumError, match="non-real spectrum"):
             operator_roots(recursion_operator_batch(W, What, states)[2])
 
-    def test_swap_non_real_rows_fall_back_to_the_eigenvalue_route(self):
-        # a real guess certifies the real rows; the non-real ones fall back,
-        # and the first of them raises the eigenvalue route's error
+    def test_swap_non_real_rows_are_not_certified(self):
+        # from +-2 sqrt(|I1 I2|), off by 1e-6, Newton certifies the real
+        # rows, at the closed form; the non-real ones are masked, for N's
+        # eigenvalues to refuse
         W, What, states, i1, i2 = _coupled("swap", 0)
-        coeffs = pencil_coefficients_batch(W, What, states)
-        real = np.flatnonzero(i1 * i2 > 1e-3)
-        guess = roots_from_coefficients_batch(coeffs[real[:1]])[0]
-        with pytest.raises(NonRealSpectrumError) as near:
-            roots_near(coeffs, guess)
-        with pytest.raises(NonRealSpectrumError) as eig:
-            roots_from_coefficients_batch(coeffs)
-        assert str(near.value) == str(eig.value)
-        assert np.max(np.abs(roots_near(coeffs[real], guess)
-                             - roots_from_coefficients_batch(coeffs[real]))) <= 1e-13
+        root = 2 * np.sqrt(np.abs(i1 * i2))
+        want = np.column_stack([-root, root])
+        roots, certified = roots_near(pencil_coefficients_batch(W, What, states),
+                                      want * (1 + 1e-6))
+        real = i1 * i2 > 1e-3
+        assert not certified[i1 * i2 < 0].any() and certified[real].all()
+        assert np.max(np.abs(roots[real] - want[real])) <= 1e-13

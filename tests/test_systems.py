@@ -265,6 +265,18 @@ class TestRunReport:
                          "compat_deformed", "involution"):
             assert not report.record(check_id).notes.startswith("error"), check_id
 
+    def test_a_non_finite_recursion_operator_is_named(self, tmp_path):
+        # the derivative of E is the literal 1e10/1e-300 = inf, so W_hat and
+        # N = W^-1 W_hat are inf: the root routes name the operator, not
+        # numpy's "Array must not contain infs or NaNs"
+        text = VALID_N1.replace("(p1 + q1)^2", "(1e10*q1)/1e-300")
+        report = run_report(load_system(write_system(tmp_path, text)), FAST)
+        for check_id in ("spectral_routes", "conservation_drift"):
+            record = report.record(check_id)
+            assert not record.passed
+            assert record.notes.startswith("error: the recursion operator N = W^-1 What is not"
+                                           " finite"), record.notes
+
     def test_the_deformation_is_built_once(self, monkeypatch):
         calls = []
 

@@ -17,7 +17,7 @@ from binoether.spectral import (
     REGULARITY_FACTOR,
     pencil_coefficients,
     regularity_margin,
-    roots_from_coefficients,
+    secular_roots,
     y_from_coefficients,
 )
 from binoether.verify import (
@@ -575,14 +575,14 @@ class TestCheckInvolution:
 
 
 class TestCheckSpectralRoutes:
-    def test_samples_come_from_the_pencil(self):
+    def test_samples_take_n_roots_and_pencil_invariants(self):
         spec = builtin_system("dissipative", 3)
         What = lie_derivative_mv(spec.E, spec.W)
         record, samples = check_spectral_routes(spec.W, What, CFG)
         assert record.passed and rel(record) <= 1e-12
         for s in samples:
             coeffs = pencil_coefficients(spec.W, What, s.point)
-            assert s.c == tuple(roots_from_coefficients(coeffs).tolist())
+            assert s.c == secular_roots(spec.W, What, s.point).roots
             assert s.y == tuple(float(v) for v in y_from_coefficients(coeffs))
 
     def test_a_wrong_trace_route_fails(self, monkeypatch):
