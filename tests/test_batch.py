@@ -436,6 +436,22 @@ class TestPerStateEdgeCases:
         assert same(margins, [regularity_margin(evaluate_mv(W, x)) for x in states])
         assert margins[0] == 0.0
 
+    def test_non_real_spectrum_raises_the_point_message(self):
+        # coupled-swap's roots are +-2 sqrt(I1 I2), I_i = p_i + q_i: real at
+        # the first state, non-real at the second; the stack refuses the
+        # second state with the point route's message
+        spec = load_system(SYSTEMS / "coupled-swap-n2.sys")
+        What = lie_derivative_mv(spec.E, spec.W)
+        states = np.array([[0.3, 0.5, 0.4, 0.2], [0.3, -0.5, 0.4, 0.2]])
+        i1, i2 = states[:, 0] + states[:, 2], states[:, 1] + states[:, 3]
+        assert i1[0] * i2[0] > 0 > i1[1] * i2[1]
+        secular_roots(spec.W, What, states[0])
+        with pytest.raises(NonRealSpectrumError) as point:
+            secular_roots(spec.W, What, states[1])
+        with pytest.raises(NonRealSpectrumError) as batched:
+            operator_roots(operator_batch(spec.W, What, states))
+        assert str(batched.value) == str(point.value)
+
     def test_norms_add_one_square_at_a_time(self):
         # 1 + 8 * 2^-54 stays 1 when the squares are added one at a time, but
         # not in a compensated sum, which sum() of floats is from Python 3.12
