@@ -234,9 +234,15 @@ def pfaffian(M: np.ndarray) -> float:
 # Pencil interpolation
 # ---------------------------------------------------------------------------
 
-def _frobenius(rows) -> float:
+def _frobenius(rows, name: str) -> float:
     # square by square, as _frobenius_batch adds (sum() compensates from Python 3.12 on)
-    return math.sqrt(reduce(operator.add, (v ** 2 for row in rows for v in row), 0.0))
+    try:
+        return math.sqrt(reduce(operator.add, (v ** 2 for row in rows for v in row), 0.0))
+    except OverflowError:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+                    if math.isfinite(v) and math.isinf(v * v))
+        raise OverflowError(f"the pencil norm ||{name}|| overflows: the square of its entry"
+                            f" ({i}, {j}) = {rows[i][j]:.6g} exceeds the float range") from None
 
 
 def _zero_deformation(n: int) -> list[float]:
@@ -255,14 +261,13 @@ def _node_scales(norm_w, norm_h) -> np.ndarray:
     return np.clip(s, 1e-100, 1e100)
 
 
-def _float_power(base: np.ndarray, p, live=True) -> np.ndarray:
+def _float_power(base: np.ndarray, p) -> np.ndarray:
     """base ** p elementwise, bit for bit as Python's float ``**`` takes it
     (np.float_power rounds as ``**`` does; np.power need not), raising its
-    OverflowError where a finite base overflows at an element where ``live``
-    holds."""
+    OverflowError where a finite base overflows."""
     with np.errstate(over="ignore"):
         out = np.float_power(base, p)
-    overflow = np.isinf(out) & np.isfinite(base) & live
+    overflow = np.isinf(out) & np.isfinite(base)
     if overflow.any():
         at = tuple(np.argwhere(overflow)[0])
         base, p = np.broadcast_arrays(base, p)
@@ -289,7 +294,7 @@ def _pencil_coefficients(w_rows, h_rows, pf_w=None):
         return _zero_deformation(n)
     if pf_w is None:
         pf_w = _pfaffian(w_rows)
-    s = float(_node_scales(_frobenius(w_rows), _frobenius(h_rows)))
+    s = float(_node_scales(_frobenius(w_rows, "W"), _frobenius(h_rows, "What")))
     u, vander = _interpolation_nodes(n)
     pfs = []
     for uk in u.tolist():  # Python floats: the kernel's zero tests and arithmetic are faster
@@ -322,11 +327,15 @@ def _upper(rows) -> list[np.ndarray]:
     return [rows[i][j] for i in range(N) for j in range(i + 1, N) if not _absent(rows[i][j])]
 
 
-def _frobenius_batch(rows, live: np.ndarray) -> np.ndarray:
-    """_frobenius at each state, bit for bit, raising its OverflowError where
-    a finite entry's square overflows at a state where ``live`` holds."""
+def _frobenius_batch(rows, live: np.ndarray, name: str) -> np.ndarray:
+    """_frobenius at each state, bit for bit, raising its OverflowError at the
+    first state where ``live`` holds and a finite entry's square overflows."""
     entries = np.array([v for row in rows for v in row if not _absent(v)]).reshape(-1, len(live))
-    squares = _float_power(entries, 2.0, live)
+    with np.errstate(over="ignore"):
+        squares = np.float_power(entries, 2.0)  # rounds as ``**`` does
+    bad = np.flatnonzero(np.any(np.isinf(squares) & np.isfinite(entries), axis=0) & live)
+    if bad.size:  # the point route's error at the first such state
+        _frobenius([[v if _absent(v) else float(v[bad[0]]) for v in row] for row in rows], name)
     total = reduce(np.add, squares, np.zeros(len(live)))  # _frobenius's order, not np.sum's
     return np.sqrt(total)
 
@@ -568,7 +577,7 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
     skipped = np.any([w == 0.0 for w in _upper(w_rows)], axis=0)
 
     live = ~zero_deformation  # the point route takes no norms at the others
-    s = _node_scales(_frobenius_batch(w_rows, live), _frobenius_batch(h_rows, live))
+    s = _node_scales(_frobenius_batch(w_rows, live, "W"), _frobenius_batch(h_rows, live, "What"))
     u, vander = _interpolation_nodes(n)
     vals = np.empty((m, n + 1))
     # the pencil's entries above the diagonal where W or What has one, with
@@ -602,14 +611,15 @@ def mixed_wedge_ratios(W: MultiVectorField, What: MultiVectorField, x) -> Invari
     return InvariantVector(_as_point(x), tuple(float(v) for v in values))
 
 
-def secular_roots(W: MultiVectorField, What: MultiVectorField, x) -> SecularSpectrum:
+def secular_roots(W: MultiVectorField, What: MultiVectorField, x, where=None) -> SecularSpectrum:
     """The n roots of P(-c) = 0 - equivalently the eigenvalue pairs of the
     generalized problem W_hat v = c W v - sorted ascending, with
-    near-coincident roots flagged: N's eigenvalues at x (`operator_roots`),
-    real at a repeated root too; RegularityError where W is degenerate."""
+    near-coincident roots flagged: N's eigenvalues at x (`operator_roots`,
+    whose errors name x where(0)), real at a repeated root too;
+    RegularityError where W is degenerate."""
     rows, _ = _require_regular(W, x)
     with np.errstate(all="ignore"):  # N alone, not dN; inf entries fail closed
-        roots = operator_roots((np.linalg.inv(rows) @ evaluate_mv(What, x))[None])[0]
+        roots = operator_roots((np.linalg.inv(rows) @ evaluate_mv(What, x))[None], where)[0]
     return SecularSpectrum(
         _as_point(x), tuple(float(r) for r in roots), multiple_root_flags(roots)
     )
@@ -698,7 +708,7 @@ def trace_invariants(op: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.n
     return np.stack(e[1:], axis=1) / binom, np.stack(de[1:], axis=1) / binom[:, None]
 
 
-def operator_roots(op: np.ndarray) -> np.ndarray:
+def operator_roots(op: np.ndarray, where=None) -> np.ndarray:
     """The secular roots c_1 <= .. <= c_n at each state, an (m, n) array,
     from the eigenvalues of N (an (m, 2n, 2n) array): each root is a double
     eigenvalue of N, and its two computed copies are averaged.  These are
@@ -706,13 +716,14 @@ def operator_roots(op: np.ndarray) -> np.ndarray:
     projectors of `root_pair_gradients` need: they amplify a root's error
     by ratios of root gaps.  Each root is a semisimple eigenvalue of N, so
     a repeated root stays real to the rounding level.  SpectralError at the
-    first state (the index into op) where N has an inf or NaN entry;
-    NonRealSpectrumError at the first state whose eigenvalues are not real
-    (`_real_roots`)."""
+    first state where N has an inf or NaN entry, named by ``where(index into
+    op)`` or by that index; NonRealSpectrumError at the first state whose
+    eigenvalues are not real (`_real_roots`)."""
     bad = np.flatnonzero(~np.isfinite(op).all(axis=(1, 2)))
     if bad.size:
+        at = where(bad[0]) if where else f"state {bad[0]} of {len(op)}"
         raise SpectralError(f"the recursion operator N = W^-1 What is not finite"
-                            f" (an inf or NaN entry) at state {bad[0]} of {len(op)}")
+                            f" (an inf or NaN entry) at {at}")
     values = _real_roots(np.linalg.eigvals(op))
     return (values[:, ::2] + values[:, 1::2]) / 2
 

@@ -93,7 +93,7 @@ PAPER_ANCHORS = {
     "involution": "{Y^(k),Y^(l)} = {Y^(k),Y^(l)}_hat = 0",
 }
 
-# flow states per batched pass of the regularity monitor and the drift audit
+# flow steps per run of the RK4 loop and its checks, and states per pass of the drift audit
 TRAJECTORY_BLOCK = 256
 
 # what a batched pass over a block of states can raise; the block is then
@@ -405,22 +405,22 @@ def check_compatibility(
 # Spectrum at samples (route cross-check)
 # ---------------------------------------------------------------------------
 
-def _pencil_pass(W: MultiVectorField, What: MultiVectorField, states, rest) -> tuple:
+def _pencil_pass(W: MultiVectorField, What: MultiVectorField, states, where, rest) -> tuple:
     """The Y^(l) at the states from the pencil coefficients, an (m, n)
-    array, followed by the arrays that rest(coeffs, at) returns for
-    coefficient rows and the states they belong to, each with one row per
-    state.  All in one batched pass, or where that raises, state by state
-    (the coefficients, then rest), so that the first error met in the
-    states' order is raised."""
+    array, followed by the arrays that rest(coeffs, at, where) returns for
+    coefficient rows, their states and where(j), the name of state j in
+    errors, each with one row per state.  All in one batched pass, or where
+    that raises, state by state (the coefficients, then rest), so that the
+    first error met in the states' order is raised."""
     states = np.asarray(states, dtype=float)
     try:
         coeffs = pencil_coefficients_batch(W, What, states)
-        more = rest(coeffs, states)
+        more = rest(coeffs, states, where)
     except _BATCH_ERRORS:
         rows = []
-        for x in states:
+        for j, x in enumerate(states):
             row = np.array([pencil_coefficients(W, What, x)])
-            rows.append((row, *rest(row, x[None])))
+            rows.append((row, *rest(row, x[None], lambda i, j=j: where(j))))
         coeffs, *more = map(np.concatenate, zip(*rows))
     return (np.column_stack(y_from_coefficients(coeffs.T)), *more)
 
@@ -436,11 +436,15 @@ def check_spectral_routes(
     each point, all in one batched pass (`_pencil_pass`)."""
     points = sample_regular_points(W, cfg)
 
-    def operator_routes(coeffs, at):
+    def operator_routes(coeffs, at, where):
         op, grad = recursion_operator_batch(W, What, at)[2:]
-        return operator_roots(op), trace_invariants(op, grad)[0]
+        return operator_roots(op, where), trace_invariants(op, grad)[0]
 
-    direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points], operator_routes)
+    def where(j):  # as `binoether invariants --at` takes a point
+        return "sample point " + ",".join(f"{k}={v!r}" for k, v in zip(W.space.names, points[j]))
+
+    direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points], where,
+                                         operator_routes)
     samples = tuple(SpectrumSample(tuple(x), tuple(c), tuple(y))
                     for x, c, y in zip(points, roots.tolist(), direct.tolist()))
     gaps = [(abs(a - b), max(abs(a), abs(b)), s.point)
@@ -464,36 +468,23 @@ def _first_irregular(W: MultiVectorField, states: np.ndarray) -> int | None:
     return next((k for k, margin in enumerate(margins) if not margin > REGULARITY_FACTOR), None)
 
 
-def _monitor_regularity(W: MultiVectorField, times: np.ndarray, states: np.ndarray) -> None:
-    """FlowError at the first of the states where W is degenerate."""
-    for start in range(0, len(states), TRAJECTORY_BLOCK):
-        k = _first_irregular(W, states[start:start + TRAJECTORY_BLOCK])
-        if k is not None:
-            raise FlowError(f"regularity lost at t = {times[start + k]:.6g}")
-
-
-def _rk4_loop(exprs, dim: int, checked: bool):
-    """``flow(out, steps, dt, bound, step_error, on_error, x0, ..., x{dim-1})``:
-    ``steps`` steps of classical RK4 for dx/dt = f(x) from x, f being
-    `compile_kernel(exprs, dim)` pasted in at each of its 11 evaluation sites
-    (with only the stage arguments it reads), as one loop of straight-line
-    code on floats in numpy RK4's order of operations: y + (0.5 dt) k and
-    y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  State k goes to
-    out[k * dim:(k + 1) * dim] (``out`` is flat; state 0 is x).  Compiled once
-    per kernel text (`_rk4_code`); the env is per call, so errors name its nodes.
-
-    When ``checked``, two half steps of dt / 2 follow each full step (the
-    first shares its k1), and the step fails unless abs(F_i - H_i) / 15 / dt
-    <= bound for every coordinate, so that a NaN estimate fails too: it
-    raises ``step_error(k, full, halves)``.  Whatever step k raises,
-    ``on_error(k)`` runs before it propagates."""
+def _rk4_loop(exprs, dim: int):
+    """``flow(out, steps, dt, on_error, x0, ..., x{dim-1})``: ``steps`` steps of
+    classical RK4 for dx/dt = f(x) from x, f being `compile_kernel(exprs, dim)`
+    pasted in at each of its 4 evaluation sites (with only the stage arguments
+    it reads), as one loop of straight-line code on floats in numpy RK4's order
+    of operations: y + (0.5 dt) k and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
+    State k goes to out[k * dim:(k + 1) * dim] (``out`` is flat; state 0 is x).
+    Compiled once per kernel text (`_rk4_code`); the env is per call, so errors
+    name its nodes.  Whatever step k raises, ``on_error(k)`` runs before it
+    propagates."""
     body, outputs, env, reads = emit_kernel(exprs)
-    exec(_rk4_code(tuple(body), tuple(outputs), reads, dim, checked), env)
+    exec(_rk4_code(tuple(body), tuple(outputs), reads, dim), env)
     return env["flow"]
 
 
 @lru_cache(maxsize=32)
-def _rk4_code(body: tuple, outputs: tuple, reads: tuple, dim: int, checked: bool):
+def _rk4_code(body: tuple, outputs: tuple, reads: tuple, dim: int):
     """`_rk4_loop`'s compiled module for one kernel text (`expr.emit_kernel`)."""
     def row(name):
         return ", ".join(f"{name}{i}" for i in range(dim))
@@ -504,30 +495,31 @@ def _rk4_code(body: tuple, outputs: tuple, reads: tuple, dim: int, checked: bool
         lines = [f"{x}{i} = {args[i]}" for i in reads] if args else []
         return lines + [line.format(**names) for line in body], [o.format(**names) for o in outputs]
 
-    def step(y, h, ks, new):
-        # from y, with k1's outputs in ks: k2, k3, k4 and the new state into `new`
-        lines = []
-        for role, c in (("b", f"half{h}"), ("c", f"half{h}"), ("d", f"dt{h}")):
-            more, k = site(role, f"s{role}", [f"{y}{i} + {c} * {ks[-1][i]}" for i in range(dim)])
-            lines, ks = lines + more, [*ks, k]
-        return lines + [f"{new}{i} = {y}{i} + sixth{h} * ((({ks[0][i]} + 2.0 * {ks[1][i]})"
-                        f" + 2.0 * {ks[2][i]}) + {ks[3][i]})" for i in range(dim)]
-
     loop, k1 = site("a", "x")
-    loop += step("x", "", [k1], "F")
-    if checked:
-        test = " and ".join(f"abs(F{i} - H{i}) / 15.0 / dt <= bound" for i in range(dim))
-        at_m, k1_m = site("a", "m")
-        loop += [*step("x", "2", [k1], "m"), *at_m, *step("m", "2", [k1_m], "H"),
-                 f"if not ({test}):", f"    raise step_error(k, [{row('F')}], [{row('H')}])"]
+    ks = [k1]
+    for role, c in (("b", "half"), ("c", "half"), ("d", "dt")):
+        more, k = site(role, f"s{role}", [f"x{i} + {c} * {ks[-1][i]}" for i in range(dim)])
+        loop, ks = loop + more, [*ks, k]
+    # the new state into F first: an output may be a coordinate of x itself
+    loop += [f"F{i} = x{i} + sixth * ((({ks[0][i]} + 2.0 * {ks[1][i]}) + 2.0 * {ks[2][i]})"
+             f" + {ks[3][i]})" for i in range(dim)]
     loop += [f"{row('x')} = {row('F')}", f"j += {dim}",
              *(f"out[j + {i}] = x{i}" for i in range(dim))]
-    lines = [f"def flow(out, steps, dt, bound, step_error, on_error, {row('x')}):",
-             "half, sixth = 0.5 * dt, dt / 6.0", "dt2 = dt / 2",
-             "half2, sixth2 = 0.5 * dt2, dt2 / 6.0", "j = k = 0",
+    lines = [f"def flow(out, steps, dt, on_error, {row('x')}):",
+             "half, sixth = 0.5 * dt, dt / 6.0", "j = k = 0",
              "try:", "    for k in range(steps):", *(f"        {line}" for line in loop),
              "except Exception:", "    on_error(k)", "    raise"]
     return compile("\n    ".join(lines), "<rk4 loop>", "exec")
+
+
+def _rk4_batch(exprs, y: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step of dt from every row of y, f from `evaluate_batch`, in
+    `_rk4_loop`'s order of operations, so each row is the loop's step bit for bit."""
+    ks = [np.array(evaluate_batch(exprs, y)).T]
+    for c in (0.5 * dt, 0.5 * dt, dt):
+        ks.append(np.array(evaluate_batch(exprs, y + c * ks[-1])).T)
+    k1, k2, k3, k4 = ks
+    return y + (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
 
 
 def integrate_flow(
@@ -547,33 +539,61 @@ def integrate_flow(
     with require_regular=False to integrate through degenerate sets, e.g.
     fixed points of the field); when max_step_error is set, a step-halving
     estimate guards the local error per unit time, and a NaN estimate fails.
-    The states are checked for regularity in batches once the steps are
-    done; a loss of regularity at or before the state where a step failed is
-    the error raised.
+    The loop runs TRAJECTORY_BLOCK steps at a time, and both are checked after
+    each block: the half steps from all its states in one pass (`_rk4_batch`,
+    replayed state by state where it raises), then the margins.  The error
+    raised is a step by step loop's first: a loss of regularity at a state
+    j <= k, then an error in step k's full step, then in its half steps, then
+    its failed estimate.
     """
     X = hamiltonian_vf(W, h)
     dim = W.space.dim
+    exprs = [X.component((i,)) for i in range(dim)]  # an absent component is the literal 0.0
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, dim))
-    y = [float(v) for v in x0]
-    states[0] = y
+    states[0] = [float(v) for v in x0]
 
-    def step_error(k, full, halves):
-        errors = [abs(a - b) / 15.0 / dt for a, b in zip(full, halves)]
-        return FlowError(f"step error estimate {float(np.max(errors)):.3e}/unit time exceeds"
-                         f" {max_step_error:.3e} at t = {times[k]:.6g}")
+    def first_event(start, stop):
+        # (j, error) of the first step j in [start, stop) whose half steps raise or
+        # whose estimate fails, else (stop, None); one pass per step where a batch raises
+        if max_step_error is None:
+            return stop, None
+        try:
+            with np.errstate(all="ignore"):  # inf and NaN fail the test
+                halves = _rk4_batch(exprs, _rk4_batch(exprs, states[start:stop], dt / 2), dt / 2)
+                errors = np.abs(states[start + 1:stop + 1] - halves) / 15.0 / dt
+        except _BATCH_ERRORS as err:
+            if stop - start == 1:
+                return start, err
+            events = (first_event(j, j + 1) for j in range(start, stop))
+            return next((e for e in events if e[1] is not None), (stop, None))
+        failed = np.flatnonzero(~np.all(errors <= max_step_error, axis=1))
+        if not failed.size:
+            return stop, None
+        j = start + int(failed[0])
+        return j, FlowError(f"step error estimate {float(np.max(errors[j - start])):.3e}/unit"
+                            f" time exceeds {max_step_error:.3e} at t = {times[j]:.6g}")
 
-    def on_error(k):
+    def check(start, stop, end):
+        # the first event of steps [start, stop), and before it a loss of
+        # regularity at states [start, end)
+        j, err = first_event(start, stop)
         if require_regular:
-            _monitor_regularity(W, times[:k + 1], states[:k + 1])
+            k = _first_irregular(W, states[start:min(j + 1, end)])
+            if k is not None:
+                raise FlowError(f"regularity lost at t = {times[start + k]:.6g}")
+        if err is not None:
+            raise err
 
-    # an absent component is the literal 0.0
-    flow = _rk4_loop([X.component((i,)) for i in range(dim)], dim, max_step_error is not None)
-    flow(memoryview(states.reshape(-1)), steps, dt, max_step_error, step_error, on_error, *y)
-    if require_regular:
-        _monitor_regularity(W, times[:steps], states[:steps])
+    flow = _rk4_loop(exprs, dim)
+    for start in range(0, steps, TRAJECTORY_BLOCK):
+        stop = min(start + TRAJECTORY_BLOCK, steps)
+        # where step start + k raises, the steps before it and the state it starts from come first
+        flow(memoryview(states[start:stop + 1].reshape(-1)), stop - start, dt,
+             lambda k: check(start, start + k, start + k + 1), *states[start].tolist())
+        check(start, stop, stop)
     return Trajectory(times, states)
 
 
@@ -606,17 +626,19 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     m = len(traj)
     series = np.empty((m, 2 * n))  # c_1..c_n, then Y^(1)..Y^(n)
     # state 0's roots first, so that its errors are the first ones raised
-    guess = secular_roots(W, What, traj.states[0]).roots
+    guess = secular_roots(W, What, traj.states[0], lambda i: f"t = {traj.times[0]:.6g}").roots
 
-    def roots(coeffs, at):
+    def roots(coeffs, at, where):
         found, certified = roots_near(coeffs, guess)
         if not certified.all():
-            found[~certified] = operator_roots(operator_batch(W, What, at[~certified]))
+            found[~certified] = operator_roots(operator_batch(W, What, at[~certified]),
+                                               lambda i: where(np.flatnonzero(~certified)[i]))
         return (found,)
 
     for start in range(0, m, TRAJECTORY_BLOCK):
         block = slice(start, start + TRAJECTORY_BLOCK)
-        series[block, n:], series[block, :n] = _pencil_pass(W, What, traj.states[block], roots)
+        series[block, n:], series[block, :n] = _pencil_pass(
+            W, What, traj.states[block], lambda j: f"t = {traj.times[start + j]:.6g}", roots)
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]
     drifts = []

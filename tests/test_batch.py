@@ -212,7 +212,7 @@ def test_inlined_outputs_match_a_step_by_step_loop(blocks, h_text, shape, max_st
 
 def q1_sites(q, dt, steps):
     """q1 at each of the 11 evaluations of every checked step of the flow
-    q1' = q1, in the loop's order: k1..k4 of the full step, k2..k4 of the
+    q1' = q1, in a step-by-step loop's order: k1..k4 of the full step, k2..k4 of the
     first half step (which shares k1), then k1..k4 of the second; and the
     states."""
     half, sixth, dt2 = 0.5 * dt, dt / 6.0, dt / 2
@@ -264,6 +264,62 @@ def test_a_late_stage_domain_error_matches_a_step_by_step_loop(w_text, site, fir
         assert got[0] is EvalDomainError and got[1].startswith(error)
 
 
+@pytest.mark.parametrize("step, site", [(300, 5), (300, 9), (TRAJECTORY_BLOCK, 1)],
+                         ids=["first-half", "second-half", "full-step-at-a-block-edge"])
+def test_a_domain_error_in_a_later_block_matches_a_step_by_step_loop(step, site):
+    # the denominator is 0 first at one site of a step in the second block
+    # of states.  No full step meets a half step's site, so the full steps
+    # run on to the end and the deferred estimate raises it; at k2 of step
+    # 256 the loop stops, and the last block holds state 256 alone
+    cfg = CheckConfig(t_end=0.4, dt=1e-3)
+    sites, _ = q1_sites(SITE_X0[0], cfg.dt, 400)
+    c = sites[11 * step + site]
+    hits = [k for k, q in enumerate(sites) if q == c]
+    assert hits[0] == 11 * step + site
+    W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0),
+                                         (1, 3): parse(f"(q1 - {c!r})/(q1 - {c!r})", FLOW_SPACE)})
+    h = parse(SITE_H, FLOW_SPACE)
+    if site >= 4:
+        assert all(k % 11 >= 4 for k in hits)
+        assert len(integrate_flow(W, h, SITE_X0, cfg, max_step_error=None).states) == 401
+    got = assert_flow_matches_the_oracle(W, h, SITE_X0, cfg, 1e-8)
+    assert got[0] is EvalDomainError and got[1].startswith("division by zero in ")
+
+
+def test_a_loss_of_regularity_before_a_half_step_error_in_its_block_wins():
+    # the half step of step 300 that divides by 0, as above, and W^q2p2 = 0
+    # at state 280, so that regularity is lost earlier in the same block:
+    # the block's batched half steps raise, and its replay meets the loss first
+    cfg = CheckConfig(t_end=0.4, dt=1e-3)
+    sites, states = q1_sites(SITE_X0[0], cfg.dt, 400)
+    c, lost = sites[11 * 300 + 5], states[280]
+    assert lost not in sites[:11 * 280] and c not in states
+    w = f"(q1 - {c!r})/(q1 - {c!r}) * (q1 - {lost!r})"
+    W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0), (1, 3): parse(w, FLOW_SPACE)})
+    got = assert_flow_matches_the_oracle(W, parse(SITE_H, FLOW_SPACE), SITE_X0, cfg, 1e-8)
+    assert got == (verify.FlowError, "regularity lost at t = 0.28")
+
+
+@pytest.mark.parametrize("step", [TRAJECTORY_BLOCK - 1, TRAJECTORY_BLOCK, TRAJECTORY_BLOCK + 1])
+def test_a_first_step_error_at_the_block_edge_matches_a_step_by_step_loop(step):
+    # q1' = 10 q1, p1' = -10 p1 from q1 = p1 = 1: the estimate is
+    # q1 |R(z) - R(z/2)^2| / 15 / dt up to rounding, R being RK4's growth
+    # factor and z = 10 dt, so it grows 1% a step, and a bound between two
+    # steps' estimates fails first at the second
+    space = PhaseSpace.canonical(1)
+    W = MultiVectorField(space, 2, {(0, 1): Num(1.0)})
+    h, x0, cfg = parse("-10*q1*p1", space), (1.0, 1.0), CheckConfig(t_end=0.3, dt=1e-3)
+
+    def growth(z):
+        return 1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24
+
+    z = 10 * cfg.dt
+    q1 = reference_flow_states(W, h, x0, cfg.t_end, cfg.dt)[:, 0]
+    bound = abs(growth(z) - growth(z / 2) ** 2) / 15 / cfg.dt * math.sqrt(q1[step - 1] * q1[step])
+    got = assert_flow_matches_the_oracle(W, h, x0, cfg, bound)
+    assert got[0] is verify.FlowError and got[1].endswith(f" at t = {step * cfg.dt:.6g}")
+
+
 @st.composite
 def small_fields(draw):
     """(W, h) on FLOW_SPACE from small random trees with every node type,
@@ -289,6 +345,17 @@ def small_fields(draw):
 def test_random_fields_match_a_step_by_step_loop(field, x0, max_step_error, require_regular):
     W, h = field
     assert_flow_matches_the_oracle(W, h, x0, CheckConfig(t_end=0.02, dt=1e-3), max_step_error,
+                                   require_regular)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_fields(), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       st.sampled_from([None, 1e-8, 1e-2]), st.booleans())
+def test_random_fields_over_two_blocks_match_a_step_by_step_loop(field, x0, max_step_error,
+                                                                 require_regular):
+    # 300 steps: the deferred estimate and regularity test span two blocks
+    W, h = field
+    assert_flow_matches_the_oracle(W, h, x0, CheckConfig(t_end=0.3, dt=1e-3), max_step_error,
                                    require_regular)
 
 
@@ -360,6 +427,18 @@ def test_nan_step_error_matches_a_step_by_step_loop():
     assert got == outcome(lambda: reference_flow_states(W, h, (0.5, 3.0), cfg.t_end, cfg.dt, 1e-8,
                                                         require_regular=True))
     assert got == (verify.FlowError, "step error estimate nan/unit time exceeds 1.000e-08 at t = 0")
+
+
+@pytest.mark.parametrize("max_step_error", [None, 1e-8])
+def test_an_overflowing_power_raises_as_on_floats(max_step_error):
+    # X^p1 = -3 (1e200 q1)^2 1e200: Python's float ** raises OverflowError at
+    # the first evaluation, where numpy's power would give inf, so every run
+    # of the loop starts from Python floats, not from the state array's
+    space = PhaseSpace.canonical(1)
+    W = MultiVectorField(space, 2, {(0, 1): Num(1.0)})
+    h, cfg = parse("(q1*1e200)^3", space), CheckConfig(t_end=0.01, dt=1e-3)
+    got = assert_flow_matches_the_oracle(W, h, (1.0, 1.0), cfg, max_step_error)
+    assert got[0] is OverflowError
 
 
 @pytest.mark.parametrize("m", SIZES)
@@ -458,8 +537,9 @@ class TestPerStateEdgeCases:
         # on: both norms must fold, on every interpreter
         entries = [1.0] + [2.0 ** -27] * 8
         assert math.fsum(v ** 2 for v in entries) > 1.0
-        assert spectral._frobenius([entries]) == 1.0
-        assert spectral._frobenius_batch([[np.array([v]) for v in entries]], np.array([True])) == [1.0]
+        assert spectral._frobenius([entries], "W") == 1.0
+        assert spectral._frobenius_batch([[np.array([v]) for v in entries]], np.array([True]),
+                                         "W") == [1.0]
 
     def test_node_scales_follow_the_scalar_rule(self):
         def scalar_rule(norm_w, norm_h):
@@ -533,6 +613,34 @@ class TestPerStateEdgeCases:
         states = [[0.5, 0.0], [-0.2, 0.0]]
         assert same(pencil_coefficients_batch(big, What, states),
                     [pencil_coefficients(big, What, x) for x in states])
+
+    def test_an_overflowing_norm_names_the_norm_and_its_entry(self, tmp_path):
+        # W = 1e200 squares past the float range in ||W||; the spectral
+        # routes' note names that norm and the entry, as both routes do
+        space = PhaseSpace.canonical(1)
+        W = MultiVectorField(space, 2, {(0, 1): Num(1e200)})
+        What = MultiVectorField(space, 2, {(0, 1): parse("q1 * 1e200", space)})
+        text = ("the pencil norm ||W|| overflows: the square of its entry (0, 1) = 1e+200"
+                " exceeds the float range")
+        for route in (lambda: pencil_coefficients(W, What, (0.5, 0.1)),
+                      lambda: pencil_coefficients_batch(W, What, [[0.5, 0.1]])):
+            assert outcome(route) == (OverflowError, text)
+        path = tmp_path / "overflow.sys"
+        path.write_text("[system]\nname = overflow\ndof = 1\n[poisson]\nW(q1,p1) = 1e200\n"
+                        "[hamiltonian]\nh = p1 + q1\n[symmetry]\nE(q1) = 1e200*q1\n")
+        report = run_report(load_system(path), CheckConfig(t_end=0.01))
+        assert report.record("spectral_routes").notes == f"error: {text}"
+        # a batch raises at its first state whose norm overflows, at the
+        # first entry there: (1, 3) of state 0, not (0, 2) of state 1
+        space = PhaseSpace.canonical(2)
+        W = MultiVectorField(space, 2, {(0, 2): Num(-1.0), (1, 3): Num(-1.0)})
+        What = MultiVectorField(space, 2, {(0, 2): parse("q1 * 1e154", space),
+                                           (1, 3): parse("q2 * 1e154", space)})
+        states = [(0.1, 5.0, 0.0, 0.0), (5.0, 0.1, 0.0, 0.0)]
+        point = outcome(lambda: pencil_coefficients(W, What, states[0]))
+        assert point == (OverflowError, "the pencil norm ||What|| overflows: the square of its"
+                                        " entry (1, 3) = 5e+154 exceeds the float range")
+        assert outcome(lambda: pencil_coefficients_batch(W, What, states)) == point
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_products_warn_nothing(self):

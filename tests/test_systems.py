@@ -3,10 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binoether.expr import Num, parse
+from binoether.expr import Num, PhaseSpace, parse
 from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
 from binoether.systems import SystemFileError, SystemSpec, builtin_system, load_system, run_report
-from binoether.verify import CheckConfig, CheckReport
+from binoether.spectral import SpectralError
+from binoether.verify import (
+    CheckConfig,
+    CheckReport,
+    Trajectory,
+    sample_regular_points,
+    trajectory_drift,
+)
 from helpers import random_points
 
 FIXTURES = Path(__file__).resolve().parent.parent / "systems"
@@ -276,6 +283,29 @@ class TestRunReport:
             assert not record.passed
             assert record.notes.startswith("error: the recursion operator N = W^-1 What is not"
                                            " finite"), record.notes
+
+    def test_a_non_finite_recursion_operator_names_its_state(self, tmp_path):
+        # N is inf everywhere: the spectral routes name the first sample
+        # point by its coordinates, as `binoether invariants --at` takes
+        # them, and the drift audit its first state by its time, not as
+        # "state 0 of 1" of a state-by-state replay
+        text = VALID_N1.replace("(p1 + q1)^2", "(1e10*q1)/1e-300")
+        spec = load_system(write_system(tmp_path, text))
+        report = run_report(spec, FAST)
+        q1, p1 = sample_regular_points(spec.W, FAST)[0].coords
+        assert report.record("spectral_routes").notes.endswith(
+            f" (an inf or NaN entry) at sample point q1={q1!r},p1={p1!r}")
+        assert report.record("conservation_drift").notes.endswith(" (an inf or NaN entry) at t = 0")
+
+    def test_a_later_non_finite_state_is_named_by_its_time(self):
+        # What = (1e10*q1)/1e-300 is 0 at q1 = 0 and inf at q1 = 0.5, so the
+        # third state of the trajectory is the first whose N is not finite
+        space = PhaseSpace.canonical(1)
+        W = MultiVectorField(space, 2, {(0, 1): parse("-p1", space)})
+        What = MultiVectorField(space, 2, {(0, 1): parse("(1e10*q1)/1e-300", space)})
+        traj = Trajectory(np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0], [0.0, 1.0], [0.5, 1.0]]))
+        with pytest.raises(SpectralError, match=r"\(an inf or NaN entry\) at t = 1$"):
+            trajectory_drift(W, What, traj, FAST)
 
     def test_the_deformation_is_built_once(self, monkeypatch):
         calls = []
