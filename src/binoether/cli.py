@@ -185,7 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     except (SystemFileError, FileNotFoundError, ValueError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (SpectralError, FlowError) as err:
+    # OverflowError: a pencil norm or node-scale power beyond the float range
+    except (SpectralError, FlowError, OverflowError) as err:
         print(f"stopped: {err}", file=sys.stderr)
         return 1
 

@@ -261,20 +261,6 @@ def _node_scales(norm_w, norm_h) -> np.ndarray:
     return np.clip(s, 1e-100, 1e100)
 
 
-def _float_power(base: np.ndarray, p) -> np.ndarray:
-    """base ** p elementwise, bit for bit as Python's float ``**`` takes it
-    (np.float_power rounds as ``**`` does; np.power need not), raising its
-    OverflowError where a finite base overflows."""
-    with np.errstate(over="ignore"):
-        out = np.float_power(base, p)
-    overflow = np.isinf(out) & np.isfinite(base)
-    if overflow.any():
-        at = tuple(np.argwhere(overflow)[0])
-        base, p = np.broadcast_arrays(base, p)
-        float(base[at]) ** float(p[at])
-    return out
-
-
 def _interpolation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n+1 Chebyshev nodes u_k on [-1, 1] and their Vandermonde matrix."""
     u = np.array([math.cos(math.pi * (2 * k + 1) / (2 * (n + 1))) for k in range(n + 1)])
@@ -295,6 +281,11 @@ def _pencil_coefficients(w_rows, h_rows, pf_w=None):
     if pf_w is None:
         pf_w = _pfaffian(w_rows)
     s = float(_node_scales(_frobenius(w_rows, "W"), _frobenius(h_rows, "What")))
+    try:
+        powers = [s ** m for m in range(n + 1)]
+    except OverflowError:
+        raise OverflowError(f"the pencil's node scale s = {s:.6g} overflows: s**{n} exceeds"
+                            " the float range") from None
     u, vander = _interpolation_nodes(n)
     pfs = []
     for uk in u.tolist():  # Python floats: the kernel's zero tests and arithmetic are faster
@@ -306,19 +297,23 @@ def _pencil_coefficients(w_rows, h_rows, pf_w=None):
     # numpy's division, which gives inf or NaN where Pf(W) = 0, as the batch does
     b = list(np.linalg.solve(vander, np.array(pfs) / pf_w))
     # undo the node scaling: P(t) = R(t/s) with R(u) = sum b_m u^m
-    return [b[m] / (s ** m) for m in range(n + 1)]
+    return [b[m] / powers[m] for m in range(n + 1)]
 
 
-def _batch_rows(V: MultiVectorField, states: np.ndarray) -> list[list]:
-    """V's matrix at every state: an array over the states for each
-    component of V, the float 0.0 where V has none (see _absent)."""
-    N = V.space.dim
-    rows: list[list] = [[0.0] * N for _ in range(N)]
-    values = evaluate_batch(list(V.components.values()), states)
-    for (i, j), v in zip(V.components, values):
-        rows[i][j] = v
-        rows[j][i] = -v
-    return rows
+def _batch_rows(fields: list[MultiVectorField], states: np.ndarray) -> list[list[list]]:
+    """Each field's matrix at every state: an array over the states for each
+    component, the float 0.0 where the field has none (see _absent).  One
+    `evaluate_batch` call, so its error is the one met first at the first
+    failing state, the fields in turn at each state."""
+    values = iter(evaluate_batch([e for V in fields for e in V.components.values()], states))
+    out = []
+    for V in fields:
+        rows: list[list] = [[0.0] * V.space.dim for _ in range(V.space.dim)]
+        for (i, j), v in zip(V.components, values):
+            rows[i][j] = v
+            rows[j][i] = -v
+        out.append(rows)
+    return out
 
 
 def _upper(rows) -> list[np.ndarray]:
@@ -327,17 +322,14 @@ def _upper(rows) -> list[np.ndarray]:
     return [rows[i][j] for i in range(N) for j in range(i + 1, N) if not _absent(rows[i][j])]
 
 
-def _frobenius_batch(rows, live: np.ndarray, name: str) -> np.ndarray:
-    """_frobenius at each state, bit for bit, raising its OverflowError at the
-    first state where ``live`` holds and a finite entry's square overflows."""
-    entries = np.array([v for row in rows for v in row if not _absent(v)]).reshape(-1, len(live))
+def _frobenius_batch(rows, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_frobenius at each of m states, bit for bit where it returns, and the
+    mask of the states where it raises: a finite entry's square overflows."""
+    entries = np.array([v for row in rows for v in row if not _absent(v)]).reshape(-1, m)
     with np.errstate(over="ignore"):
         squares = np.float_power(entries, 2.0)  # rounds as ``**`` does
-    bad = np.flatnonzero(np.any(np.isinf(squares) & np.isfinite(entries), axis=0) & live)
-    if bad.size:  # the point route's error at the first such state
-        _frobenius([[v if _absent(v) else float(v[bad[0]]) for v in row] for row in rows], name)
-    total = reduce(np.add, squares, np.zeros(len(live)))  # _frobenius's order, not np.sum's
-    return np.sqrt(total)
+    overflow = np.any(np.isinf(squares) & np.isfinite(entries), axis=0)
+    return np.sqrt(reduce(np.add, squares, np.zeros(m))), overflow  # _frobenius's order
 
 
 def _margin(w_matrix: np.ndarray, pf: float) -> float:
@@ -376,7 +368,7 @@ def regularity_margins(W: MultiVectorField, states) -> np.ndarray:
     the point route."""
     states = np.asarray(states, dtype=float)
     m = len(states)
-    rows = _batch_rows(W, states)
+    rows, = _batch_rows([W], states)
     N = len(rows)
     mats = np.zeros((m, N, N))
     for i, row in enumerate(rows):
@@ -562,22 +554,22 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
 
     One Pfaffian kernel runs on arrays over all states, and the
     interpolation systems go to one stacked solve.  A state where every
-    entry of What is 0 takes the zero-deformation shortcut, and a state
-    where the point route skips some other entry as exactly 0 takes the
-    point route.  Where pencil_coefficients would raise at some state, this
-    raises as well."""
+    entry of What is 0 takes the zero-deformation shortcut.  A state the
+    arrays cannot reproduce takes the point route, in the states' order, so
+    the first error raised is the point route's own: where the point route
+    skips some other entry as exactly 0, where a norm's square overflows,
+    or where a power s**m of the node scale does."""
     states = np.asarray(states, dtype=float)
     m = len(states)
-    w_rows, h_rows = _batch_rows(W, states), _batch_rows(What, states)
+    w_rows, h_rows = _batch_rows([W, What], states)
     N = len(w_rows)
     n = N // 2
     zero_deformation = np.ones(m, dtype=bool)
     for h in _upper(h_rows):
         zero_deformation &= h == 0.0
     skipped = np.any([w == 0.0 for w in _upper(w_rows)], axis=0)
-
-    live = ~zero_deformation  # the point route takes no norms at the others
-    s = _node_scales(_frobenius_batch(w_rows, live, "W"), _frobenius_batch(h_rows, live, "What"))
+    (norm_w, over_w), (norm_h, over_h) = _frobenius_batch(w_rows, m), _frobenius_batch(h_rows, m)
+    s = _node_scales(norm_w, norm_h)
     u, vander = _interpolation_nodes(n)
     vals = np.empty((m, n + 1))
     # the pencil's entries above the diagonal where W or What has one, with
@@ -596,9 +588,11 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
                 pencil[i][j] = e
             vals[:, k] = _pfaffian(pencil, _absent) / pf_w
         b = np.linalg.solve(np.broadcast_to(vander, (m, n + 1, n + 1)), vals[:, :, None])[:, :, 0]
-        out = b / _float_power(s[:, None], np.arange(n + 1.0))
+        powers = np.float_power(s[:, None], np.arange(n + 1.0))  # rounds as ``**`` does
+        out = b / powers
         out[zero_deformation] = _zero_deformation(n)
-        for k in np.flatnonzero(skipped & ~zero_deformation):
+        point = skipped | over_w | over_h | np.isinf(powers[:, n])
+        for k in np.flatnonzero(point & ~zero_deformation):
             out[k] = pencil_coefficients(W, What, states[k])
     return out
 
@@ -689,23 +683,23 @@ def trace_invariants(op: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.n
     m, N = op.shape[:2]
     n = N // 2
     powers = [np.broadcast_to(np.eye(N), op.shape)]  # N^0 .. N^n
-    with np.errstate(all="ignore"):  # as in `recursion_operator_batch`
+    with np.errstate(all="ignore"):  # as in `recursion_operator_batch`: inf and NaN fail closed
         for _ in range(n):
             powers.append(powers[-1] @ op)
-    p = [np.trace(P, axis1=1, axis2=2) / 2 for P in powers[1:]]
-    dp = [k / 2 * np.einsum("mab,mlba->ml", P, grad) for k, P in enumerate(powers[:-1], 1)]
-    # l e_l = sum_{k=1..l} (-1)^(k-1) e_{l-k} p_k, and its gradient
-    e, de = [np.ones(m)], [np.zeros((m, N))]
-    for l in range(1, n + 1):
-        total, d_total = np.zeros(m), np.zeros((m, N))
-        for k in range(1, l + 1):
-            sign = (-1) ** (k - 1)
-            total += sign * e[l - k] * p[k - 1]
-            d_total += sign * (de[l - k] * p[k - 1][:, None] + e[l - k][:, None] * dp[k - 1])
-        e.append(total / l)
-        de.append(d_total / l)
-    binom = np.array([math.comb(n, l) for l in range(1, n + 1)], dtype=float)
-    return np.stack(e[1:], axis=1) / binom, np.stack(de[1:], axis=1) / binom[:, None]
+        p = [np.trace(P, axis1=1, axis2=2) / 2 for P in powers[1:]]
+        dp = [k / 2 * np.einsum("mab,mlba->ml", P, grad) for k, P in enumerate(powers[:-1], 1)]
+        # l e_l = sum_{k=1..l} (-1)^(k-1) e_{l-k} p_k, and its gradient
+        e, de = [np.ones(m)], [np.zeros((m, N))]
+        for l in range(1, n + 1):
+            total, d_total = np.zeros(m), np.zeros((m, N))
+            for k in range(1, l + 1):
+                sign = (-1) ** (k - 1)
+                total += sign * e[l - k] * p[k - 1]
+                d_total += sign * (de[l - k] * p[k - 1][:, None] + e[l - k][:, None] * dp[k - 1])
+            e.append(total / l)
+            de.append(d_total / l)
+        binom = np.array([math.comb(n, l) for l in range(1, n + 1)], dtype=float)
+        return np.stack(e[1:], axis=1) / binom, np.stack(de[1:], axis=1) / binom[:, None]
 
 
 def operator_roots(op: np.ndarray, where=None) -> np.ndarray:

@@ -233,20 +233,12 @@ class Trajectory:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _margins(W: MultiVectorField, states: np.ndarray):
-    """regularity_margins(W, states), or where that pass raises the point
-    margins, lazily, so that the first error met in the states' order wins."""
-    try:
-        return regularity_margins(W, states)
-    except _BATCH_ERRORS:
-        return (regularity_margin(evaluate_mv(W, x)) for x in states)
-
-
 def sample_regular_points(W: MultiVectorField, cfg: CheckConfig) -> list[PhasePoint]:
     """Draw cfg.samples points uniformly from the box, rejecting those where
     W is numerically degenerate, in at most 200 * cfg.samples draws.  Each round
     screens the missing draws in one batched pass; a block of draws is the stream of
-    single draws, so points, draw count and first error match one draw at a time."""
+    single draws, so points, draw count and first error match one draw at a time:
+    `regularity_margins` raises only `evaluate_batch`'s error at the first failing draw."""
     rng = np.random.default_rng(cfg.seed)
     points: list[PhasePoint] = []
     attempts = 0
@@ -255,13 +247,20 @@ def sample_regular_points(W: MultiVectorField, cfg: CheckConfig) -> list[PhasePo
         k = min(cfg.samples - len(points), limit - attempts)
         block = rng.uniform(-cfg.box, cfg.box, size=(k, W.space.dim))
         attempts += k
-        points += [PhasePoint(tuple(x)) for x, margin in zip(block, _margins(W, block))
+        points += [PhasePoint(tuple(x)) for x, margin in zip(block, regularity_margins(W, block))
                    if margin > REGULARITY_FACTOR]
     if len(points) < cfg.samples:
         raise SamplingError(
             f"found only {len(points)}/{cfg.samples} regular points in {attempts} draws"
         )
     return points
+
+
+def _sample_names(W: MultiVectorField, points):
+    """where(j): the name of sample point j in errors, as `binoether invariants
+    --at` takes a point."""
+    return lambda j: "sample point " + ",".join(
+        f"{k}={v!r}" for k, v in zip(W.space.names, points[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +439,8 @@ def check_spectral_routes(
         op, grad = recursion_operator_batch(W, What, at)[2:]
         return operator_roots(op, where), trace_invariants(op, grad)[0]
 
-    def where(j):  # as `binoether invariants --at` takes a point
-        return "sample point " + ",".join(f"{k}={v!r}" for k, v in zip(W.space.names, points[j]))
-
-    direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points], where,
-                                         operator_routes)
+    direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points],
+                                         _sample_names(W, points), operator_routes)
     samples = tuple(SpectrumSample(tuple(x), tuple(c), tuple(y))
                     for x, c, y in zip(points, roots.tolist(), direct.tolist()))
     gaps = [(abs(a - b), max(abs(a), abs(b)), s.point)
@@ -458,14 +454,16 @@ def check_spectral_routes(
 # ---------------------------------------------------------------------------
 
 def _first_irregular(W: MultiVectorField, states: np.ndarray) -> int | None:
-    """Index of the first state whose margin (`_margins`) is not above
-    REGULARITY_FACTOR (a NaN margin included), or None: one array test over
-    the batched margins, or the point margins up to that state."""
-    margins = _margins(W, states)
-    if isinstance(margins, np.ndarray):
-        irregular = np.flatnonzero(~(margins > REGULARITY_FACTOR))
+    """Index of the first state whose margin is not above REGULARITY_FACTOR
+    (a NaN margin included), or None: one array test over the batched
+    margins, or where that pass raises the point margins, lazily, so that
+    an error after the first irregular state is not raised."""
+    try:
+        irregular = np.flatnonzero(~(regularity_margins(W, states) > REGULARITY_FACTOR))
         return int(irregular[0]) if irregular.size else None
-    return next((k for k, margin in enumerate(margins) if not margin > REGULARITY_FACTOR), None)
+    except _BATCH_ERRORS:
+        margins = (regularity_margin(evaluate_mv(W, x)) for x in states)
+        return next((k for k, margin in enumerate(margins) if not margin > REGULARITY_FACTOR), None)
 
 
 def _rk4_loop(exprs, dim: int):
@@ -697,7 +695,7 @@ def check_involution(
     if n == 1:
         notes = "single invariant: only the vanishing self-bracket is checked"
     else:
-        roots = operator_roots(op)
+        roots = operator_roots(op, _sample_names(W, points))
         simple = [k for k, r in enumerate(roots) if not any(multiple_root_flags(r))]
         if simple:
             grads = root_pair_gradients(op[simple], grad[simple], roots[simple])

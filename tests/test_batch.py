@@ -531,6 +531,17 @@ class TestPerStateEdgeCases:
             operator_roots(operator_batch(spec.W, What, states))
         assert str(batched.value) == str(point.value)
 
+    def test_an_evaluation_error_is_the_point_loops_first(self):
+        # What fails at state 0 and W only at state 1: the batch raises
+        # What's error at state 0, where the point route evaluates W, then What
+        space = PhaseSpace.canonical(1)
+        W = MultiVectorField(space, 2, {(0, 1): parse("1 + ln(q1)", space)})
+        What = MultiVectorField(space, 2, {(0, 1): parse("ln(p1 + 2)", space)})
+        states = [(0.5, -3.0), (-1.0, 0.5)]
+        point = outcome(lambda: pencil_coefficients(W, What, states[0]))
+        assert point[1] == "ln of a non-positive value in 'ln(p1 + 2.0)'"
+        assert outcome(lambda: pencil_coefficients_batch(W, What, states)) == point
+
     def test_norms_add_one_square_at_a_time(self):
         # 1 + 8 * 2^-54 stays 1 when the squares are added one at a time, but
         # not in a compensated sum, which sum() of floats is from Python 3.12
@@ -538,8 +549,8 @@ class TestPerStateEdgeCases:
         entries = [1.0] + [2.0 ** -27] * 8
         assert math.fsum(v ** 2 for v in entries) > 1.0
         assert spectral._frobenius([entries], "W") == 1.0
-        assert spectral._frobenius_batch([[np.array([v]) for v in entries]], np.array([True]),
-                                         "W") == [1.0]
+        norms, overflow = spectral._frobenius_batch([[np.array([v]) for v in entries]], 1)
+        assert norms.tolist() == [1.0] and overflow.tolist() == [False]
 
     def test_node_scales_follow_the_scalar_rule(self):
         def scalar_rule(norm_w, norm_h):
@@ -558,6 +569,7 @@ class TestPerStateEdgeCases:
         assert same(spectral._node_scales(norm_w, norm_h), want)
         assert same([float(spectral._node_scales(w, h)) for w, h in pairs], want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_node_scale_power_raises_as_the_point_route_does(self):
         # ||What|| / ||W|| = 1e110 clamps the node scale to 1e100, whose
         # fourth power overflows where the point route takes Python's **
@@ -566,11 +578,9 @@ class TestPerStateEdgeCases:
         What = MultiVectorField(space, 2, {(i, 4 + i): parse(f"q{i + 1} * 1e80", space)
                                            for i in range(4)})
         x = (0.5, 0.6, 0.7, 0.8, 0.1, 0.2, 0.3, 0.4)
-        with pytest.raises(OverflowError) as point, np.errstate(all="ignore"):
-            pencil_coefficients(W, What, x)
-        with pytest.raises(OverflowError) as batched:
-            pencil_coefficients_batch(W, What, [x, x])
-        assert str(batched.value) == str(point.value)
+        text = "the pencil's node scale s = 1e+100 overflows: s**4 exceeds the float range"
+        assert outcome(lambda: pencil_coefficients(W, What, x)) == (OverflowError, text)
+        assert outcome(lambda: pencil_coefficients_batch(W, What, [x, x])) == (OverflowError, text)
 
     @pytest.mark.parametrize("entry", ["1e103", "1e-110"])
     def test_margin_power_out_of_range_scales_on_both_routes(self, entry):
@@ -588,6 +598,7 @@ class TestPerStateEdgeCases:
         # sampling screens the draws with the same margins
         assert sample_regular_points(W, CheckConfig()) == sample_regular_points(canonical, CheckConfig())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_square_raises_as_the_point_route_does(self):
         # W_hat^{q1 p1} = 5e199 at (0.5, 0.1): its square overflows, where
         # Python's ** 2 raises OverflowError in the point route's norm
@@ -614,6 +625,7 @@ class TestPerStateEdgeCases:
         assert same(pencil_coefficients_batch(big, What, states),
                     [pencil_coefficients(big, What, x) for x in states])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_overflowing_norm_names_the_norm_and_its_entry(self, tmp_path):
         # W = 1e200 squares past the float range in ||W||; the spectral
         # routes' note names that norm and the entry, as both routes do
@@ -640,6 +652,18 @@ class TestPerStateEdgeCases:
         point = outcome(lambda: pencil_coefficients(W, What, states[0]))
         assert point == (OverflowError, "the pencil norm ||What|| overflows: the square of its"
                                         " entry (1, 3) = 5e+154 exceeds the float range")
+        assert outcome(lambda: pencil_coefficients_batch(W, What, states)) == point
+        # ||What|| overflows at state 0 and ||W|| only at state 1: the batch
+        # raises state 0's error, as a loop over the states does
+        space = PhaseSpace.canonical(1)
+        W = MultiVectorField(space, 2, {(0, 1): parse("q1 * 1e154", space)})
+        What = MultiVectorField(space, 2, {(0, 1): parse("p1 * 1e154", space)})
+        states = [(0.5, 5.0), (5.0, 0.5)]
+        assert outcome(lambda: pencil_coefficients(W, What, states[1]))[1].startswith(
+            "the pencil norm ||W|| overflows")
+        point = outcome(lambda: pencil_coefficients(W, What, states[0]))
+        assert point == (OverflowError, "the pencil norm ||What|| overflows: the square of its"
+                                        " entry (0, 1) = 5e+154 exceeds the float range")
         assert outcome(lambda: pencil_coefficients_batch(W, What, states)) == point
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

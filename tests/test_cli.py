@@ -280,6 +280,22 @@ class TestErrors:
         assert "FAIL  non_noether" in result.stdout and "cannot be classified" in result.stdout
         assert "vacuous" not in result.stdout
 
+    @pytest.mark.parametrize("command", [["invariants", "--at"],
+                                         ["flow", "--t-end", "0.01", "--from"]])
+    def test_an_overflowing_node_scale_power_reports_stop(self, tmp_path, capsys, command):
+        # ||What|| / ||W|| clamps the node scale to 1e100, whose fourth power
+        # overflows: one "stopped:" line, exit 1, as for a SpectralError
+        path = tmp_path / "node-power.sys"
+        path.write_text("[system]\nname = node-power\ndof = 4\n[poisson]\n"
+                        + "".join(f"W(q{i},p{i}) = -1e-30\n" for i in range(1, 5))
+                        + "[hamiltonian]\nh = p1\n[symmetry]\n"
+                        + "".join(f"E(q{i}) = q{i}*q{i}*1e110\n" for i in range(1, 5)),
+                        encoding="utf-8")
+        at = "q1=0.5,q2=0.6,q3=0.7,q4=0.8,p1=0.1,p2=0.2,p3=0.3,p4=0.4"
+        assert main([command[0], str(path), *command[1:], at]) == 1
+        assert capsys.readouterr().err == ("stopped: the pencil's node scale s = 1e+100 overflows:"
+                                           " s**4 exceeds the float range\n")
+
     def test_no_system_given(self, capsys):
         code = main(["check"])
         assert code == 2

@@ -297,6 +297,19 @@ class TestRunReport:
             f" (an inf or NaN entry) at sample point q1={q1!r},p1={p1!r}")
         assert report.record("conservation_drift").notes.endswith(" (an inf or NaN entry) at t = 0")
 
+    def test_the_involution_audit_names_the_same_sample_point(self, tmp_path):
+        # at n = 2 the involution audit takes N's roots too: its note names
+        # the first sample point as the spectral routes' note does
+        text = (FIXTURES / "dissipative-n2.sys").read_text(encoding="utf-8")
+        text = text.replace("E(q1) = (p1 + q1)^2", "E(q1) = (1e10*q1)/1e-300")
+        spec = load_system(write_system(tmp_path, text))
+        report = run_report(spec, FAST)
+        first = sample_regular_points(spec.W, FAST)[0].coords
+        names = ",".join(f"{k}={v!r}" for k, v in zip(spec.space.names, first))
+        notes = report.record("involution").notes
+        assert notes == report.record("spectral_routes").notes
+        assert notes.endswith(f" (an inf or NaN entry) at sample point {names}"), notes
+
     def test_a_later_non_finite_state_is_named_by_its_time(self):
         # What = (1e10*q1)/1e-300 is 0 at q1 = 0 and inf at q1 = 0.5, so the
         # third state of the trajectory is the first whose N is not finite
