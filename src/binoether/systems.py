@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cache
 from pathlib import Path
 
 from .expr import Num, ParseError, PhaseSpace, ScalarExpr, Var, parse
-from .geometry import MultiVectorField, PhasePoint, hamiltonian_vf, lie_derivative_mv
+from .geometry import MultiVectorField, PhasePoint, hamiltonian_vf, lie_derivative_mv  # noqa: F401
 from .verify import (
     PAPER_ANCHORS,
+    Audit,
     CheckConfig,
     CheckRecord,
     CheckReport,
@@ -29,7 +29,7 @@ from .verify import (
     check_symmetry,
     check_yang_baxter,
     conservation_drift,
-    sample_regular_points,
+    sample_regular_points,  # noqa: F401 - it and lie_derivative_mv: traced by perfbench
 )
 
 __all__ = ["SystemSpec", "SystemFileError", "load_system", "builtin_system", "run_report"]
@@ -238,6 +238,7 @@ def run_report(
     a check that raises leaves one failing record for each id it reports.
     """
     W, h, E = spec.W, spec.h, spec.E
+    audit = Audit(cfg, W, E)  # every check's config: what the checks share, built once
     records: list[CheckRecord] = []
     samples: tuple = ()
 
@@ -252,31 +253,28 @@ def run_report(
             records.extend(result)
         return records[-1]
 
-    run(lambda: check_jacobi(W, cfg), "jacobi")
-    run(lambda: check_regularity(W, cfg), "regularity")
-    run(lambda: check_symmetry(E, W, h, cfg), "symmetry")
-    noether_rec = run(lambda: check_non_noether(E, W, cfg), "non_noether")
+    run(lambda: check_jacobi(W, audit), "jacobi")
+    run(lambda: check_regularity(W, audit), "regularity")
+    run(lambda: check_symmetry(E, W, h, audit), "symmetry")
+    noether_rec = run(lambda: check_non_noether(E, W, audit), "non_noether")
     noether = noether_rec.passed and noether_rec.residual <= cfg.tol * noether_rec.scale
-    run(lambda: check_yang_baxter(E, W, cfg), "yang_baxter")
+    run(lambda: check_yang_baxter(E, W, audit), "yang_baxter")
 
-    # built by the first stage that needs it, inside run(), so that a failing
-    # build leaves error records; a build that succeeds is kept
-    what = cache(lambda: lie_derivative_mv(E, W))
-    run(lambda: check_compatibility(W, what(), cfg), "compat_mixed", "compat_deformed")
+    def pair_check(check):
+        # L_E W one call deep, as in the other checks: a RecursionError's text depends on depth
+        return check(W, audit.what, audit)
+
+    run(lambda: pair_check(check_compatibility), "compat_mixed", "compat_deformed")
 
     def spectral_stage():
         nonlocal samples
-        record, samples = check_spectral_routes(W, what(), cfg)
+        record, samples = pair_check(check_spectral_routes)
         return record
 
     run(spectral_stage, "spectral_routes")
-
-    def drift_stage():
-        x0 = start if start is not None else sample_regular_points(W, cfg)[0]
-        return conservation_drift(W, E, h, x0, cfg)
-
-    run(drift_stage, "conservation_drift")
-    run(lambda: check_involution(W, E, cfg), "involution")
+    run(lambda: conservation_drift(W, E, h, audit.points[0] if start is None else start, audit),
+        "conservation_drift")
+    run(lambda: check_involution(W, E, audit), "involution")
 
     if noether:
         vacuous = {"spectral_routes", "conservation_drift", "involution"}

@@ -10,7 +10,8 @@ Residuals are reported raw together with the scale used to relativize them:
 a check passes when residual <= tol * scale, where scale is the largest
 absolute intermediate term at the worst sampled point, floored at 1.  A
 non-finite residual or scale (NaN or inf) counts as the worst case and fails
-the check.
+the check.  Every check takes a `CheckConfig` as ``cfg``, or in its place the
+report's `Audit`, through which the checks of one report share their inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -256,11 +257,26 @@ def sample_regular_points(W: MultiVectorField, cfg: CheckConfig) -> list[PhasePo
     return points
 
 
-def _sample_names(W: MultiVectorField, points):
-    """where(j): the name of sample point j in errors, as `binoether invariants
-    --at` takes a point."""
-    return lambda j: "sample point " + ",".join(
-        f"{k}={v!r}" for k, v in zip(W.space.names, points[j]))
+class Audit:
+    """What one report's checks share, each built on first use and kept: the samples,
+    W_hat = L_E W (or ``what`` as given) and `recursion_operator_batch` at the samples.  A
+    build that raises is not kept.  It reads as its config: ``audit.tol`` is ``cfg.tol``."""
+
+    def __init__(self, cfg: CheckConfig, W: MultiVectorField, E=None, **given):
+        vars(self).update(vars(cfg), cfg=cfg, W=W, E=E, **given)  # given: kept as if built
+
+    points = cached_property(lambda self: sample_regular_points(self.W, self.cfg))
+    what = cached_property(lambda self: lie_derivative_mv(self.E, self.W))
+    operator = cached_property(  # W, W_hat, N and dN
+        lambda self: recursion_operator_batch(self.W, self.what, [x.coords for x in self.points]))
+
+    def where(self, j: int) -> str:  # sample point j in errors, as `invariants --at` names it
+        return "sample point " + ",".join(
+            f"{k}={v!r}" for k, v in zip(self.W.space.names, self.points[j]))
+
+
+def _audit(cfg, W, E=None, **given) -> Audit:  # cfg, or a new Audit for one check
+    return cfg if isinstance(cfg, Audit) else Audit(cfg, W, E, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +350,13 @@ def _bracket_check(
 
 def check_jacobi(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """[W, W] = 0: the bracket induced by W satisfies the Jacobi identity."""
-    points = sample_regular_points(W, cfg)
+    points = _audit(cfg, W).points
     return _bracket_check("jacobi", schouten_bb(W, W), W, W, points, cfg.tol)
 
 
 def check_regularity(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """W^n != 0 on the sampled box: minimum scale-free Pfaffian margin."""
-    points = sample_regular_points(W, cfg)
+    points = _audit(cfg, W).points
     margin = float(np.min(regularity_margins(W, [x.coords for x in points])))
     return CheckRecord(
         "regularity",
@@ -358,7 +374,7 @@ def check_symmetry(
 ) -> CheckRecord:
     """[E, W(h)] = 0: the generator commutes with the evolution operator."""
     X = hamiltonian_vf(W, h)
-    points = sample_regular_points(W, cfg)
+    points = _audit(cfg, W).points
     return _bracket_check("symmetry", lie_derivative_mv(E, X), E, X, points, cfg.tol)
 
 
@@ -366,8 +382,9 @@ def check_non_noether(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig
     """Classify the symmetry: Noether when [E, W] vanishes, non-Noether
     otherwise.  Informational - the record passes unless a non-finite
     residual or scale leaves the symmetry unclassified."""
-    points = sample_regular_points(W, cfg)
-    probe = _bracket_check("non_noether", lie_derivative_mv(E, W), E, W, points, cfg.tol)
+    audit = _audit(cfg, W, E)
+    points = audit.points
+    probe = _bracket_check("non_noether", audit.what, E, W, points, cfg.tol)
     if not (math.isfinite(probe.residual) and math.isfinite(probe.scale)):
         return replace(probe, passed=False,
                        notes="cannot be classified: the residual or its scale is not finite")
@@ -381,9 +398,9 @@ def check_non_noether(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig
 
 def check_yang_baxter(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """[[E,[E,W]],W] = 0, realized as schouten_bb(L_E L_E W, W)."""
-    What = lie_derivative_mv(E, W)
-    LLW = lie_derivative_mv(E, What)
-    points = sample_regular_points(W, cfg)
+    audit = _audit(cfg, W, E)
+    LLW = lie_derivative_mv(E, audit.what)
+    points = audit.points
     return _bracket_check("yang_baxter", schouten_bb(LLW, W), LLW, W, points, cfg.tol)
 
 
@@ -392,7 +409,7 @@ def check_compatibility(
 ) -> tuple[CheckRecord, CheckRecord]:
     """[W_hat, W] = 0 (compatible pair) and [W_hat, W_hat] = 0 (the deformed
     bivector is itself Poisson)."""
-    points = sample_regular_points(W, cfg)
+    points = _audit(cfg, W).points
     mixed = _bracket_check("compat_mixed", schouten_bb(What, W), What, W, points, cfg.tol)
     deformed = _bracket_check(
         "compat_deformed", schouten_bb(What, What), What, What, points, cfg.tol
@@ -433,14 +450,15 @@ def check_spectral_routes(
     which share only the evaluation of W and W_hat - and collect the
     samples: N's eigenvalues (`operator_roots`) and the pencil's Y^(l) at
     each point, all in one batched pass (`_pencil_pass`)."""
-    points = sample_regular_points(W, cfg)
+    audit = _audit(cfg, W, what=What)
+    points = audit.points
 
-    def operator_routes(coeffs, at, where):
-        op, grad = recursion_operator_batch(W, What, at)[2:]
-        return operator_roots(op, where), trace_invariants(op, grad)[0]
+    def operator_routes(coeffs, at, where):  # at: all the samples, or one state of a replay
+        batch = audit.operator if len(at) == len(points) else recursion_operator_batch(W, What, at)
+        return operator_roots(batch[2], where), trace_invariants(*batch[2:])[0]
 
-    direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points],
-                                         _sample_names(W, points), operator_routes)
+    direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points], audit.where,
+                                         operator_routes)
     samples = tuple(SpectrumSample(tuple(x), tuple(c), tuple(y))
                     for x, c, y in zip(points, roots.tolist(), direct.tolist()))
     gaps = [(abs(a - b), max(abs(a), abs(b)), s.point)
@@ -603,7 +621,7 @@ def conservation_drift(
     cfg: CheckConfig,
 ) -> CheckRecord:
     """Integrate the flow from x0 and audit its trajectory (`trajectory_drift`)."""
-    return trajectory_drift(W, lie_derivative_mv(E, W), integrate_flow(W, h, x0, cfg), cfg)
+    return trajectory_drift(W, _audit(cfg, W, E).what, integrate_flow(W, h, x0, cfg), cfg)
 
 
 def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajectory,
@@ -686,16 +704,15 @@ def check_involution(
     non-real spectrum, and build the projectors at the other points."""
     tol = cfg.tol if tol is None else tol
     n = W.space.n
-    What = lie_derivative_mv(E, W)
-    points = sample_regular_points(W, cfg)
-    states = [x.coords for x in points]
-    w, what, op, grad = recursion_operator_batch(W, What, states)
+    audit = _audit(cfg, W, E)
+    w, what, op, grad = audit.operator  # L_E W, then the samples
+    points = audit.points
     brackets = _pair_brackets(trace_invariants(op, grad)[1], w, what, points)
     notes = "pairs tested with gradients from the recursion operator N = W^-1 What"
     if n == 1:
         notes = "single invariant: only the vanishing self-bracket is checked"
     else:
-        roots = operator_roots(op, _sample_names(W, points))
+        roots = operator_roots(op, audit.where)
         simple = [k for k, r in enumerate(roots) if not any(multiple_root_flags(r))]
         if simple:
             grads = root_pair_gradients(op[simple], grad[simple], roots[simple])

@@ -345,11 +345,12 @@ def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, 
         return out
 
     def rk4_step(y, dt):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        with np.errstate(invalid="ignore"):  # inf - inf gives NaN, as on floats in the loop
+            k1 = f(y)
+            k2 = f(y + 0.5 * dt * k1)
+            k3 = f(y + 0.5 * dt * k2)
+            k4 = f(y + dt * k3)
+            return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     steps = int(round(t_end / dt))
     states = np.empty((steps + 1, dim))

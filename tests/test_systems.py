@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +239,10 @@ class TestRunReport:
                 .replace("E(q1) = (p1 + q1)^2", f"E(q1) = {e}"))
         report = run_report(load_system(write_system(tmp_path, text)), FAST)
         assert len(report.records) == 10 and not report.verdict
-        for check_id in ("compat_mixed", "compat_deformed", "spectral_routes"):
+        # every check that needs L_E W errs: W's samples and L_E W both fail
+        # to build here, and a build that raises is not kept for the next check
+        for check_id in ("non_noether", "yang_baxter", "compat_mixed", "compat_deformed",
+                         "spectral_routes", "conservation_drift", "involution"):
             record = report.record(check_id)
             assert not record.passed and record.notes.startswith(f"error: {error}"), check_id
 
@@ -321,15 +325,31 @@ class TestRunReport:
             trajectory_drift(W, What, traj, FAST)
 
     def test_the_deformation_is_built_once(self, monkeypatch):
-        calls = []
+        # whichever module calls them, one report samples once, builds
+        # L_E W once, takes Lie derivatives only for L_E W, L_E L_E W and
+        # [E, X], and builds N and dN at the samples once
+        spec = builtin_system("dissipative", 2)
+        calls = {"lie_derivative_mv": [], "sample_regular_points": [],
+                 "recursion_operator_batch": []}
 
-        def counted(E, W):
-            calls.append((E, W))
-            return lie_derivative_mv(E, W)
+        def counted(name, fn):
+            def call(*args):
+                calls[name].append(args)
+                return fn(*args)
+            return call
 
-        monkeypatch.setattr("binoether.systems.lie_derivative_mv", counted)
-        report = run_report(builtin_system("dissipative", 1), FAST)
-        assert report.verdict and len(calls) == 1
+        for module in ("expr", "geometry", "spectral", "verify", "systems", "cli"):
+            module = importlib.import_module(f"binoether.{module}")
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        report = run_report(spec, FAST)
+        assert report.verdict
+        lie = calls["lie_derivative_mv"]
+        assert len(lie) <= 3
+        assert sum(E is spec.E and W is spec.W for E, W in lie) == 1
+        assert len(calls["sample_regular_points"]) == 1
+        assert [len(states) for *_, states in calls["recursion_operator_batch"]] == [FAST.samples]
 
     def test_explicit_start_point(self):
         spec = builtin_system("dissipative", 1)
