@@ -189,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SpectralError, FlowError, OverflowError) as err:
         print(f"stopped: {err}", file=sys.stderr)
         return 1
+    except RecursionError:  # its own text depends on the stack depth at which it was raised
+        print("stopped: maximum recursion depth exceeded", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

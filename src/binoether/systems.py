@@ -137,7 +137,9 @@ def load_system(path: str | Path) -> SystemSpec:
     # [system]
     name = path.stem
     dof = None
-    for lineno, key, value, _ in sections["system"]:
+    for k, (lineno, key, value, _) in enumerate(sections["system"]):
+        if key in (entry[1] for entry in sections["system"][:k]):
+            _fail(lineno, f"duplicate '{key}' entry")
         if key == "name":
             name = value
         elif key == "dof":
@@ -222,9 +224,9 @@ def builtin_system(name: str, n: int) -> SystemSpec:
 # ---------------------------------------------------------------------------
 
 def _error_record(check_id: str, err: Exception) -> CheckRecord:
-    return CheckRecord(
-        check_id, PAPER_ANCHORS[check_id], -1.0, 1.0, False, 0, f"error: {err}"
-    )
+    # a RecursionError's own text depends on the stack depth at which it was raised
+    text = "maximum recursion depth exceeded" if isinstance(err, RecursionError) else err
+    return CheckRecord(check_id, PAPER_ANCHORS[check_id], -1.0, 1.0, False, 0, f"error: {text}")
 
 
 def run_report(
@@ -259,16 +261,11 @@ def run_report(
     noether_rec = run(lambda: check_non_noether(E, W, audit), "non_noether")
     noether = noether_rec.passed and noether_rec.residual <= cfg.tol * noether_rec.scale
     run(lambda: check_yang_baxter(E, W, audit), "yang_baxter")
-
-    def pair_check(check):
-        # L_E W one call deep, as in the other checks: a RecursionError's text depends on depth
-        return check(W, audit.what, audit)
-
-    run(lambda: pair_check(check_compatibility), "compat_mixed", "compat_deformed")
+    run(lambda: check_compatibility(W, audit.what, audit), "compat_mixed", "compat_deformed")
 
     def spectral_stage():
         nonlocal samples
-        record, samples = pair_check(check_spectral_routes)
+        record, samples = check_spectral_routes(W, audit.what, audit)
         return record
 
     run(spectral_stage, "spectral_routes")

@@ -259,7 +259,8 @@ def sample_regular_points(W: MultiVectorField, cfg: CheckConfig) -> list[PhasePo
 
 class Audit:
     """What one report's checks share, each built on first use and kept: the samples,
-    W_hat = L_E W (or ``what`` as given) and `recursion_operator_batch` at the samples.  A
+    W_hat = L_E W (or ``what`` as given), `recursion_operator_batch` at the samples, N's
+    roots there (`operator_roots`) and the Y^(l) with gradients (`trace_invariants`).  A
     build that raises is not kept.  It reads as its config: ``audit.tol`` is ``cfg.tol``."""
 
     def __init__(self, cfg: CheckConfig, W: MultiVectorField, E=None, **given):
@@ -269,6 +270,8 @@ class Audit:
     what = cached_property(lambda self: lie_derivative_mv(self.E, self.W))
     operator = cached_property(  # W, W_hat, N and dN
         lambda self: recursion_operator_batch(self.W, self.what, [x.coords for x in self.points]))
+    roots = cached_property(lambda self: operator_roots(self.operator[2], self.where))
+    invariants = cached_property(lambda self: trace_invariants(*self.operator[2:]))
 
     def where(self, j: int) -> str:  # sample point j in errors, as `invariants --at` names it
         return "sample point " + ",".join(
@@ -454,8 +457,10 @@ def check_spectral_routes(
     points = audit.points
 
     def operator_routes(coeffs, at, where):  # at: all the samples, or one state of a replay
-        batch = audit.operator if len(at) == len(points) else recursion_operator_batch(W, What, at)
-        return operator_roots(batch[2], where), trace_invariants(*batch[2:])[0]
+        if len(at) == len(points):
+            return audit.roots, audit.invariants[0]
+        op, grad = recursion_operator_batch(W, What, at)[2:]
+        return operator_roots(op, where), trace_invariants(op, grad)[0]
 
     direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points], audit.where,
                                          operator_routes)
@@ -692,7 +697,6 @@ def check_involution(
     W: MultiVectorField,
     E: MultiVectorField,
     cfg: CheckConfig,
-    tol: float | None = None,
 ) -> CheckRecord:
     """{Y^(k), Y^(l)} = 0 under both Poisson structures (W and W_hat), and
     {c_i, c_j} = 0 wherever the secular spectrum is simple.  The gradients
@@ -702,17 +706,16 @@ def check_involution(
     eigenvalues (`operator_roots`) are the roots at every point: they decide
     which points have repeated roots, raise NonRealSpectrumError on a
     non-real spectrum, and build the projectors at the other points."""
-    tol = cfg.tol if tol is None else tol
     n = W.space.n
     audit = _audit(cfg, W, E)
     w, what, op, grad = audit.operator  # L_E W, then the samples
     points = audit.points
-    brackets = _pair_brackets(trace_invariants(op, grad)[1], w, what, points)
+    brackets = _pair_brackets(audit.invariants[1], w, what, points)
     notes = "pairs tested with gradients from the recursion operator N = W^-1 What"
     if n == 1:
         notes = "single invariant: only the vanishing self-bracket is checked"
     else:
-        roots = operator_roots(op, audit.where)
+        roots = audit.roots
         simple = [k for k, r in enumerate(roots) if not any(multiple_root_flags(r))]
         if simple:
             grads = root_pair_gradients(op[simple], grad[simple], roots[simple])
@@ -721,4 +724,4 @@ def check_involution(
         if skipped:
             notes += f"; root-pair test skipped at {skipped} points with repeated roots"
     rel, raw, scale, _ = _worst_case(brackets)
-    return _record("involution", rel, raw, scale, tol, len(points), notes)
+    return _record("involution", rel, raw, scale, cfg.tol, len(points), notes)

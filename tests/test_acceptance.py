@@ -3,6 +3,7 @@
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_criterion_3_involution():
     with criterion("3 (involution of Y under both brackets, n = 2, 3)"):
         for n in (2, 3):
             spec = builtin_system("dissipative", n)
-            record = check_involution(spec.W, spec.E, CFG, tol=1e-8)
+            record = check_involution(spec.W, spec.E, replace(CFG, tol=1e-8))
             assert record.passed, (n, record)
             assert record.points == 32
             assert record.residual <= 1e-8 * record.scale

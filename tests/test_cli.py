@@ -254,6 +254,16 @@ class TestErrors:
         assert "FAIL  compat_mixed" in out and "verdict: fail" in out
         assert f"error: {error}" in out
 
+    @pytest.mark.parametrize("command", [["invariants", "--at"],
+                                         ["flow", "--t-end", "0.01", "--from"]])
+    def test_a_deformation_that_cannot_be_built_reports_stop(self, tmp_path, capsys, command):
+        # the deep-sum system: one "stopped:" line, exit 1, whatever the stack depth
+        path = tmp_path / "deformation.sys"
+        w = "-(" + " + ".join(["p1"] * 3000) + ")/3000"
+        path.write_text(DEFORMATION_SYSTEM.format(w=w, e="q1*p1"), encoding="utf-8")
+        assert main([command[0], str(path), *command[1:], "q1=0.5,p1=0.5"]) == 1
+        assert capsys.readouterr().err == "stopped: maximum recursion depth exceeded\n"
+
     def test_an_overflowing_literal_product_errs_at_evaluation(self, tmp_path, capsys):
         # derivatives of sin((1e200 q1)^2) multiply 1e200 by 1e200: the
         # product stays a node (inf when evaluated), so L_E L_E W is built

@@ -14,16 +14,39 @@ JSON path, old -> new) without rewriting anything, run
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from binoether.geometry import MultiVectorField
 from binoether.systems import SystemSpec, builtin_system, load_system, run_report
 from binoether.verify import CheckConfig
 from helpers import dense_frame_fields
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+N1_SYSTEM = ("[system]\nname = {name}\ndof = 1\n[poisson]\nW(q1,p1) = {w}\n[hamiltonian]\n"
+             "h = {h}\n[symmetry]\nE(q1) = {e}\n")
+
+
+def loaded(text: str) -> SystemSpec:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.sys"
+        path.write_text(text, encoding="utf-8")
+        return load_system(path)
+
+
+def n1(name, w="-p1", h="p1 + q1", e="(p1 + q1)^2"):
+    """A one-degree-of-freedom system file, the dissipative one where not given."""
+    return lambda: loaded(N1_SYSTEM.format(name=name, w=w, h=h, e=e))
+
+
+def zero_w():
+    spec = builtin_system("dissipative", 1)
+    return SystemSpec(spec.space, MultiVectorField.zero(spec.space, 2), spec.h, spec.E, "zero-w")
+
 
 # golden file stem -> system; the .sys reports get a "sys-" prefix because
 # systems/dissipative-n2.sys reports under the same name as the builtin
@@ -43,6 +66,26 @@ CASES = {
     "sys-coupled-swap-n2": lambda: load_system(ROOT / "systems" / "coupled-swap-n2.sys"),
     # the only golden case whose trees are large and share subtree objects
     "dense-frame-n2": lambda: SystemSpec(*dense_frame_fields(2, seed=7), "dense-frame-n2"),
+    # systems whose reports hold error records, which pin the error texts:
+    # no regular point; 3000 nested sums exceed the recursion limit; sin of
+    # an inf literal product; W = 1e200 squares past the float range in
+    # ||W|| and gives an infinite deformation; N = W^-1 What is inf at
+    # n = 1 and at n = 2; the field overflows to inf in the first step;
+    # the pencil's node scale 1e100 overflows in its fourth power
+    "error-zero-w": zero_w,
+    "error-deep-sum": n1("deep-sum", w="-(" + " + ".join(["p1"] * 3000) + ")/3000"),
+    "error-literal-product": n1("literal-product", w="2 + sin((1e200*q1)*(1e200*q1))"),
+    "error-norm-overflow": n1("norm-overflow", w="1e200", e="1e200*q1"),
+    "error-nonfinite-n1": n1("nonfinite-n1", e="(1e10*q1)/1e-300"),
+    "error-nonfinite-n2": lambda: loaded(
+        "[system]\nname = nonfinite-n2\ndof = 2\n[poisson]\nW(q1,p1) = -p1\nW(q2,p2) = -p2\n"
+        "[hamiltonian]\nh = p1 + q1 + p2 + q2\n[symmetry]\nE(q1) = (1e10*q1)/1e-300\n"
+        "E(q2) = (p2 + q2)^2\n"),
+    "error-field-overflow": n1("field-overflow", w="1", h="p1*p1*1e300*1e300"),
+    "error-node-power": lambda: loaded(
+        "[system]\nname = node-power\ndof = 4\n[poisson]\n"
+        + "".join(f"W(q{i},p{i}) = -1e-30\n" for i in range(1, 5)) + "[hamiltonian]\nh = p1\n"
+        "[symmetry]\n" + "".join(f"E(q{i}) = q{i}*q{i}*1e110\n" for i in range(1, 5))),
 }
 
 
@@ -59,7 +102,8 @@ def test_report_matches_golden(stem):
 def moved_values(old, new, path="$"):
     """(JSON path, old, new) of every leaf value that differs between two
     parsed JSON documents; a key or list entry on one side only is a leaf
-    whose missing side reads None."""
+    whose missing side reads None.  Leaves compare as they serialize, so a
+    NaN that stays NaN has not moved."""
     if isinstance(old, dict) and isinstance(new, dict):
         return [move for key in {**old, **new}
                 for move in moved_values(old.get(key), new.get(key), f"{path}.{key}")]
@@ -68,7 +112,8 @@ def moved_values(old, new, path="$"):
         old, new = old + [None] * (padded - len(old)), new + [None] * (padded - len(new))
         return [move for k, (a, b) in enumerate(zip(old, new))
                 for move in moved_values(a, b, f"{path}[{k}]")]
-    return [] if old == new and type(old) is type(new) else [(path, old, new)]
+    same = json.dumps(old) == json.dumps(new) and type(old) is type(new)
+    return [] if same else [(path, old, new)]
 
 
 def test_moved_values_name_each_changed_leaf():
@@ -77,6 +122,8 @@ def test_moved_values_name_each_changed_leaf():
     assert moved_values(old, new) == [("$.checks[0].residual", 1.0, 2.0),
                                       ("$.checks[1]", None, {"id": "x"})]
     assert moved_values(new, new) == []
+    assert moved_values({"scale": float("nan")}, {"scale": float("nan")}) == []
+    assert moved_values([0.0], [-0.0]) == [("$[0]", 0.0, -0.0)]
 
 
 if __name__ == "__main__":

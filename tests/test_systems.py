@@ -92,6 +92,13 @@ class TestLoadSystem:
         text = VALID_N1 + "\nE(q1) = p1\n"
         with pytest.raises(SystemFileError, match=r"duplicate component E\(q1\)"):
             load_system(write_system(tmp_path, text))
+        for key, line in (("name", 4), ("dof", 5)):
+            text = VALID_N1.replace(f"{key} = ", f"{key} = 2\n{key} = ", 1)
+            with pytest.raises(SystemFileError, match=f"^line {line}: duplicate '{key}' entry$"):
+                load_system(write_system(tmp_path, text))
+        text = VALID_N1 + "\n[system]\ndof = 2\n"
+        with pytest.raises(SystemFileError, match="^line 16: duplicate 'dof' entry$"):
+            load_system(write_system(tmp_path, text))
 
     def test_unknown_coordinate(self, tmp_path):
         text = VALID_N1.replace("E(q1)", "E(q7)")
@@ -246,6 +253,21 @@ class TestRunReport:
             record = report.record(check_id)
             assert not record.passed and record.notes.startswith(f"error: {error}"), check_id
 
+    def test_a_recursion_error_reads_the_same_from_any_stack_depth(self, tmp_path):
+        # Python words a RecursionError by the depth at which it was raised:
+        # the deep-sum report must not depend on its caller's stack depth
+        w = "-(" + " + ".join(["p1"] * 3000) + ")/3000"
+        spec = load_system(write_system(tmp_path, VALID_N1.replace("-p1", w, 1)))
+
+        def deeper(k):
+            return run_report(spec, FAST) if k == 0 else deeper(k - 1)
+
+        report = deeper(0)
+        assert deeper(1).to_json() == report.to_json()
+        for check_id in ("non_noether", "yang_baxter", "compat_mixed", "compat_deformed",
+                         "spectral_routes", "conservation_drift", "involution"):
+            assert report.record(check_id).notes == "error: maximum recursion depth exceeded"
+
     def test_an_overflowing_literal_product_errs_at_evaluation(self, tmp_path):
         # L_E W and L_E L_E W multiply 1e200 by 1e200: the product stays a
         # node, so every deformation is built, and every record errs where
@@ -327,10 +349,11 @@ class TestRunReport:
     def test_the_deformation_is_built_once(self, monkeypatch):
         # whichever module calls them, one report samples once, builds
         # L_E W once, takes Lie derivatives only for L_E W, L_E L_E W and
-        # [E, X], and builds N and dN at the samples once
+        # [E, X], and builds N and dN, N's roots and the trace invariants
+        # at the samples once each
         spec = builtin_system("dissipative", 2)
         calls = {"lie_derivative_mv": [], "sample_regular_points": [],
-                 "recursion_operator_batch": []}
+                 "recursion_operator_batch": [], "operator_roots": [], "trace_invariants": []}
 
         def counted(name, fn):
             def call(*args):
@@ -350,6 +373,8 @@ class TestRunReport:
         assert sum(E is spec.E and W is spec.W for E, W in lie) == 1
         assert len(calls["sample_regular_points"]) == 1
         assert [len(states) for *_, states in calls["recursion_operator_batch"]] == [FAST.samples]
+        for name in ("operator_roots", "trace_invariants"):
+            assert sum(len(args[0]) == FAST.samples for args in calls[name]) == 1, name
 
     def test_explicit_start_point(self):
         spec = builtin_system("dissipative", 1)
