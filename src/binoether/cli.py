@@ -182,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SystemFileError, FileNotFoundError, ValueError, ExprError) as err:
+    except (SystemFileError, OSError, ValueError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     # OverflowError: a pencil norm or node-scale power beyond the float range

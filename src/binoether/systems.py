@@ -88,6 +88,8 @@ def _components(entries, key_re: re.Pattern, form: str, space: PhaseSpace) -> di
         for coord in coords:
             if coord not in space.names:
                 _fail(lineno, f"unknown coordinate '{coord}'")
+        if len(set(coords)) < len(coords):
+            _fail(lineno, f"repeated coordinate '{coords[0]}' in {form[0]}({','.join(coords)})")
         idx = tuple(space.index(coord) for coord in coords)
         if any(i >= j for i, j in zip(idx, idx[1:])):
             a, b = coords
@@ -105,7 +107,7 @@ def _components(entries, key_re: re.Pattern, form: str, space: PhaseSpace) -> di
 def load_system(path: str | Path) -> SystemSpec:
     """Load and fully validate a system file.
 
-    Format (UTF-8, '#' comments, blank lines ignored)::
+    Format (UTF-8, a byte-order mark allowed; '#' comments, blank lines ignored)::
 
         [system]       name = <string>, dof = <n>
         [poisson]      W(qi,pj) = <expr>   on increasing coordinate pairs
@@ -115,7 +117,7 @@ def load_system(path: str | Path) -> SystemSpec:
     path = Path(path)
     sections: dict[str, list[tuple[int, str, str, int]]] = {s: [] for s in _SECTIONS}
     current: str | None = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue

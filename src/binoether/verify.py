@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 
@@ -28,7 +29,6 @@ from .geometry import (
     MultiVectorField,
     PhasePoint,
     component_diffs,
-    evaluate_mv,
     hamiltonian_vf,
     lie_derivative_mv,
     schouten_bb,
@@ -42,7 +42,6 @@ from .spectral import (
     pencil_coefficients,
     pencil_coefficients_batch,
     recursion_operator_batch,
-    regularity_margin,
     regularity_margins,
     root_pair_gradients,
     roots_near,
@@ -53,7 +52,8 @@ from .spectral import (
 
 # not called here: perfbench/tracing.py's WRAPS resolves these names in this
 # module, and a missing name fails the traced smoke job
-from .spectral import pencil_coefficient_jets, root_gradients  # noqa: F401
+from .geometry import evaluate_mv  # noqa: F401
+from .spectral import pencil_coefficient_jets, regularity_margin, root_gradients  # noqa: F401
 
 __all__ = [
     "PAPER_ANCHORS",
@@ -131,6 +131,10 @@ class CheckConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if math.isinf(2.0 * self.box):  # the sampling range [-box, box] is 2 box wide
+            raise ValueError(f"box must be at most {sys.float_info.max / 2:g}, got {self.box:g}")
         if round(self.t_end / self.dt) < 1:
             raise ValueError(f"t_end must exceed half of dt ({self.dt:g}), or no step is taken")
 
@@ -476,19 +480,6 @@ def check_spectral_routes(
 # Flow and conservation
 # ---------------------------------------------------------------------------
 
-def _first_irregular(W: MultiVectorField, states: np.ndarray) -> int | None:
-    """Index of the first state whose margin is not above REGULARITY_FACTOR
-    (a NaN margin included), or None: one array test over the batched
-    margins, or where that pass raises the point margins, lazily, so that
-    an error after the first irregular state is not raised."""
-    try:
-        irregular = np.flatnonzero(~(regularity_margins(W, states) > REGULARITY_FACTOR))
-        return int(irregular[0]) if irregular.size else None
-    except _BATCH_ERRORS:
-        margins = (regularity_margin(evaluate_mv(W, x)) for x in states)
-        return next((k for k, margin in enumerate(margins) if not margin > REGULARITY_FACTOR), None)
-
-
 def _rk4_loop(exprs, dim: int):
     """``flow(out, steps, dt, on_error, x0, ..., x{dim-1})``: ``steps`` steps of
     classical RK4 for dx/dt = f(x) from x, f being `compile_kernel(exprs, dim)`
@@ -561,11 +552,11 @@ def integrate_flow(
     fixed points of the field); when max_step_error is set, a step-halving
     estimate guards the local error per unit time, and a NaN estimate fails.
     The loop runs TRAJECTORY_BLOCK steps at a time, and both are checked after
-    each block: the half steps from all its states in one pass (`_rk4_batch`,
-    replayed state by state where it raises), then the margins.  The error
-    raised is a step by step loop's first: a loss of regularity at a state
-    j <= k, then an error in step k's full step, then in its half steps, then
-    its failed estimate.
+    each block in one batched pass: the margins at its states and the half
+    steps from them (`_rk4_batch`).  Where that pass raises, it is redone one
+    state at a time, so the error raised is a step by step loop's first: a
+    loss of regularity at a state j <= k, then an error in step k's full
+    step, then in its half steps, then its failed estimate.
     """
     X = hamiltonian_vf(W, h)
     dim = W.space.dim
@@ -576,37 +567,33 @@ def integrate_flow(
     states = np.empty((steps + 1, dim))
     states[0] = [float(v) for v in x0]
 
-    def first_event(start, stop):
-        # (j, error) of the first step j in [start, stop) whose half steps raise or
-        # whose estimate fails, else (stop, None); one pass per step where a batch raises
-        if max_step_error is None:
-            return stop, None
-        try:
-            with np.errstate(all="ignore"):  # inf and NaN fail the test
-                halves = _rk4_batch(exprs, _rk4_batch(exprs, states[start:stop], dt / 2), dt / 2)
-                errors = np.abs(states[start + 1:stop + 1] - halves) / 15.0 / dt
-        except _BATCH_ERRORS as err:
-            if stop - start == 1:
-                return start, err
-            events = (first_event(j, j + 1) for j in range(start, stop))
-            return next((e for e in events if e[1] is not None), (stop, None))
-        failed = np.flatnonzero(~np.all(errors <= max_step_error, axis=1))
-        if not failed.size:
-            return stop, None
-        j = start + int(failed[0])
-        return j, FlowError(f"step error estimate {float(np.max(errors[j - start])):.3e}/unit"
-                            f" time exceeds {max_step_error:.3e} at t = {times[j]:.6g}")
-
     def check(start, stop, end):
-        # the first event of steps [start, stop), and before it a loss of
-        # regularity at states [start, end)
-        j, err = first_event(start, stop)
-        if require_regular:
-            k = _first_irregular(W, states[start:min(j + 1, end)])
-            if k is not None:
-                raise FlowError(f"regularity lost at t = {times[start + k]:.6g}")
-        if err is not None:
-            raise err
+        # a loss of regularity at states [start, end), a step in [start, stop) whose
+        # half steps raise or whose estimate fails: the first in the states' order
+        lost = failed = ()
+        try:
+            with np.errstate(all="ignore"):  # inf and NaN fail the tests
+                if require_regular:
+                    lost = np.flatnonzero(~(regularity_margins(W, states[start:end])
+                                            > REGULARITY_FACTOR))
+                if max_step_error is not None:
+                    halves = _rk4_batch(exprs, _rk4_batch(exprs, states[start:stop], dt / 2),
+                                        dt / 2)
+                    errors = np.abs(states[start + 1:stop + 1] - halves) / 15.0 / dt
+                    failed = np.flatnonzero(~np.all(errors <= max_step_error, axis=1))
+        except _BATCH_ERRORS:
+            if end - start > 1:  # each state's regularity, then its half steps
+                for j in range(start, end):
+                    check(j, min(j + 1, stop), j + 1)
+                return
+            if not len(lost):  # one state: its regularity comes before its half steps
+                raise
+        if len(lost) and not (len(failed) and failed[0] < lost[0]):
+            raise FlowError(f"regularity lost at t = {times[start + lost[0]]:.6g}")
+        if len(failed):
+            j = start + int(failed[0])
+            raise FlowError(f"step error estimate {float(np.max(errors[j - start])):.3e}/unit"
+                            f" time exceeds {max_step_error:.3e} at t = {times[j]:.6g}")
 
     flow = _rk4_loop(exprs, dim)
     for start in range(0, steps, TRAJECTORY_BLOCK):

@@ -345,7 +345,8 @@ def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, 
         return out
 
     def rk4_step(y, dt):
-        with np.errstate(invalid="ignore"):  # inf - inf gives NaN, as on floats in the loop
+        # overflow gives inf and inf - inf gives NaN, as on floats in the loop
+        with np.errstate(invalid="ignore", over="ignore"):
             k1 = f(y)
             k2 = f(y + 0.5 * dt * k1)
             k3 = f(y + 0.5 * dt * k2)
@@ -362,7 +363,7 @@ def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, 
         full = rk4_step(states[k], dt)
         if max_step_error is not None:
             halves = rk4_step(rk4_step(states[k], dt / 2), dt / 2)
-            with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which fails
+            with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail
                 errors = np.abs(full - halves) / 15.0 / dt
             if not all(e <= max_step_error for e in errors):
                 raise FlowError(f"step error estimate {float(np.max(errors)):.3e}/unit time"

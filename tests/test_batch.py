@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binoether import spectral, verify
 from binoether.expr import Call, EvalDomainError, Num, PhaseSpace, emit_kernel, parse
@@ -300,6 +300,23 @@ def test_a_loss_of_regularity_before_a_half_step_error_in_its_block_wins():
     assert got == (verify.FlowError, "regularity lost at t = 0.28")
 
 
+def test_a_loss_of_regularity_before_a_half_step_error_at_its_state_wins():
+    # W^q2p2 = 0 at state 300, and the first half step from state 300
+    # divides by 0: the block's batched pass raises, and its replay of state
+    # 300 tests the state's regularity before its half steps
+    cfg = CheckConfig(t_end=0.4, dt=1e-3)
+    sites, states = q1_sites(SITE_X0[0], cfg.dt, 400)
+    c, lost = sites[11 * 300 + 5], states[300]
+    assert lost not in sites[:11 * 300] and c not in states and c not in sites[:11 * 300 + 5]
+    w = f"(q1 - {c!r})/(q1 - {c!r}) * (q1 - {lost!r})"
+    W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0), (1, 3): parse(w, FLOW_SPACE)})
+    h = parse(SITE_H, FLOW_SPACE)
+    with pytest.raises(EvalDomainError, match="division by zero in "):
+        integrate_flow(W, h, SITE_X0, cfg, require_regular=False)
+    got = assert_flow_matches_the_oracle(W, h, SITE_X0, cfg, 1e-8)
+    assert got == (verify.FlowError, "regularity lost at t = 0.3")
+
+
 @pytest.mark.parametrize("step", [TRAJECTORY_BLOCK - 1, TRAJECTORY_BLOCK, TRAJECTORY_BLOCK + 1])
 def test_a_first_step_error_at_the_block_edge_matches_a_step_by_step_loop(step):
     # q1' = 10 q1, p1' = -10 p1 from q1 = p1 = 1: the estimate is
@@ -339,9 +356,19 @@ def small_fields(draw):
     return W, draw(trees)
 
 
+# fields whose flow overflows to inf: on floats, as in the loop, and not a numpy warning
+OVERFLOWING_FIELD = (MultiVectorField(FLOW_SPACE, 2, {(0, 2): parse("q1", FLOW_SPACE),
+                                                      (1, 3): parse("p2*2.0", FLOW_SPACE)}),
+                     parse("-(3.0/q2)", FLOW_SPACE))
+OVERFLOWING_BLOCKS = (MultiVectorField(FLOW_SPACE, 2, {(0, 2): parse("p2/q1", FLOW_SPACE),
+                                                       (1, 3): parse("q1", FLOW_SPACE)}),
+                      parse("q1", FLOW_SPACE))
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_fields(), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
        st.sampled_from([None, 1e-8, 1e-2]), st.booleans())
+@example(OVERFLOWING_FIELD, [0.0, 1.192092896e-07, 0.0, 1.0], None, False)
 def test_random_fields_match_a_step_by_step_loop(field, x0, max_step_error, require_regular):
     W, h = field
     assert_flow_matches_the_oracle(W, h, x0, CheckConfig(t_end=0.02, dt=1e-3), max_step_error,
@@ -351,6 +378,7 @@ def test_random_fields_match_a_step_by_step_loop(field, x0, max_step_error, requ
 @settings(max_examples=50, deadline=None)
 @given(small_fields(), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
        st.sampled_from([None, 1e-8, 1e-2]), st.booleans())
+@example(OVERFLOWING_BLOCKS, [1.1125369292536007e-308, 0.0, 0.0, 1.0], 1e-8, False)
 def test_random_fields_over_two_blocks_match_a_step_by_step_loop(field, x0, max_step_error,
                                                                  require_regular):
     # 300 steps: the deferred estimate and regularity test span two blocks

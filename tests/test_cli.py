@@ -218,6 +218,22 @@ class TestErrors:
         code = main(["check", "no-such-file.sys"])
         assert code == 2
 
+    def test_a_directory_is_an_input_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+        ("--box", "1e308", "box must be at most 8.98847e+307, got 1e+308"),
+    ])
+    def test_a_config_the_sampler_refuses(self, capsys, flag, value, error):
+        assert main(["check", "--builtin", "dissipative", "--n", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", [
         ["flow", "--builtin", "dissipative", "--n", "1", "--from", "q1=0.3,p1=0.5"],
         ["check", "--builtin", "dissipative", "--n", "1"],

@@ -100,6 +100,20 @@ class TestLoadSystem:
         with pytest.raises(SystemFileError, match="^line 16: duplicate 'dof' entry$"):
             load_system(write_system(tmp_path, text))
 
+    def test_repeated_coordinate_named(self, tmp_path):
+        text = VALID_N1.replace("W(q1,p1) = -p1", "W(q1,p1) = -p1\nW(q1,q1) = 1")
+        with pytest.raises(SystemFileError,
+                           match=r"^line 8: repeated coordinate 'q1' in W\(q1,q1\)$"):
+            load_system(write_system(tmp_path, text))
+
+    def test_a_byte_order_mark_is_read(self, tmp_path):
+        # as Windows editors save UTF-8
+        for text in (VALID_N1, (FIXTURES / "dissipative-n2.sys").read_text(encoding="utf-8")):
+            path = tmp_path / "bom.sys"
+            path.write_text(text, encoding="utf-8-sig")
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+            assert repr(load_system(path)) == repr(load_system(write_system(tmp_path, text)))
+
     def test_unknown_coordinate(self, tmp_path):
         text = VALID_N1.replace("E(q1)", "E(q7)")
         with pytest.raises(SystemFileError, match="unknown coordinate 'q7'"):

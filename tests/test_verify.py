@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,12 @@ class TestConfigAndTypes:
             CheckConfig(samples=4)
         with pytest.raises(ValueError, match="dt"):
             CheckConfig(dt=0.0)
+        # numpy's sampler would refuse them at every check
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            CheckConfig(seed=-1)
+        with pytest.raises(ValueError, match=r"^box must be at most 8\.98847e\+307, got 1e\+308$"):
+            CheckConfig(box=1e308)
+        assert CheckConfig(box=sys.float_info.max / 2).box == sys.float_info.max / 2
 
     @pytest.mark.parametrize("t_end, dt", [(1e-4, 1e-3), (5e-4, 1e-3), (0.04, 0.1)])
     def test_a_horizon_of_no_step_is_refused(self, t_end, dt):
