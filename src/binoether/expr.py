@@ -130,16 +130,17 @@ class ScalarExpr:
     def eval(self, point) -> float:
         raise NotImplementedError
 
-    def eval_many(self, states: np.ndarray, memo: dict):
-        """Values at every row of a (m, dim) state array: an array of shape
-        (m,), or a float when the subtree is constant.  ``memo`` maps the id
-        of each subtree already computed in this pass to its value."""
+    def eval_many(self, columns, memo: dict):
+        """Values at the states whose coordinates are ``columns`` (arrays
+        over m states, or one state's floats): an array of shape (m,), or a
+        float for one state or a constant subtree.  ``memo`` maps the id of
+        each subtree already computed in this pass to its value."""
         key = id(self)
         if key not in memo:
-            memo[key] = self._eval_many(states, memo)
+            memo[key] = self._eval_many(columns, memo)
         return memo[key]
 
-    def _eval_many(self, states, memo):
+    def _eval_many(self, columns, memo):
         raise NotImplementedError
 
     def diff(self, index: int) -> "ScalarExpr":
@@ -215,7 +216,7 @@ class Num(ScalarExpr):
     def eval(self, point) -> float:
         return self.value
 
-    def _eval_many(self, states, memo):
+    def _eval_many(self, columns, memo):
         return self.value
 
     def diff(self, index):
@@ -242,8 +243,8 @@ class Var(ScalarExpr):
     def eval(self, point) -> float:
         return float(point[self.index])
 
-    def _eval_many(self, states, memo):
-        return states[:, self.index]
+    def _eval_many(self, columns, memo):
+        return columns[self.index]
 
     def diff(self, index):
         return _ONE if index == self.index else _ZERO
@@ -264,8 +265,8 @@ class _Binary(ScalarExpr):
     a: ScalarExpr
     b: ScalarExpr
 
-    def _eval_many(self, states, memo):
-        return self._op(self.a.eval_many(states, memo), self.b.eval_many(states, memo))
+    def _eval_many(self, columns, memo):
+        return self._op(self.a.eval_many(columns, memo), self.b.eval_many(columns, memo))
 
     def _fmt_raw(self):
         return f"{self.a._fmt(self._prec)} {self._sym} {self.b._fmt(self._prec + 1)}"
@@ -313,11 +314,11 @@ class Div(_Binary):
             raise EvalDomainError("division by zero", self)
         return self.a.eval(point) / d
 
-    def _eval_many(self, states, memo):
-        d = self.b.eval_many(states, memo)
+    def _eval_many(self, columns, memo):
+        d = self.b.eval_many(columns, memo)
         if np.any(d == 0.0):
             raise EvalDomainError("division by zero", self)
-        return self.a.eval_many(states, memo) / d
+        return self.a.eval_many(columns, memo) / d
 
     def _diff(self, index):
         # (a/b)' = a'/b - a*b'/b^2, which is a'/b where b' is the literal 0:
@@ -337,8 +338,8 @@ class Neg(ScalarExpr):
     def eval(self, point):
         return -self.a.eval(point)
 
-    def _eval_many(self, states, memo):
-        return -self.a.eval_many(states, memo)
+    def _eval_many(self, columns, memo):
+        return -self.a.eval_many(columns, memo)
 
     def _diff(self, index):
         return -self.a.diff(index)
@@ -357,8 +358,8 @@ class _Unary(ScalarExpr):
     def eval(self, point):
         return self._apply(self.arg.eval(point))
 
-    def _eval_many(self, states, memo):
-        values = self.arg.eval_many(states, memo)
+    def _eval_many(self, columns, memo):
+        values = self.arg.eval_many(columns, memo)
         if isinstance(values, np.ndarray):
             # each element as the Python float that `eval` would see, so
             # that every result rounds exactly as on the point path
@@ -675,16 +676,17 @@ def evaluate(expr: ScalarExpr, point) -> float:
 def evaluate_batch(exprs, states) -> list[np.ndarray]:
     """Evaluate each expression at every row of a (m, dim) state array.
 
-    The values equal `eval` row by row, bit for bit: numpy does ``+ - * /``
-    and negation, and powers and functions apply eval's own float operation
-    element by element.  Each subtree object is computed once per call.
-    Where `eval` would raise at some state, this raises what `eval` raises
-    at the first such state."""
+    The values equal `eval` row by row, bit for bit: one state computes on
+    its Python floats as `eval` does, several on one array per coordinate
+    (numpy's ``+ - * /`` and negation; powers and functions apply eval's float
+    operation element by element).  Each subtree object is computed once per
+    call.  Where `eval` would raise, this raises its error at the first such state."""
     states = np.asarray(states, dtype=float)
+    columns = states[0].tolist() if len(states) == 1 else list(states.T)
     memo: dict = {}
     try:
         with np.errstate(all="ignore"):
-            values = [e.eval_many(states, memo) for e in exprs]
+            values = [e.eval_many(columns, memo) for e in exprs]
     except (ExprError, ArithmeticError, ValueError):
         # the point path meets the offending states in order
         for x in states:

@@ -35,9 +35,11 @@ size and pattern of skipped (zero) entries, compiled once per process and
 kept in a bounded cache.  A kernel does every float operation of the
 recursive expansion, in the same order, so its results are the
 recursion's bit for bit (`tests/helpers.py` keeps the recursion as the
-oracle).  The kernels run on floats (the point route) and on matrices of
-arrays, one element per state (the `*_batch` functions and
-`regularity_margins` return the point route's values bit for bit).  Every
+oracle).  One body computes each pencil quantity at any number of
+states: `_pencil` the coefficients, `_margins` the regularity margins.
+One state, as the point functions pass it, runs on Python floats; several
+run on arrays, one element per state, and each state that the arrays
+cannot reproduce bit for bit runs through the body alone.  Every
 gradient comes from the recursion operator: `invariant_jets` and
 `pencil_coefficient_jets` are one-row calls of that route, and return
 (value, gradient) records, `Jet`.
@@ -46,9 +48,8 @@ gradient comes from the recursion operator: `invariant_jets` and
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,11 +162,16 @@ def _absent(v) -> bool:
 
 def _pfaffian(rows, is_zero=_entry_is_zero):
     """Pf of the skew matrix with the entries of rows above the diagonal
-    (the others are not read): floats on the point route, batched rows
-    with is_zero=_absent.  The kernel of the matrix's size and of the
+    (the others are not read): one state's floats, or rows over several
+    states with is_zero=_absent.  The kernel of the matrix's size and of the
     entries is_zero holds for (`_pfaffian_kernel`) does the arithmetic."""
-    upper = [v for i, row in enumerate(rows) for v in row[i + 1 :]]
+    upper = _upper(rows)
     return _pfaffian_kernel(len(rows), tuple(map(is_zero, upper)))(*upper)
+
+
+def _upper(rows) -> list:
+    """The entries above the diagonal, row by row."""
+    return [v for i, row in enumerate(rows) for v in row[i + 1 :]]
 
 
 @lru_cache(maxsize=64)
@@ -234,17 +240,6 @@ def pfaffian(M: np.ndarray) -> float:
 # Pencil interpolation
 # ---------------------------------------------------------------------------
 
-def _frobenius(rows, name: str) -> float:
-    # square by square, as _frobenius_batch adds (sum() compensates from Python 3.12 on)
-    try:
-        return math.sqrt(reduce(operator.add, (v ** 2 for row in rows for v in row), 0.0))
-    except OverflowError:
-        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
-                    if math.isfinite(v) and math.isinf(v * v))
-        raise OverflowError(f"the pencil norm ||{name}|| overflows: the square of its entry"
-                            f" ({i}, {j}) = {rows[i][j]:.6g} exceeds the float range") from None
-
-
 def _zero_deformation(n: int) -> list[float]:
     """Coefficients of P(t) = Pf(tW)/Pf(W) = t^n, the pencil of H = 0."""
     return [1.0 if m == n else 0.0 for m in range(n + 1)]
@@ -267,45 +262,13 @@ def _interpolation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, np.vander(u, n + 1, increasing=True)
 
 
-def _pencil_coefficients(w_rows, h_rows, pf_w=None):
-    """Coefficients a_0..a_n of P(t) = Pf(H + tW)/Pf(W), found by evaluating
-    the Pfaffian at n+1 Chebyshev nodes (scaled to ||H||/||W||) and solving
-    the interpolation system.  Entries are floats.  Pf(W) is expanded here
-    unless the caller has it (pf_w)."""
-    N = len(w_rows)
-    n = N // 2
-    if all(_entry_is_zero(v) for row in h_rows for v in row):
-        # P(t) = t^n identically: keep the zero deformation exact instead
-        # of amplifying solver noise through the roots
-        return _zero_deformation(n)
-    if pf_w is None:
-        pf_w = _pfaffian(w_rows)
-    s = float(_node_scales(_frobenius(w_rows, "W"), _frobenius(h_rows, "What")))
-    try:
-        powers = [s ** m for m in range(n + 1)]
-    except OverflowError:
-        raise OverflowError(f"the pencil's node scale s = {s:.6g} overflows: s**{n} exceeds"
-                            " the float range") from None
-    u, vander = _interpolation_nodes(n)
-    pfs = []
-    for uk in u.tolist():  # Python floats: the kernel's zero tests and arithmetic are faster
-        t = s * uk
-        pencil = [
-            [h_rows[i][j] + t * w_rows[i][j] for j in range(N)] for i in range(N)
-        ]
-        pfs.append(_pfaffian(pencil))
-    # numpy's division, which gives inf or NaN where Pf(W) = 0, as the batch does
-    b = list(np.linalg.solve(vander, np.array(pfs) / pf_w))
-    # undo the node scaling: P(t) = R(t/s) with R(u) = sum b_m u^m
-    return [b[m] / powers[m] for m in range(n + 1)]
-
-
 def _batch_rows(fields: list[MultiVectorField], states: np.ndarray) -> list[list[list]]:
-    """Each field's matrix at every state: an array over the states for each
-    component, the float 0.0 where the field has none (see _absent).  One
-    `evaluate_batch` call, so its error is the one met first at the first
-    failing state, the fields in turn at each state."""
-    values = iter(evaluate_batch([e for V in fields for e in V.components.values()], states))
+    """Each field's matrix rows at the states: one state's floats, or for
+    several an array over them per component and the float 0.0 where the
+    field has none (see _absent).  One `evaluate_batch` call, so its error is
+    the one met first at the first failing state, each field in turn."""
+    values = evaluate_batch([e for V in fields for e in V.components.values()], states)
+    values = iter([v.item() for v in values] if len(states) == 1 else values)
     out = []
     for V in fields:
         rows: list[list] = [[0.0] * V.space.dim for _ in range(V.space.dim)]
@@ -316,89 +279,149 @@ def _batch_rows(fields: list[MultiVectorField], states: np.ndarray) -> list[list
     return out
 
 
-def _upper(rows) -> list[np.ndarray]:
-    """The arrays above the diagonal of batched rows."""
-    N = len(rows)
-    return [rows[i][j] for i in range(N) for j in range(i + 1, N) if not _absent(rows[i][j])]
+def _zero_test(m: int):
+    """The zero test of rows at m states: on floats for one, arrays for several."""
+    return _entry_is_zero if m == 1 else _absent
 
 
-def _frobenius_batch(rows, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """_frobenius at each of m states, bit for bit where it returns, and the
-    mask of the states where it raises: a finite entry's square overflows."""
-    entries = np.array([v for row in rows for v in row if not _absent(v)]).reshape(-1, m)
+def _stack(entries, m: int) -> np.ndarray:
+    """Entries of rows at m states as one C-ordered (m, len(entries)) array."""
+    if m == 1:
+        return np.array([entries], dtype=float)
+    out = np.zeros((m, len(entries)))
+    for k, v in enumerate(entries):
+        if not _absent(v):
+            out[:, k] = v
+    return out
+
+
+def _zero_at(entries) -> np.ndarray:
+    """The states where an array among the entries is exactly 0."""
+    return np.any([v == 0.0 for v in entries if not _absent(v)], axis=0)
+
+
+def _state(rows, k: int) -> list[list[float]]:
+    """State k's floats of rows over several states."""
+    return [[v if _absent(v) else v[k].item() for v in row] for row in rows]
+
+
+def _norms(rows, m: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """||rows||_F at each of m states, the squares added to 0.0 one at a time
+    (not compensated, as sum() is from Python 3.12 on), and the mask of the
+    states where a finite entry's square overflows, which raises at one state."""
+    is_zero = _zero_test(m)
+    entries = _stack([0.0] + [v for row in rows for v in row if not is_zero(v)], m)
     with np.errstate(over="ignore"):
         squares = np.float_power(entries, 2.0)  # rounds as ``**`` does
-    overflow = np.any(np.isinf(squares) & np.isfinite(entries), axis=0)
-    return np.sqrt(reduce(np.add, squares, np.zeros(m))), overflow  # _frobenius's order
+    overflow = np.any(np.isinf(squares) & np.isfinite(entries), axis=1)
+    if m == 1 and overflow[0]:
+        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+                    if math.isfinite(v) and math.isinf(v * v))
+        raise OverflowError(f"the pencil norm ||{name}|| overflows: the square of its entry"
+                            f" ({i}, {j}) = {rows[i][j]:.6g} exceeds the float range")
+    return np.sqrt(np.add.accumulate(squares, axis=1)[:, -1]), overflow
 
 
-def _margin(w_matrix: np.ndarray, pf: float) -> float:
-    """|Pf(W)| / ||W||_F^n of W's matrix and its Pfaffian (0 when W = 0).
-    Where every entry is finite but the norm or its n-th power is not finite
-    and positive, the same ratio for W / max|W_ij|, whose norm lies in
-    [sqrt(2), 2n]: the ratio is scale-free, so only the floats' range is at
-    stake."""
-    n = w_matrix.shape[0] // 2
+def _pencil(w_rows, h_rows, m: int) -> np.ndarray:
+    """Coefficients a_0..a_n of P(t) = Pf(H + tW)/Pf(W) at each of m states
+    (rows from `_batch_rows`), an (m, n+1) array: the Pfaffian at n+1
+    Chebyshev nodes t = s u_k, s = ||H||/||W||, and one stacked interpolation
+    solve; P(t) = t^n where H = 0.  Of several states, each one the arrays
+    cannot reproduce (an entry exactly 0, a norm's square or a power s**m
+    overflowing) runs alone, in order, so the first error raised is its own."""
+    N = len(w_rows)
+    n = N // 2
+    is_zero = _zero_test(m)
+    w_upper, h_upper = _upper(w_rows), _upper(h_rows)
+    # the pencil's entries above the diagonal where W or What has one, with
+    # 0.0 standing for the other's
+    support = [k for k, (h, w) in enumerate(zip(h_upper, w_upper))
+               if not (is_zero(h) and is_zero(w))]
+    h_support, w_support = (_stack([upper[k] for k in support], m) for upper in (h_upper, w_upper))
+    zero_deformation = np.all(h_support == 0.0, axis=1)
+    if zero_deformation.all():
+        # P(t) = t^n identically: keep the zero deformation exact instead
+        # of amplifying solver noise through the roots
+        return np.tile(_zero_deformation(n), (m, 1))
+    (norm_w, over_w), (norm_h, over_h) = _norms(w_rows, m, "W"), _norms(h_rows, m, "What")
+    s = _node_scales(norm_w, norm_h)
+    u, vander = _interpolation_nodes(n)
+    vals = np.empty((m, n + 1))
     with np.errstate(all="ignore"):
-        norm = float(np.linalg.norm(w_matrix))
-        top = float(np.max(np.abs(w_matrix), initial=0.0))
+        powers = np.float_power(s[:, None], np.arange(n + 1.0))  # rounds as ``**`` does
+        if m == 1 and np.isinf(powers[0, n]):
+            raise OverflowError(f"the pencil's node scale s = {s[0]:.6g} overflows: s**{n}"
+                                " exceeds the float range")
+        nodes = h_support + (u[:, None, None] * s[:, None]) * w_support
+        for k, entries in enumerate(nodes[:, 0].tolist() if m == 1 else nodes.transpose(0, 2, 1)):
+            pencil = [0.0] * len(w_upper)
+            for e, v in zip(support, entries):
+                pencil[e] = v
+            vals[:, k] = _pfaffian_kernel(N, tuple(map(is_zero, pencil)))(*pencil)
+        # numpy's division, which gives inf or NaN where Pf(W) = 0
+        vals /= np.reshape(_pfaffian(w_rows, is_zero), (-1, 1))
+        b = np.linalg.solve(np.broadcast_to(vander, (m, n + 1, n + 1)), vals[:, :, None])[:, :, 0]
+        # undo the node scaling: P(t) = R(t/s) with R(u) = sum b_m u^m
+        out = b / powers
+    out[zero_deformation] = _zero_deformation(n)
+    if m > 1:
+        # an exact 0, which a kernel on floats skips and arrays compute, or an overflow
+        redo = _zero_at(w_upper) | np.any(nodes == 0.0, axis=(0, 2))
+        redo |= over_w | over_h | np.isinf(powers[:, n])
+        for k in np.flatnonzero(redo & ~zero_deformation):
+            out[k] = _pencil(_state(w_rows, k), _state(h_rows, k), 1)[0]
+    return out
+
+
+def _margins(rows, m: int) -> np.ndarray:
+    """|Pf(W)| / ||W||_F^n at each of m states (rows as for `_pencil`), 0 where
+    W = 0.  Where the entries are finite but the norm's n-th power is not
+    finite and positive, the same scale-free ratio for W / max|W_ij|, whose
+    norm lies in [sqrt(2), 2n].  Of several states, each one the arrays cannot
+    reproduce (an entry exactly 0, a power out of range) runs alone."""
+    N = len(rows)
+    # one C-ordered row per state: matmul's order of summation follows the layout
+    flat = _stack([v for row in rows for v in row], m)[:, None]
+    with np.errstate(all="ignore"):
+        # sqrt(x.dot(x)) over the flattened matrix, as np.linalg.norm takes it
+        norms = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+        powers = np.float_power(norms, float(N // 2))  # rounded as Python's ** rounds
+        margins = np.abs(_pfaffian(rows, _zero_test(m))) / powers
+    in_range = (powers > 0.0) & (powers < np.inf)
+    if m > 1:
+        for k in np.flatnonzero(_zero_at(_upper(rows)) | ~in_range):
+            margins[k] = _margins(_state(rows, k), 1)[0]
+        return margins
+    top = float(np.max(np.abs(flat), initial=0.0))
     if top == 0.0:  # W = 0
-        return 0.0
-    try:
-        power = norm ** n
-    except OverflowError:
-        power = math.inf
-    if 0.0 < power < math.inf or not top < math.inf:  # in range, or an entry is inf or NaN
-        return abs(pf) / power
-    scaled = w_matrix / top
-    return abs(_pfaffian(scaled.tolist())) / float(np.linalg.norm(scaled)) ** n
+        return np.zeros(1)
+    if in_range[0] or not top < math.inf:  # in range, or an entry is inf or NaN
+        return margins
+    return _margins((flat[0, 0] / top).reshape(N, N).tolist(), 1)
 
 
 def regularity_margin(w_matrix: np.ndarray) -> float:
-    """Scale-free regularity measure |Pf(W)| / ||W||_F^n (0 when W = 0);
-    see `_margin` for a W whose norm is out of the floats' range."""
-    w_matrix = np.asarray(w_matrix, dtype=float)
-    return _margin(w_matrix, _pfaffian(w_matrix.tolist()))
+    """The scale-free |Pf(W)| / ||W||_F^n of W's matrix (`_margins`)."""
+    return float(_margins(np.asarray(w_matrix, dtype=float).tolist(), 1)[0])
 
 
 def regularity_margins(W: MultiVectorField, states) -> np.ndarray:
     """regularity_margin(evaluate_mv(W, x)) at every row x of a (m, 2n)
-    state array, bit for bit.  States where a component of W is exactly 0,
-    or where the norm or its n-th power is not finite and positive, take
-    the point route."""
+    state array, bit for bit: one `_margins` pass over the states."""
     states = np.asarray(states, dtype=float)
-    m = len(states)
-    rows, = _batch_rows([W], states)
-    N = len(rows)
-    mats = np.zeros((m, N, N))
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if not _absent(v):
-                mats[:, i, j] = v
-    skipped = np.any([w == 0.0 for w in _upper(rows)], axis=0)
-    # sqrt(x.dot(x)) over the flattened matrix, as np.linalg.norm takes it
-    flat = mats.reshape(m, 1, N * N)
-    with np.errstate(all="ignore"):
-        norms = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
-        powers = np.float_power(norms, float(N // 2))  # rounded as Python's ** rounds
-        margins = np.abs(np.broadcast_to(_pfaffian(rows, _absent), (m,))) / powers
-    in_range = (norms > 0.0) & (powers > 0.0) & (powers < np.inf)
-    for k in np.flatnonzero(skipped | ~in_range):
-        margins[k] = regularity_margin(mats[k])
-    return margins
+    return _margins(*_batch_rows([W], states), len(states))
 
 
 def is_regular(W: MultiVectorField, x) -> bool:
     return regularity_margin(evaluate_mv(W, x)) > REGULARITY_FACTOR
 
 
-def _require_regular(W: MultiVectorField, x) -> tuple[list[list[float]], float]:
-    """W's matrix rows at x and Pf(W(x)); RegularityError where W is degenerate."""
+def _require_regular(W: MultiVectorField, x) -> list[list[float]]:
+    """W's matrix rows at x; RegularityError where W is degenerate."""
     rows = evaluate_mv(W, x).tolist()
-    pf = _pfaffian(rows)
-    if not _margin(np.array(rows), pf) > REGULARITY_FACTOR:  # a NaN margin is not regular
+    if not _margins(rows, 1)[0] > REGULARITY_FACTOR:  # a NaN margin is not regular
         raise RegularityError(f"bivector is numerically degenerate at {tuple(x)}")
-    return rows, pf
+    return rows
 
 
 def _as_point(x) -> PhasePoint:
@@ -413,7 +436,7 @@ def pencil_coefficients(W: MultiVectorField, What: MultiVectorField, x) -> list[
     """Coefficients a_0..a_n of P(t) = Pf(W_hat + tW)/Pf(W) at x.  W is not
     tested for regularity here: pass a regular point (`is_regular`), or use
     `secular_roots` / `mixed_wedge_ratios`, which raise RegularityError."""
-    return _pencil_coefficients(evaluate_mv(W, x).tolist(), evaluate_mv(What, x).tolist())
+    return _pencil(evaluate_mv(W, x).tolist(), evaluate_mv(What, x).tolist(), 1)[0].tolist()
 
 
 def _real_roots(raw: np.ndarray) -> np.ndarray:
@@ -550,58 +573,18 @@ def y_from_root_values(roots) -> tuple[float, ...]:
 
 def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, states) -> np.ndarray:
     """pencil_coefficients(W, What, x) at every row x of a (m, 2n) state
-    array, as an (m, n+1) array, bit for bit.
-
-    One Pfaffian kernel runs on arrays over all states, and the
-    interpolation systems go to one stacked solve.  A state where every
-    entry of What is 0 takes the zero-deformation shortcut.  A state the
-    arrays cannot reproduce takes the point route, in the states' order, so
-    the first error raised is the point route's own: where the point route
-    skips some other entry as exactly 0, where a norm's square overflows,
-    or where a power s**m of the node scale does."""
+    array, as an (m, n+1) array, bit for bit: one `_pencil` pass over the
+    states, whose Pfaffian kernels run on arrays over them and whose
+    interpolation systems go to one stacked solve."""
     states = np.asarray(states, dtype=float)
-    m = len(states)
-    w_rows, h_rows = _batch_rows([W, What], states)
-    N = len(w_rows)
-    n = N // 2
-    zero_deformation = np.ones(m, dtype=bool)
-    for h in _upper(h_rows):
-        zero_deformation &= h == 0.0
-    skipped = np.any([w == 0.0 for w in _upper(w_rows)], axis=0)
-    (norm_w, over_w), (norm_h, over_h) = _frobenius_batch(w_rows, m), _frobenius_batch(h_rows, m)
-    s = _node_scales(norm_w, norm_h)
-    u, vander = _interpolation_nodes(n)
-    vals = np.empty((m, n + 1))
-    # the pencil's entries above the diagonal where W or What has one, with
-    # 0.0 standing for the other's absent entry, as the point route adds it
-    support = [(i, j) for i in range(N) for j in range(i + 1, N)
-               if not (_absent(h_rows[i][j]) and _absent(w_rows[i][j]))]
-    h_support, w_support = (np.array([np.broadcast_to(rows[i][j], m) for i, j in support])
-                            .reshape(len(support), m) for rows in (h_rows, w_rows))
-    with np.errstate(all="ignore"):
-        pf_w = _pfaffian(w_rows, _absent)
-        for k, uk in enumerate(u):
-            entries = h_support + (s * uk) * w_support
-            skipped |= np.any(entries == 0.0, axis=0)
-            pencil: list[list] = [[0.0] * N for _ in range(N)]
-            for (i, j), e in zip(support, entries):
-                pencil[i][j] = e
-            vals[:, k] = _pfaffian(pencil, _absent) / pf_w
-        b = np.linalg.solve(np.broadcast_to(vander, (m, n + 1, n + 1)), vals[:, :, None])[:, :, 0]
-        powers = np.float_power(s[:, None], np.arange(n + 1.0))  # rounds as ``**`` does
-        out = b / powers
-        out[zero_deformation] = _zero_deformation(n)
-        point = skipped | over_w | over_h | np.isinf(powers[:, n])
-        for k in np.flatnonzero(point & ~zero_deformation):
-            out[k] = pencil_coefficients(W, What, states[k])
-    return out
+    return _pencil(*_batch_rows([W, What], states), len(states))
 
 
 def mixed_wedge_ratios(W: MultiVectorField, What: MultiVectorField, x) -> InvariantVector:
     """Invariants Y^(l) = (coefficient of t^{n-l} in P) / C(n,l) for
     l = 1..n, i.e. the top-wedge ratios W_hat^l ^ W^{n-l} / W^n."""
-    rows, pf = _require_regular(W, x)
-    values = y_from_coefficients(_pencil_coefficients(rows, evaluate_mv(What, x).tolist(), pf))
+    rows = _require_regular(W, x)
+    values = y_from_coefficients(_pencil(rows, evaluate_mv(What, x).tolist(), 1)[0])
     return InvariantVector(_as_point(x), tuple(float(v) for v in values))
 
 
@@ -611,7 +594,7 @@ def secular_roots(W: MultiVectorField, What: MultiVectorField, x, where=None) ->
     near-coincident roots flagged: N's eigenvalues at x (`operator_roots`,
     whose errors name x where(0)), real at a repeated root too;
     RegularityError where W is degenerate."""
-    rows, _ = _require_regular(W, x)
+    rows = _require_regular(W, x)
     with np.errstate(all="ignore"):  # N alone, not dN; inf entries fail closed
         roots = operator_roots((np.linalg.inv(rows) @ evaluate_mv(What, x))[None], where)[0]
     return SecularSpectrum(

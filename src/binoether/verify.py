@@ -135,6 +135,8 @@ class CheckConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if math.isinf(2.0 * self.box):  # the sampling range [-box, box] is 2 box wide
             raise ValueError(f"box must be at most {sys.float_info.max / 2:g}, got {self.box:g}")
+        if math.isinf(self.t_end / self.dt):  # no step count: round() would overflow
+            raise ValueError(f"t_end / dt must be finite, got {self.t_end:g} / {self.dt:g}")
         if round(self.t_end / self.dt) < 1:
             raise ValueError(f"t_end must exceed half of dt ({self.dt:g}), or no step is taken")
 

@@ -542,6 +542,11 @@ class TestPerStateEdgeCases:
         margins = regularity_margins(W, states)
         assert same(margins, [regularity_margin(evaluate_mv(W, x)) for x in states])
         assert margins[0] == 0.0
+        # each state alone, on its floats, gives the same bits
+        for k, x in enumerate(states):
+            assert same(pencil_coefficients_batch(W, What, [x]), [point[k]])
+            assert same(regularity_margins(W, [x]), margins[k:k + 1])
+        assert np.all(np.isfinite(pencil_coefficients_batch(W, What, states[:1])))
 
     def test_non_real_spectrum_raises_the_point_message(self):
         # coupled-swap's roots are +-2 sqrt(I1 I2), I_i = p_i + q_i: real at
@@ -576,9 +581,11 @@ class TestPerStateEdgeCases:
         # on: both norms must fold, on every interpreter
         entries = [1.0] + [2.0 ** -27] * 8
         assert math.fsum(v ** 2 for v in entries) > 1.0
-        assert spectral._frobenius([entries], "W") == 1.0
-        norms, overflow = spectral._frobenius_batch([[np.array([v]) for v in entries]], 1)
+        # one state's floats, and rows over two states
+        norms, overflow = spectral._norms([entries], 1, "W")
         assert norms.tolist() == [1.0] and overflow.tolist() == [False]
+        norms, overflow = spectral._norms([[np.array([v, v]) for v in entries]], 2, "W")
+        assert norms.tolist() == [1.0, 1.0] and overflow.tolist() == [False, False]
 
     def test_node_scales_follow_the_scalar_rule(self):
         def scalar_rule(norm_w, norm_h):

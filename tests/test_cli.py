@@ -244,6 +244,18 @@ class TestErrors:
         captured = capsys.readouterr()
         assert "must exceed half of dt" in captured.err and "PASS" not in captured.out
 
+    @pytest.mark.parametrize("command, error", [
+        (["check", "--builtin", "dissipative", "--n", "1", "--t-end", "1e308"],
+         "t_end / dt must be finite, got 1e+308 / 0.001"),
+        (["flow", "--builtin", "dissipative", "--n", "1", "--from", "q1=0.3,p1=0.5",
+          "--t-end", "1e308", "--dt", "1e-300"], "t_end / dt must be finite, got 1e+308 / 1e-300"),
+    ], ids=["check", "flow"])
+    def test_a_step_count_past_the_float_range(self, capsys, command, error):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag, field", [("--t-end", "t_end"), ("--dt", "dt")])
     @pytest.mark.parametrize("command", [

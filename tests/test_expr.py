@@ -131,6 +131,11 @@ class TestEvaluateBatch:
         for e, values in zip(exprs, evaluate_batch(exprs, states)):
             assert values.shape == (200,)
             assert np.array_equal(values, [e.eval(x) for x in states])
+        # one state alone runs on its Python floats
+        for x in states[:20]:
+            for e, values in zip(exprs, evaluate_batch(exprs, [x])):
+                assert values.shape == (1,)
+                assert values.tobytes() == np.array([e.eval(x)]).tobytes()
 
     def test_each_shared_subtree_once(self):
         # 2^200 paths through 201 objects: eval would never finish
@@ -139,6 +144,9 @@ class TestEvaluateBatch:
             e = e + e
         (values,) = evaluate_batch([e], [[1.5, 0.0], [-3.0, 0.0]])
         assert np.array_equal(values, [1.5 * 2.0**200, -3.0 * 2.0**200])
+        # one state, on floats, keeps the memo too
+        (values,) = evaluate_batch([e], [[1.5, 0.0]])
+        assert values.tolist() == [1.5 * 2.0**200]
 
     def test_domain_error_of_the_first_offending_state(self):
         # state 1 divides by zero in the second expression, state 2 takes

@@ -82,6 +82,11 @@ class TestConfigAndTypes:
         with pytest.raises(ValueError, match=r"^box must be at most 8\.98847e\+307, got 1e\+308$"):
             CheckConfig(box=1e308)
         assert CheckConfig(box=sys.float_info.max / 2).box == sys.float_info.max / 2
+        # a step count past the float range, which round() cannot take
+        for t_end, dt, got in [(1e308, 1e-3, r"1e\+308 / 0\.001"),
+                               (10.0, 1e-320, r"10 / 9\.99989e-321")]:
+            with pytest.raises(ValueError, match=f"^t_end / dt must be finite, got {got}$"):
+                CheckConfig(t_end=t_end, dt=dt)
 
     @pytest.mark.parametrize("t_end, dt", [(1e-4, 1e-3), (5e-4, 1e-3), (0.04, 0.1)])
     def test_a_horizon_of_no_step_is_refused(self, t_end, dt):
