@@ -311,15 +311,16 @@ def _norms(rows, m: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     states where a finite entry's square overflows, which raises at one state."""
     is_zero = _zero_test(m)
     entries = _stack([0.0] + [v for row in rows for v in row if not is_zero(v)], m)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a sum of finite squares may overflow to inf, too
         squares = np.float_power(entries, 2.0)  # rounds as ``**`` does
+        sums = np.add.accumulate(squares, axis=1)[:, -1]
     overflow = np.any(np.isinf(squares) & np.isfinite(entries), axis=1)
     if m == 1 and overflow[0]:
         i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
                     if math.isfinite(v) and math.isinf(v * v))
         raise OverflowError(f"the pencil norm ||{name}|| overflows: the square of its entry"
                             f" ({i}, {j}) = {rows[i][j]:.6g} exceeds the float range")
-    return np.sqrt(np.add.accumulate(squares, axis=1)[:, -1]), overflow
+    return np.sqrt(sums), overflow
 
 
 def _pencil(w_rows, h_rows, m: int) -> np.ndarray:

@@ -4,7 +4,9 @@ audits under both Poisson structures.
 
 Each identity check evaluates its bracket, and the terms of its scale, over
 all sampled points in one `evaluate_batch` call; where no value is NaN, its
-record equals the point-by-point one bit for bit.
+record equals the point-by-point one bit for bit.  The spectral routes, the
+drift audit and the flow's checks take their states in batched passes that
+raise the error a state-by-state loop meets first (`_in_state_order`).
 
 Residuals are reported raw together with the scale used to relativize them:
 a check passes when residual <= tol * scale, where scale is the largest
@@ -39,7 +41,6 @@ from .spectral import (
     multiple_root_flags,
     operator_batch,
     operator_roots,
-    pencil_coefficients,
     pencil_coefficients_batch,
     recursion_operator_batch,
     regularity_margins,
@@ -97,8 +98,7 @@ PAPER_ANCHORS = {
 # flow steps per run of the RK4 loop and its checks, and states per pass of the drift audit
 TRAJECTORY_BLOCK = 256
 
-# what a batched pass over a block of states can raise; the block is then
-# redone state by state, so that the first error in the states' order wins
+# what a batched pass over a block of states can raise (`_in_state_order`)
 _BATCH_ERRORS = (ArithmeticError, ValueError, ExprError, SpectralError)
 
 
@@ -430,24 +430,17 @@ def check_compatibility(
 # Spectrum at samples (route cross-check)
 # ---------------------------------------------------------------------------
 
-def _pencil_pass(W: MultiVectorField, What: MultiVectorField, states, where, rest) -> tuple:
-    """The Y^(l) at the states from the pencil coefficients, an (m, n)
-    array, followed by the arrays that rest(coeffs, at, where) returns for
-    coefficient rows, their states and where(j), the name of state j in
-    errors, each with one row per state.  All in one batched pass, or where
-    that raises, state by state (the coefficients, then rest), so that the
-    first error met in the states' order is raised."""
-    states = np.asarray(states, dtype=float)
+def _in_state_order(fn, start: int, end: int) -> tuple:
+    """fn(start, end), the arrays of states [start, end) with one row per state,
+    in one batched pass; where that raises one of _BATCH_ERRORS, fn(j, j + 1) for
+    each state j in order, concatenated, so that the error raised is the first
+    one a state-by-state loop meets.  On one state the error propagates."""
     try:
-        coeffs = pencil_coefficients_batch(W, What, states)
-        more = rest(coeffs, states, where)
+        return fn(start, end)
     except _BATCH_ERRORS:
-        rows = []
-        for j, x in enumerate(states):
-            row = np.array([pencil_coefficients(W, What, x)])
-            rows.append((row, *rest(row, x[None], lambda i, j=j: where(j))))
-        coeffs, *more = map(np.concatenate, zip(*rows))
-    return (np.column_stack(y_from_coefficients(coeffs.T)), *more)
+        if end - start == 1:
+            raise
+        return tuple(map(np.concatenate, zip(*(fn(j, j + 1) for j in range(start, end)))))
 
 
 def check_spectral_routes(
@@ -458,18 +451,20 @@ def check_spectral_routes(
     recursion operator N = W^{-1} W_hat (`spectral.trace_invariants`),
     which share only the evaluation of W and W_hat - and collect the
     samples: N's eigenvalues (`operator_roots`) and the pencil's Y^(l) at
-    each point, all in one batched pass (`_pencil_pass`)."""
+    each point, all in one batched pass (`_in_state_order`)."""
     audit = _audit(cfg, W, what=What)
     points = audit.points
+    states = np.array([x.coords for x in points])
 
-    def operator_routes(coeffs, at, where):  # at: all the samples, or one state of a replay
-        if len(at) == len(points):
-            return audit.roots, audit.invariants[0]
+    def routes(a, b):  # all the samples, or sample a alone
+        at = states[a:b]
+        direct = np.column_stack(y_from_coefficients(pencil_coefficients_batch(W, What, at).T))
+        if b - a == len(points):
+            return direct, audit.roots, audit.invariants[0]
         op, grad = recursion_operator_batch(W, What, at)[2:]
-        return operator_roots(op, where), trace_invariants(op, grad)[0]
+        return direct, operator_roots(op, lambda i: audit.where(a + i)), trace_invariants(op, grad)[0]
 
-    direct, roots, traces = _pencil_pass(W, What, [x.coords for x in points], audit.where,
-                                         operator_routes)
+    direct, roots, traces = _in_state_order(routes, 0, len(points))
     samples = tuple(SpectrumSample(tuple(x), tuple(c), tuple(y))
                     for x, c, y in zip(points, roots.tolist(), direct.tolist()))
     gaps = [(abs(a - b), max(abs(a), abs(b)), s.point)
@@ -547,18 +542,19 @@ def integrate_flow(
     """Classical fixed-step RK4 for dx/dt = W(h)(x), on Python floats, over
     round(t_end / dt) >= 1 steps: one generated loop (`_rk4_loop`), compiled
     once per process for each field, writes each state into the trajectory's
-    array; the states are bit for bit those of tree-evaluated RK4 on numpy arrays.
+    array; the states are bit for bit those of tree-evaluated RK4 on numpy
+    arrays, but for the sign of a NaN, which IEEE 754 leaves unspecified.
 
     Regularity of W is required at every state a step starts from (disable
     with require_regular=False to integrate through degenerate sets, e.g.
     fixed points of the field); when max_step_error is set, a step-halving
     estimate guards the local error per unit time, and a NaN estimate fails.
     The loop runs TRAJECTORY_BLOCK steps at a time, and both are checked after
-    each block in one batched pass: the margins at its states and the half
-    steps from them (`_rk4_batch`).  Where that pass raises, it is redone one
-    state at a time, so the error raised is a step by step loop's first: a
-    loss of regularity at a state j <= k, then an error in step k's full
-    step, then in its half steps, then its failed estimate.
+    each block in one batched pass (`_in_state_order`): the margins at its
+    states, then the half steps (`_rk4_batch`) from those before the first
+    loss.  So the error raised is a step by step loop's first: a loss of
+    regularity at a state j <= k, then an error in step k's full step, then
+    in its half steps, then its failed estimate.
     """
     X = hamiltonian_vf(W, h)
     dim = W.space.dim
@@ -569,41 +565,34 @@ def integrate_flow(
     states = np.empty((steps + 1, dim))
     states[0] = [float(v) for v in x0]
 
-    def check(start, stop, end):
-        # a loss of regularity at states [start, end), a step in [start, stop) whose
-        # half steps raise or whose estimate fails: the first in the states' order
-        lost = failed = ()
-        try:
-            with np.errstate(all="ignore"):  # inf and NaN fail the tests
-                if require_regular:
-                    lost = np.flatnonzero(~(regularity_margins(W, states[start:end])
-                                            > REGULARITY_FACTOR))
-                if max_step_error is not None:
-                    halves = _rk4_batch(exprs, _rk4_batch(exprs, states[start:stop], dt / 2),
-                                        dt / 2)
-                    errors = np.abs(states[start + 1:stop + 1] - halves) / 15.0 / dt
-                    failed = np.flatnonzero(~np.all(errors <= max_step_error, axis=1))
-        except _BATCH_ERRORS:
-            if end - start > 1:  # each state's regularity, then its half steps
-                for j in range(start, end):
-                    check(j, min(j + 1, stop), j + 1)
-                return
-            if not len(lost):  # one state: its regularity comes before its half steps
-                raise
-        if len(lost) and not (len(failed) and failed[0] < lost[0]):
-            raise FlowError(f"regularity lost at t = {times[start + lost[0]]:.6g}")
-        if len(failed):
-            j = start + int(failed[0])
-            raise FlowError(f"step error estimate {float(np.max(errors[j - start])):.3e}/unit"
-                            f" time exceeds {max_step_error:.3e} at t = {times[j]:.6g}")
+    def check(a, b, stop):
+        # states [a, b): the first loss of regularity, then the estimates of the steps
+        # before it and before stop; the first failed estimate wins, else the loss
+        lost = []
+        with np.errstate(all="ignore"):  # inf and NaN fail the tests
+            if require_regular:
+                lost = a + np.flatnonzero(~(regularity_margins(W, states[a:b]) > REGULARITY_FACTOR))
+            stop = min(b, stop, *lost[:1])
+            if max_step_error is not None and a < stop:
+                halves = _rk4_batch(exprs, _rk4_batch(exprs, states[a:stop], dt / 2), dt / 2)
+                errors = np.abs(states[a + 1:stop + 1] - halves) / 15.0 / dt
+                failed = a + np.flatnonzero(~np.all(errors <= max_step_error, axis=1))
+                if len(failed):
+                    j = failed[0]
+                    raise FlowError(f"step error estimate {float(np.max(errors[j - a])):.3e}/unit"
+                                    f" time exceeds {max_step_error:.3e} at t = {times[j]:.6g}")
+        if len(lost):
+            raise FlowError(f"regularity lost at t = {times[lost[0]]:.6g}")
+        return ()
 
     flow = _rk4_loop(exprs, dim)
     for start in range(0, steps, TRAJECTORY_BLOCK):
         stop = min(start + TRAJECTORY_BLOCK, steps)
         # where step start + k raises, the steps before it and the state it starts from come first
         flow(memoryview(states[start:stop + 1].reshape(-1)), stop - start, dt,
-             lambda k: check(start, start + k, start + k + 1), *states[start].tolist())
-        check(start, stop, stop)
+             lambda k: _in_state_order(lambda a, b: check(a, b, start + k), start, start + k + 1),
+             *states[start].tolist())
+        _in_state_order(lambda a, b: check(a, b, stop), start, stop)
     return Trajectory(times, states)
 
 
@@ -623,8 +612,8 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     """Audit that every secular root c_i and every invariant Y^(l) stays
     constant along the trajectory (relative drift <= cfg.drift_tol).
 
-    The states go in blocks of TRAJECTORY_BLOCK through the batched pencil
-    pass (`_pencil_pass`).  The roots at every state come from
+    The states go in blocks of TRAJECTORY_BLOCK through one batched pass
+    each (`_in_state_order`).  The roots at every state come from
     `spectral.roots_near`, with the roots of the first state
     (`secular_roots`, N's eigenvalues) as the guess: along a conserving
     flow they are every state's roots up to the drift, so Newton's method
@@ -634,21 +623,20 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     the pencil coefficients."""
     n = W.space.n
     m = len(traj)
-    series = np.empty((m, 2 * n))  # c_1..c_n, then Y^(1)..Y^(n)
     # state 0's roots first, so that its errors are the first ones raised
     guess = secular_roots(W, What, traj.states[0], lambda i: f"t = {traj.times[0]:.6g}").roots
 
-    def roots(coeffs, at, where):
+    def block(a, b):  # the roots and the Y^(l) at states [a, b)
+        coeffs = pencil_coefficients_batch(W, What, traj.states[a:b])
         found, certified = roots_near(coeffs, guess)
         if not certified.all():
-            found[~certified] = operator_roots(operator_batch(W, What, at[~certified]),
-                                               lambda i: where(np.flatnonzero(~certified)[i]))
-        return (found,)
+            rows = a + np.flatnonzero(~certified)
+            found[~certified] = operator_roots(operator_batch(W, What, traj.states[rows]),
+                                               lambda i: f"t = {traj.times[rows[i]]:.6g}")
+        return found, np.column_stack(y_from_coefficients(coeffs.T))
 
-    for start in range(0, m, TRAJECTORY_BLOCK):
-        block = slice(start, start + TRAJECTORY_BLOCK)
-        series[block, n:], series[block, :n] = _pencil_pass(
-            W, What, traj.states[block], lambda j: f"t = {traj.times[start + j]:.6g}", roots)
+    series = np.vstack([np.hstack(_in_state_order(block, a, min(a + TRAJECTORY_BLOCK, m)))
+                        for a in range(0, m, TRAJECTORY_BLOCK)])  # c_1..c_n, then Y^(1)..Y^(n)
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]
     drifts = []

@@ -71,7 +71,8 @@ CASES = {
     # an inf literal product; W = 1e200 squares past the float range in
     # ||W|| and gives an infinite deformation; N = W^-1 What is inf at
     # n = 1 and at n = 2; the field overflows to inf in the first step;
-    # the pencil's node scale 1e100 overflows in its fourth power
+    # the pencil's node scale 1e100 overflows in its fourth power; What's
+    # squares are finite, but their sum overflows
     "error-zero-w": zero_w,
     "error-deep-sum": n1("deep-sum", w="-(" + " + ".join(["p1"] * 3000) + ")/3000"),
     "error-literal-product": n1("literal-product", w="2 + sin((1e200*q1)*(1e200*q1))"),
@@ -82,6 +83,7 @@ CASES = {
         "[hamiltonian]\nh = p1 + q1 + p2 + q2\n[symmetry]\nE(q1) = (1e10*q1)/1e-300\n"
         "E(q2) = (p2 + q2)^2\n"),
     "error-field-overflow": n1("field-overflow", w="1", h="p1*p1*1e300*1e300"),
+    "error-norm-sum-overflow": n1("norm-sum-overflow", w="1", h="p1", e="1e150*q1^5"),
     "error-node-power": lambda: loaded(
         "[system]\nname = node-power\ndof = 4\n[poisson]\n"
         + "".join(f"W(q{i},p{i}) = -1e-30\n" for i in range(1, 5)) + "[hamiltonian]\nh = p1\n"
