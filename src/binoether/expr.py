@@ -56,10 +56,12 @@ class ParseError(ExprError):
 
 
 class EvalDomainError(ExprError):
-    """Arithmetic left the expression's domain (division by zero, ln <= 0)."""
+    """Arithmetic left the expression's domain (division by zero, ln <= 0).
+    The message prints the node's first 8 levels and '...' for each deeper
+    subtree: `str()` of a tree with shared subtrees can grow exponentially."""
 
     def __init__(self, message: str, subexpr: "ScalarExpr"):
-        super().__init__(f"{message} in '{subexpr}'")
+        super().__init__(f"{message} in '{subexpr._fmt(0, 8)}'")
         self.subexpr = subexpr
 
 
@@ -156,15 +158,17 @@ class ScalarExpr:
     def _diff(self, index: int) -> "ScalarExpr":
         raise NotImplementedError
 
-    def _fmt(self, min_prec: int) -> str:
-        s = self._fmt_raw()
+    def _fmt(self, min_prec: int, levels) -> str:
+        if levels <= 0:  # a subtree below the levels printed
+            return "..."
+        s = self._fmt_raw(levels - 1)
         return f"({s})" if self._prec < min_prec else s
 
-    def _fmt_raw(self) -> str:
+    def _fmt_raw(self, levels) -> str:
         raise NotImplementedError
 
     def __str__(self) -> str:
-        return self._fmt(0)
+        return self._fmt(0, math.inf)
 
     # Operator sugar used heavily by the geometry layer.  Each constructor
     # folds constants and drops additive/multiplicative identities so that
@@ -222,14 +226,11 @@ class Num(ScalarExpr):
     def diff(self, index):
         return _ZERO
 
-    def _fmt(self, min_prec):
+    def _fmt(self, min_prec, levels):  # a literal prints whole at any level
         s = repr(self.value)
         if self.value < 0 and min_prec > _PREC_NEG:
             return f"({s})"
         return s
-
-    def _fmt_raw(self):
-        return repr(self.value)
 
     def __repr__(self):
         return f"Num({self.value!r})"
@@ -249,7 +250,7 @@ class Var(ScalarExpr):
     def diff(self, index):
         return _ONE if index == self.index else _ZERO
 
-    def _fmt_raw(self):
+    def _fmt_raw(self, levels):
         return self.name
 
     def __repr__(self):
@@ -268,8 +269,8 @@ class _Binary(ScalarExpr):
     def _eval_many(self, columns, memo):
         return self._op(self.a.eval_many(columns, memo), self.b.eval_many(columns, memo))
 
-    def _fmt_raw(self):
-        return f"{self.a._fmt(self._prec)} {self._sym} {self.b._fmt(self._prec + 1)}"
+    def _fmt_raw(self, levels):
+        return f"{self.a._fmt(self._prec, levels)} {self._sym} {self.b._fmt(self._prec + 1, levels)}"
 
     def __repr__(self):
         return f"({self.a!r} {self._sym} {self.b!r})"
@@ -344,8 +345,8 @@ class Neg(ScalarExpr):
     def _diff(self, index):
         return -self.a.diff(index)
 
-    def _fmt_raw(self):
-        return f"-{self.a._fmt(_PREC_POW)}"
+    def _fmt_raw(self, levels):
+        return f"-{self.a._fmt(_PREC_POW, levels)}"
 
     def __repr__(self):
         return f"(-{self.a!r})"
@@ -386,8 +387,8 @@ class Pow(_Unary):
     def _diff(self, index):
         return float(self.exponent) * _pow(self.arg, self.exponent - 1) * self.arg.diff(index)
 
-    def _fmt_raw(self):
-        return f"{self.arg._fmt(_PREC_ATOM)}^{self.exponent}"
+    def _fmt_raw(self, levels):
+        return f"{self.arg._fmt(_PREC_ATOM, levels)}^{self.exponent}"
 
     def __repr__(self):
         return f"({self.arg!r}^{self.exponent})"
@@ -430,8 +431,8 @@ class Call(_Unary):
     def _diff(self, index):
         return _FUNCTIONS[self.fn][1](self.arg, self.arg.diff(index))
 
-    def _fmt_raw(self):
-        return f"{self.fn}({self.arg._fmt(0)})"
+    def _fmt_raw(self, levels):
+        return f"{self.fn}({self.arg._fmt(0, levels)})"
 
     def __repr__(self):
         return f"{self.fn}({self.arg!r})"
@@ -638,11 +639,16 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "num" or not _INT_RE.match(tok.text):
             raise ParseError("non-integer exponent", tok.pos)
-        return sign * int(tok.text)
+        try:
+            return sign * int(tok.text)
+        except ValueError:  # more digits than the interpreter converts to an int
+            raise ParseError("exponent has too many digits", tok.pos) from None
 
     def base(self) -> ScalarExpr:
         tok = self.advance()
         if tok.kind == "num":
+            if not math.isfinite(float(tok.text)):
+                raise ParseError(f"numeric literal '{tok.text}' exceeds the float range", tok.pos)
             return Num(float(tok.text))
         if tok.kind == "ident":
             if tok.text in _FUNCTIONS and self.accept("("):
@@ -664,13 +670,30 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 def parse(text: str, space: PhaseSpace) -> ScalarExpr:
-    """Parse ``text`` into an expression over the coordinates of ``space``."""
-    return _Parser(text, space).parse()
+    """Parse ``text`` into an expression over the coordinates of ``space``;
+    any failure is a `ParseError`."""
+    try:
+        return _Parser(text, space).parse()
+    except RecursionError:  # its depth depends on the caller's stack, so no depth is named
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 def evaluate(expr: ScalarExpr, point) -> float:
     """Evaluate at a point given in the space's coordinate order."""
     return expr.eval(point)
+
+
+def in_state_order(fn, start: int, end: int, errors) -> tuple:
+    """fn(start, end), the arrays of states [start, end) with one row per state,
+    in one batched pass; where that raises one of ``errors``, fn(j, j + 1) for
+    each state j in order, concatenated, so that the error raised is the first
+    one a state-by-state loop meets.  On one state the error propagates."""
+    try:
+        return fn(start, end)
+    except errors:
+        if end - start == 1:
+            raise
+        return tuple(map(np.concatenate, zip(*(fn(j, j + 1) for j in range(start, end)))))
 
 
 def evaluate_batch(exprs, states) -> list[np.ndarray]:
@@ -679,25 +702,22 @@ def evaluate_batch(exprs, states) -> list[np.ndarray]:
     The values equal `eval` row by row, bit for bit: one state computes on
     its Python floats as `eval` does, several on one array per coordinate
     (numpy's ``+ - * /`` and negation; powers and functions apply eval's float
-    operation element by element).  Each subtree object is computed once per
-    call.  Where `eval` would raise, this raises its error at the first such state."""
+    operation element by element), each subtree object once per pass.  Where
+    `eval` would raise, this raises the first failing state's error (`in_state_order`)."""
     states = np.asarray(states, dtype=float)
-    columns = states[0].tolist() if len(states) == 1 else list(states.T)
-    memo: dict = {}
-    try:
+
+    def walk(a, b):  # states [a, b) as one (b - a, len(exprs)) array
+        columns = states[a].tolist() if b - a == 1 else list(states[a:b].T)
+        memo: dict = {}
         with np.errstate(all="ignore"):
             values = [e.eval_many(columns, memo) for e in exprs]
-    except (ExprError, ArithmeticError, ValueError):
-        # the point path meets the offending states in order
-        for x in states:
-            for e in exprs:
-                e.eval(x)
-        raise
-    # one (len(exprs), m) block: a row assignment broadcasts a constant
-    out = np.empty((len(values), len(states)))
-    for k, v in enumerate(values):
-        out[k] = v
-    return list(out)
+        # one (len(exprs), m) block: a row assignment broadcasts a constant
+        out = np.empty((len(values), b - a))
+        for k, v in enumerate(values):
+            out[k] = v
+        return (out.T,)
+
+    return list(in_state_order(walk, 0, len(states), (ExprError, ArithmeticError, ValueError))[0].T)
 
 
 def emit_kernel(exprs):

@@ -6,7 +6,7 @@ Each identity check evaluates its bracket, and the terms of its scale, over
 all sampled points in one `evaluate_batch` call; where no value is NaN, its
 record equals the point-by-point one bit for bit.  The spectral routes, the
 drift audit and the flow's checks take their states in batched passes that
-raise the error a state-by-state loop meets first (`_in_state_order`).
+raise the error a state-by-state loop meets first (`expr.in_state_order`).
 
 Residuals are reported raw together with the scale used to relativize them:
 a check passes when residual <= tol * scale, where scale is the largest
@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .expr import ExprError, ScalarExpr, emit_kernel, evaluate_batch
+from .expr import ExprError, ScalarExpr, emit_kernel, evaluate_batch, in_state_order
 from .geometry import (
     MultiVectorField,
     PhasePoint,
@@ -98,7 +98,7 @@ PAPER_ANCHORS = {
 # flow steps per run of the RK4 loop and its checks, and states per pass of the drift audit
 TRAJECTORY_BLOCK = 256
 
-# what a batched pass over a block of states can raise (`_in_state_order`)
+# what a batched pass over a block of states can raise (`in_state_order`)
 _BATCH_ERRORS = (ArithmeticError, ValueError, ExprError, SpectralError)
 
 
@@ -430,19 +430,6 @@ def check_compatibility(
 # Spectrum at samples (route cross-check)
 # ---------------------------------------------------------------------------
 
-def _in_state_order(fn, start: int, end: int) -> tuple:
-    """fn(start, end), the arrays of states [start, end) with one row per state,
-    in one batched pass; where that raises one of _BATCH_ERRORS, fn(j, j + 1) for
-    each state j in order, concatenated, so that the error raised is the first
-    one a state-by-state loop meets.  On one state the error propagates."""
-    try:
-        return fn(start, end)
-    except _BATCH_ERRORS:
-        if end - start == 1:
-            raise
-        return tuple(map(np.concatenate, zip(*(fn(j, j + 1) for j in range(start, end)))))
-
-
 def check_spectral_routes(
     W: MultiVectorField, What: MultiVectorField, cfg: CheckConfig
 ) -> tuple[CheckRecord, tuple[SpectrumSample, ...]]:
@@ -451,7 +438,7 @@ def check_spectral_routes(
     recursion operator N = W^{-1} W_hat (`spectral.trace_invariants`),
     which share only the evaluation of W and W_hat - and collect the
     samples: N's eigenvalues (`operator_roots`) and the pencil's Y^(l) at
-    each point, all in one batched pass (`_in_state_order`)."""
+    each point, all in one batched pass (`in_state_order`)."""
     audit = _audit(cfg, W, what=What)
     points = audit.points
     states = np.array([x.coords for x in points])
@@ -464,7 +451,7 @@ def check_spectral_routes(
         op, grad = recursion_operator_batch(W, What, at)[2:]
         return direct, operator_roots(op, lambda i: audit.where(a + i)), trace_invariants(op, grad)[0]
 
-    direct, roots, traces = _in_state_order(routes, 0, len(points))
+    direct, roots, traces = in_state_order(routes, 0, len(points), _BATCH_ERRORS)
     samples = tuple(SpectrumSample(tuple(x), tuple(c), tuple(y))
                     for x, c, y in zip(points, roots.tolist(), direct.tolist()))
     gaps = [(abs(a - b), max(abs(a), abs(b)), s.point)
@@ -550,7 +537,7 @@ def integrate_flow(
     fixed points of the field); when max_step_error is set, a step-halving
     estimate guards the local error per unit time, and a NaN estimate fails.
     The loop runs TRAJECTORY_BLOCK steps at a time, and both are checked after
-    each block in one batched pass (`_in_state_order`): the margins at its
+    each block in one batched pass (`in_state_order`): the margins at its
     states, then the half steps (`_rk4_batch`) from those before the first
     loss.  So the error raised is a step by step loop's first: a loss of
     regularity at a state j <= k, then an error in step k's full step, then
@@ -590,9 +577,10 @@ def integrate_flow(
         stop = min(start + TRAJECTORY_BLOCK, steps)
         # where step start + k raises, the steps before it and the state it starts from come first
         flow(memoryview(states[start:stop + 1].reshape(-1)), stop - start, dt,
-             lambda k: _in_state_order(lambda a, b: check(a, b, start + k), start, start + k + 1),
+             lambda k: in_state_order(lambda a, b: check(a, b, start + k), start, start + k + 1,
+                                      _BATCH_ERRORS),
              *states[start].tolist())
-        _in_state_order(lambda a, b: check(a, b, stop), start, stop)
+        in_state_order(lambda a, b: check(a, b, stop), start, stop, _BATCH_ERRORS)
     return Trajectory(times, states)
 
 
@@ -613,7 +601,7 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     constant along the trajectory (relative drift <= cfg.drift_tol).
 
     The states go in blocks of TRAJECTORY_BLOCK through one batched pass
-    each (`_in_state_order`).  The roots at every state come from
+    each (`in_state_order`).  The roots at every state come from
     `spectral.roots_near`, with the roots of the first state
     (`secular_roots`, N's eigenvalues) as the guess: along a conserving
     flow they are every state's roots up to the drift, so Newton's method
@@ -635,7 +623,7 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
                                                lambda i: f"t = {traj.times[rows[i]]:.6g}")
         return found, np.column_stack(y_from_coefficients(coeffs.T))
 
-    series = np.vstack([np.hstack(_in_state_order(block, a, min(a + TRAJECTORY_BLOCK, m)))
+    series = np.vstack([np.hstack(in_state_order(block, a, min(a + TRAJECTORY_BLOCK, m), _BATCH_ERRORS))
                         for a in range(0, m, TRAJECTORY_BLOCK)])  # c_1..c_n, then Y^(1)..Y^(n)
 
     labels = [f"c{i + 1}" for i in range(n)] + [f"Y{l}" for l in range(1, n + 1)]

@@ -150,6 +150,17 @@ class TestInvariants:
         assert code == 2
         assert "missing coordinates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at, error", [
+        ("q1=1,p1", "expected 'coord=value', got 'p1'"),
+        ("q1=1,z=2", "unknown coordinate 'z'"),
+        ("q1=1,q1=2,p1=0", "duplicate coordinate 'q1'"),
+    ], ids=["no-equals", "unknown", "duplicate"])
+    def test_a_malformed_point_is_an_input_error(self, capsys, at, error):
+        assert main(["invariants", "--builtin", "dissipative", "--n", "1", "--at", at]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+
     def test_singular_point_reports_stop(self, capsys):
         code = main(
             ["invariants", "--builtin", "dissipative", "--n", "1", "--at", "q1=1,p1=0"]

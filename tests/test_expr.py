@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from binoether.expr import (
     Add,
@@ -101,6 +102,33 @@ class TestParse:
     def test_scientific_literals(self):
         assert evaluate(parse("1.5e-3 + .5", S1), (0.0, 0.0)) == 1.5e-3 + 0.5
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("q1 $ p1", "unexpected character '$'", 3),
+        ("(q1 + p1", "expected ')'", 8),
+        ("q1 p1", "unexpected trailing input 'p1'", 3),
+        ("p1 + 1e999*q1", "numeric literal '1e999' exceeds the float range", 5),
+        ("(" * 200 + "p1" + ")" * 200, "expression nested too deeply", 0),
+        ("q1^" + "1" * 5000, "exponent has too many digits", 3),
+    ], ids=["character", "paren", "trailing", "literal-overflow", "nesting", "exponent-digits"])
+    def test_rejects_with_message_and_offset(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, S1)
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
+
+    def test_moderate_nesting_parses(self):
+        assert evaluate(parse("(" * 100 + "p1 + q1" + ")" * 100, S1), (1.0, 2.0)) == 3.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(alphabet="()+-*/^ .e0123456789qp1lnsicoxp", max_size=40))
+    @example("p1 + 1e999*q1")
+    @example("(" * 200 + "p1" + ")" * 200)
+    def test_any_text_parses_or_raises_a_parse_error(self, text):
+        try:
+            parse(text, S1)
+        except ParseError:
+            pass
+
 
 class TestEvaluate:
     def test_direct_arithmetic(self):
@@ -157,6 +185,31 @@ class TestEvaluateBatch:
             evaluate_batch(exprs, states)
         with pytest.raises(EvalDomainError, match="ln of a non-positive value in 'ln[(]p1[)]'"):
             evaluate_batch(exprs, states[2:])
+
+    def test_a_failing_pass_replays_without_the_point_walk(self, monkeypatch):
+        # the replay is the memoized one-state pass: no node's `eval` runs
+        def refuse(self, point):
+            raise AssertionError(f"{type(self).__name__}.eval called")
+
+        for node in (Num, Var, Add, Sub, Mul, Div, Neg, Pow, Call):
+            monkeypatch.setattr(node, "eval", refuse)
+        exprs = [parse("q1 * p1", S1), parse("ln(q1 + 1.5)", S1)]
+        with pytest.raises(EvalDomainError, match=r"^ln of a non-positive value in 'ln\(q1 \+ 1.5\)'$"):
+            evaluate_batch(exprs, [[1.0, 2.0], [-2.0, 2.0]])
+
+    def test_a_domain_error_in_a_shared_tree_is_quick_and_its_message_bounded(self):
+        # 2^20 paths through 21 objects: the replay and the message stay small
+        e = parse("q1", S1)
+        for _ in range(20):
+            e = e + e
+        start = time.perf_counter()
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_batch([Call("ln", e)], [[1.0, 0.0], [-1.0, 0.0]])
+        assert time.perf_counter() - start < 0.1
+        message = str(err.value)
+        assert message.startswith("ln of a non-positive value in 'ln(... + ... + (... + ...)")
+        assert len(message) < 2000
+        assert "..." not in str(Call("ln", parse("q1 + p1", S1)))  # str() prints whole trees
 
 
 @st.composite

@@ -83,6 +83,7 @@ CASES = {
         "[hamiltonian]\nh = p1 + q1 + p2 + q2\n[symmetry]\nE(q1) = (1e10*q1)/1e-300\n"
         "E(q2) = (p2 + q2)^2\n"),
     "error-field-overflow": n1("field-overflow", w="1", h="p1*p1*1e300*1e300"),
+    "error-ln-domain": n1("ln-domain", e="(p1 + q1)^2 + ln(q1 + 1.5)"),
     "error-norm-sum-overflow": n1("norm-sum-overflow", w="1", h="p1", e="1e150*q1^5"),
     "error-node-power": lambda: loaded(
         "[system]\nname = node-power\ndof = 4\n[poisson]\n"

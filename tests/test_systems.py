@@ -1,8 +1,10 @@
 import importlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from binoether.expr import Num, PhaseSpace, parse
 from binoether.geometry import MultiVectorField, PhasePoint, evaluate_mv, lie_derivative_mv
@@ -140,6 +142,38 @@ class TestLoadSystem:
     def test_content_before_section(self, tmp_path):
         with pytest.raises(SystemFileError, match="before the first section"):
             load_system(write_system(tmp_path, "dof = 1\n" + VALID_N1))
+
+    @pytest.mark.parametrize("old, new, error", [
+        ("W(q1,p1)", "V(q1,p1)", "line 7: expected 'W(a,b) = <expr>', got key 'V(q1,p1)'"),
+        ("dof = 1", "dof 1", "line 4: expected 'key = value'"),
+        ("dof = 1", "dof = one", "line 4: dof must be an integer, got 'one'"),
+        ("dof = 1", "dof = 1\ncolor = red", "line 5: unknown [system] key 'color'"),
+        ("W(q1,p1) = -p1", "", "missing mandatory section [poisson]"),
+        ("h = ", "H = ", "line 10: expected 'h = <expr>', got key 'H'"),
+        ("h = p1 + q1", "", "missing mandatory [hamiltonian] entry 'h'"),
+        ("h = p1 + q1", "h = p1 + 1e999*q1", "line 10, column 10: numeric literal '1e999'"
+         " exceeds the float range (at offset 5)"),
+        ("h = p1 + q1", "h = " + "(" * 200 + "p1 + q1" + ")" * 200,
+         "line 10, column 5: expression nested too deeply (at offset 0)"),
+    ], ids=["w-key", "no-equals", "dof-text", "system-key", "no-poisson", "h-key", "no-h",
+            "literal-overflow", "nesting"])
+    def test_rejects_with_its_message(self, tmp_path, old, new, error):
+        with pytest.raises(SystemFileError) as err:
+            load_system(write_system(tmp_path, VALID_N1.replace(old, new)))
+        assert str(err.value) == error
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(VALID_N1.splitlines()) | st.text(max_size=30), max_size=16))
+    @example(VALID_N1.replace("h = p1 + q1", "h = p1 + 1e999*q1").splitlines())
+    @example(VALID_N1.replace("h = p1 + q1", "h = " + "(" * 200 + "p1 + q1" + ")" * 200).splitlines())
+    def test_any_text_loads_or_raises_a_system_file_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.sys"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            try:
+                load_system(path)
+            except SystemFileError:
+                pass
 
 
 class TestBuiltin:
