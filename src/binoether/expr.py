@@ -685,15 +685,19 @@ def evaluate(expr: ScalarExpr, point) -> float:
 
 def in_state_order(fn, start: int, end: int, errors) -> tuple:
     """fn(start, end), the arrays of states [start, end) with one row per state,
-    in one batched pass; where that raises one of ``errors``, fn(j, j + 1) for
-    each state j in order, concatenated, so that the error raised is the first
-    one a state-by-state loop meets.  On one state the error propagates."""
+    in one batched pass; where that raises one of ``errors``, each half of the
+    states the same way, in order, concatenated: as each row depends on its
+    state alone, the error raised is the first a state-by-state loop meets.
+    On one state the error propagates.  Where only single states raise, a
+    pass of B states takes at most 2 ceil(log2 B) + 1 calls of fn."""
     try:
         return fn(start, end)
     except errors:
         if end - start == 1:
             raise
-        return tuple(map(np.concatenate, zip(*(fn(j, j + 1) for j in range(start, end)))))
+        mid = (start + end) // 2
+        return tuple(map(np.concatenate, zip(in_state_order(fn, start, mid, errors),
+                                             in_state_order(fn, mid, end, errors))))
 
 
 def evaluate_batch(exprs, states) -> list[np.ndarray]:
@@ -703,7 +707,8 @@ def evaluate_batch(exprs, states) -> list[np.ndarray]:
     its Python floats as `eval` does, several on one array per coordinate
     (numpy's ``+ - * /`` and negation; powers and functions apply eval's float
     operation element by element), each subtree object once per pass.  Where
-    `eval` would raise, this raises the first failing state's error (`in_state_order`)."""
+    `eval` would raise, the replay by halves raises the first failing state's
+    error (`in_state_order`)."""
     states = np.asarray(states, dtype=float)
 
     def walk(a, b):  # states [a, b) as one (b - a, len(exprs)) array

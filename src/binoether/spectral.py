@@ -323,13 +323,14 @@ def _norms(rows, m: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(sums), overflow
 
 
-def _pencil(w_rows, h_rows, m: int) -> np.ndarray:
+def _pencil(w_rows, h_rows, m: int, pf_w=None) -> np.ndarray:
     """Coefficients a_0..a_n of P(t) = Pf(H + tW)/Pf(W) at each of m states
-    (rows from `_batch_rows`), an (m, n+1) array: the Pfaffian at n+1
-    Chebyshev nodes t = s u_k, s = ||H||/||W||, and one stacked interpolation
-    solve; P(t) = t^n where H = 0.  Of several states, each one the arrays
-    cannot reproduce (an entry exactly 0, a norm's square or a power s**m
-    overflowing) runs alone, in order, so the first error raised is its own."""
+    (rows from `_batch_rows`; Pf(W) is pf_w where given), an (m, n+1) array:
+    the Pfaffian at n+1 Chebyshev nodes t = s u_k, s = ||H||/||W||, and one
+    stacked interpolation solve; P(t) = t^n where H = 0.  Of several states,
+    each one the arrays cannot reproduce (an entry exactly 0, a norm's square
+    or a power s**m overflowing) runs alone, in order, so the first error
+    raised is its own."""
     N = len(w_rows)
     n = N // 2
     is_zero = _zero_test(m)
@@ -360,7 +361,7 @@ def _pencil(w_rows, h_rows, m: int) -> np.ndarray:
                 pencil[e] = v
             vals[:, k] = _pfaffian_kernel(N, tuple(map(is_zero, pencil)))(*pencil)
         # numpy's division, which gives inf or NaN where Pf(W) = 0
-        vals /= np.reshape(_pfaffian(w_rows, is_zero), (-1, 1))
+        vals /= np.reshape(_pfaffian(w_rows, is_zero) if pf_w is None else pf_w, (-1, 1))
         b = np.linalg.solve(np.broadcast_to(vander, (m, n + 1, n + 1)), vals[:, :, None])[:, :, 0]
         # undo the node scaling: P(t) = R(t/s) with R(u) = sum b_m u^m
         out = b / powers
@@ -374,10 +375,10 @@ def _pencil(w_rows, h_rows, m: int) -> np.ndarray:
     return out
 
 
-def _margins(rows, m: int) -> np.ndarray:
-    """|Pf(W)| / ||W||_F^n at each of m states (rows as for `_pencil`), 0 where
-    W = 0.  Where the entries are finite but the norm's n-th power is not
-    finite and positive, the same scale-free ratio for W / max|W_ij|, whose
+def _margins(rows, m: int, pf_w=None) -> np.ndarray:
+    """|Pf(W)| / ||W||_F^n at each of m states (rows and pf_w as for `_pencil`),
+    0 where W = 0.  Where the entries are finite but the norm's n-th power is
+    not finite and positive, the same scale-free ratio for W / max|W_ij|, whose
     norm lies in [sqrt(2), 2n].  Of several states, each one the arrays cannot
     reproduce (an entry exactly 0, a power out of range) runs alone."""
     N = len(rows)
@@ -387,7 +388,7 @@ def _margins(rows, m: int) -> np.ndarray:
         # sqrt(x.dot(x)) over the flattened matrix, as np.linalg.norm takes it
         norms = np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
         powers = np.float_power(norms, float(N // 2))  # rounded as Python's ** rounds
-        margins = np.abs(_pfaffian(rows, _zero_test(m))) / powers
+        margins = np.abs(_pfaffian(rows, _zero_test(m)) if pf_w is None else pf_w) / powers
     in_range = (powers > 0.0) & (powers < np.inf)
     if m > 1:
         for k in np.flatnonzero(_zero_at(_upper(rows)) | ~in_range):
@@ -417,12 +418,13 @@ def is_regular(W: MultiVectorField, x) -> bool:
     return regularity_margin(evaluate_mv(W, x)) > REGULARITY_FACTOR
 
 
-def _require_regular(W: MultiVectorField, x) -> list[list[float]]:
-    """W's matrix rows at x; RegularityError where W is degenerate."""
+def _require_regular(W: MultiVectorField, x) -> tuple[list[list[float]], float]:
+    """W's matrix rows at x and Pf(W) there; RegularityError where W is degenerate."""
     rows = evaluate_mv(W, x).tolist()
-    if not _margins(rows, 1)[0] > REGULARITY_FACTOR:  # a NaN margin is not regular
+    pf_w = _pfaffian(rows)
+    if not _margins(rows, 1, pf_w)[0] > REGULARITY_FACTOR:  # a NaN margin is not regular
         raise RegularityError(f"bivector is numerically degenerate at {tuple(x)}")
-    return rows
+    return rows, pf_w
 
 
 def _as_point(x) -> PhasePoint:
@@ -584,8 +586,8 @@ def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, state
 def mixed_wedge_ratios(W: MultiVectorField, What: MultiVectorField, x) -> InvariantVector:
     """Invariants Y^(l) = (coefficient of t^{n-l} in P) / C(n,l) for
     l = 1..n, i.e. the top-wedge ratios W_hat^l ^ W^{n-l} / W^n."""
-    rows = _require_regular(W, x)
-    values = y_from_coefficients(_pencil(rows, evaluate_mv(What, x).tolist(), 1)[0])
+    rows, pf_w = _require_regular(W, x)
+    values = y_from_coefficients(_pencil(rows, evaluate_mv(What, x).tolist(), 1, pf_w)[0])
     return InvariantVector(_as_point(x), tuple(float(v) for v in values))
 
 
@@ -595,7 +597,7 @@ def secular_roots(W: MultiVectorField, What: MultiVectorField, x, where=None) ->
     near-coincident roots flagged: N's eigenvalues at x (`operator_roots`,
     whose errors name x where(0)), real at a repeated root too;
     RegularityError where W is degenerate."""
-    rows = _require_regular(W, x)
+    rows = _require_regular(W, x)[0]
     with np.errstate(all="ignore"):  # N alone, not dN; inf entries fail closed
         roots = operator_roots((np.linalg.inv(rows) @ evaluate_mv(What, x))[None], where)[0]
     return SecularSpectrum(

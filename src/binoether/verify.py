@@ -95,8 +95,9 @@ PAPER_ANCHORS = {
     "involution": "{Y^(k),Y^(l)} = {Y^(k),Y^(l)}_hat = 0",
 }
 
-# flow steps per run of the RK4 loop and its checks, and states per pass of the drift audit
-TRAJECTORY_BLOCK = 256
+# flow steps per run of the RK4 loop and its checks, and states per pass of the drift audit;
+# evaluate_batch's memo holds states x distinct subtrees (a pass peaks at 98 MB on dense n = 6)
+TRAJECTORY_BLOCK = 1024
 
 # what a batched pass over a block of states can raise (`in_state_order`)
 _BATCH_ERRORS = (ArithmeticError, ValueError, ExprError, SpectralError)
@@ -541,7 +542,8 @@ def integrate_flow(
     states, then the half steps (`_rk4_batch`) from those before the first
     loss.  So the error raised is a step by step loop's first: a loss of
     regularity at a state j <= k, then an error in step k's full step, then
-    in its half steps, then its failed estimate.
+    in its half steps, then its failed estimate, though the loop may take up
+    to TRAJECTORY_BLOCK - 1 full steps past the failure before the check.
     """
     X = hamiltonian_vf(W, h)
     dim = W.space.dim
@@ -601,14 +603,14 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     constant along the trajectory (relative drift <= cfg.drift_tol).
 
     The states go in blocks of TRAJECTORY_BLOCK through one batched pass
-    each (`in_state_order`).  The roots at every state come from
-    `spectral.roots_near`, with the roots of the first state
-    (`secular_roots`, N's eigenvalues) as the guess: along a conserving
-    flow they are every state's roots up to the drift, so Newton's method
-    from them converges and certifies the roots.  A state whose roots it
-    cannot certify, such as one whose roots really moved or repeat, takes
-    N's eigenvalues at that state, with their errors.  The Y^(l) come from
-    the pencil coefficients."""
+    each (`in_state_order`, which replays a raising pass by halves).  The
+    roots at every state come from `spectral.roots_near`, with the roots of
+    the first state (`secular_roots`, N's eigenvalues) as the guess: along
+    a conserving flow they are every state's roots up to the drift, so
+    Newton's method from them converges and certifies the roots.  A state
+    whose roots it cannot certify, such as one whose roots really moved or
+    repeat, takes N's eigenvalues at that state, with their errors.  The
+    Y^(l) come from the pencil coefficients."""
     n = W.space.n
     m = len(traj)
     # state 0's roots first, so that its errors are the first ones raised

@@ -3,6 +3,7 @@ secular roots, invariants and regularity margins must equal the point route
 state by state, bit for bit."""
 
 import math
+import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -267,15 +268,21 @@ def test_a_late_stage_domain_error_matches_a_step_by_step_loop(w_text, site, fir
         assert got[0] is EvalDomainError and got[1].startswith(error)
 
 
-@pytest.mark.parametrize("step, site", [(300, 5), (300, 9), (TRAJECTORY_BLOCK, 1)],
+# a flow over two blocks, and a step and a state of its second block
+LONG_STEPS = TRAJECTORY_BLOCK + 144
+LONG_CFG = CheckConfig(t_end=LONG_STEPS * 1e-3, dt=1e-3)
+LATE = TRAJECTORY_BLOCK + 44
+
+
+@pytest.mark.parametrize("step, site", [(LATE, 5), (LATE, 9), (TRAJECTORY_BLOCK, 1)],
                          ids=["first-half", "second-half", "full-step-at-a-block-edge"])
 def test_a_domain_error_in_a_later_block_matches_a_step_by_step_loop(step, site):
     # the denominator is 0 first at one site of a step in the second block
     # of states.  No full step meets a half step's site, so the full steps
     # run on to the end and the deferred estimate raises it; at k2 of step
-    # 256 the loop stops, and the last block holds state 256 alone
-    cfg = CheckConfig(t_end=0.4, dt=1e-3)
-    sites, _ = q1_sites(SITE_X0[0], cfg.dt, 400)
+    # TRAJECTORY_BLOCK the loop stops, and the last block holds that state alone
+    cfg = LONG_CFG
+    sites, _ = q1_sites(SITE_X0[0], cfg.dt, LONG_STEPS)
     c = sites[11 * step + site]
     hits = [k for k, q in enumerate(sites) if q == c]
     assert hits[0] == 11 * step + site
@@ -284,7 +291,7 @@ def test_a_domain_error_in_a_later_block_matches_a_step_by_step_loop(step, site)
     h = parse(SITE_H, FLOW_SPACE)
     if site >= 4:
         assert all(k % 11 >= 4 for k in hits)
-        assert len(integrate_flow(W, h, SITE_X0, cfg, max_step_error=None).states) == 401
+        assert len(integrate_flow(W, h, SITE_X0, cfg, max_step_error=None).states) == LONG_STEPS + 1
     got = assert_flow_matches_the_oracle(W, h, SITE_X0, cfg, 1e-8)
     assert got[0] is EvalDomainError and got[1].startswith("division by zero in ")
 
@@ -321,12 +328,13 @@ def test_a_loss_of_regularity_before_a_half_step_error_at_its_state_wins():
 
 
 def test_no_half_step_from_a_state_at_or_after_the_first_loss(monkeypatch):
-    # the setup above: regularity is lost at state 300, whose first half step
-    # divides by 0.  The block of states 256..299 takes its half steps in one
-    # batch, and no state is replayed alone
-    cfg = CheckConfig(t_end=0.4, dt=1e-3)
-    sites, states = q1_sites(SITE_X0[0], cfg.dt, 400)
-    c, lost = sites[11 * 300 + 5], states[300]
+    # the setup above, one block later: regularity is lost at state LATE,
+    # whose first half step divides by 0.  The states TRAJECTORY_BLOCK..LATE - 1
+    # take their half steps in one batch, and no state is replayed alone
+    cfg = LONG_CFG
+    sites, states = q1_sites(SITE_X0[0], cfg.dt, LONG_STEPS)
+    c, lost = sites[11 * LATE + 5], states[LATE]
+    assert lost not in sites[:11 * LATE] and c not in states and c not in sites[:11 * LATE + 5]
     w = f"(q1 - {c!r})/(q1 - {c!r}) * (q1 - {lost!r})"
     W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0), (1, 3): parse(w, FLOW_SPACE)})
     rk4_batch, rows = verify._rk4_batch, []
@@ -336,9 +344,43 @@ def test_no_half_step_from_a_state_at_or_after_the_first_loss(monkeypatch):
         return rk4_batch(exprs, y, dt)
 
     monkeypatch.setattr(verify, "_rk4_batch", counted)
-    with pytest.raises(verify.FlowError, match=r"^regularity lost at t = 0\.3$"):
+    lost_at = re.escape(f"regularity lost at t = {LATE * cfg.dt:.6g}")
+    with pytest.raises(verify.FlowError, match=f"^{lost_at}$"):
         integrate_flow(W, parse(SITE_H, FLOW_SPACE), SITE_X0, cfg)
-    assert rows == [TRAJECTORY_BLOCK] * 2 + [300 - TRAJECTORY_BLOCK] * 2
+    assert rows == [TRAJECTORY_BLOCK] * 2 + [LATE - TRAJECTORY_BLOCK] * 2
+
+
+def test_a_pass_failing_at_its_last_state_replays_by_halves(monkeypatch):
+    # a half step from the last state of a full block divides by 0: the block's
+    # pass raises, and its replay takes the halves that hold that state, each
+    # after the half before it, down to that state alone
+    B = TRAJECTORY_BLOCK
+    cfg = CheckConfig(t_end=B * 1e-3, dt=1e-3)
+    sites, states = q1_sites(SITE_X0[0], cfg.dt, B)
+    c = sites[11 * (B - 1) + 5]
+    hits = [k for k, q in enumerate(sites) if q == c]
+    assert hits[0] == 11 * (B - 1) + 5 and all(k % 11 >= 4 for k in hits)
+    W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0),
+                                         (1, 3): parse(f"(q1 - {c!r})/(q1 - {c!r})", FLOW_SPACE)})
+    h = parse(SITE_H, FLOW_SPACE)
+    got = assert_flow_matches_the_oracle(W, h, SITE_X0, cfg, 1e-8)
+    assert got[0] is EvalDomainError and got[1].startswith("division by zero in ")
+    margins, passes = verify.regularity_margins, []
+
+    def counted(W, at):  # one call per check: (its first state, its length)
+        passes.append((states.index(at[0][0]), len(at)))
+        return margins(W, at)
+
+    monkeypatch.setattr(verify, "regularity_margins", counted)
+    with pytest.raises(EvalDomainError, match="division by zero in "):
+        integrate_flow(W, h, SITE_X0, cfg)
+    # the block, then at each halving the half before the failing state and the half that holds it
+    want, a = [(0, B)], 0
+    while B - a > 1:
+        mid = (a + B) // 2
+        want += [(a, mid - a), (mid, B - mid)]
+        a = mid
+    assert passes == want and len(passes) <= 2 * math.ceil(math.log2(B)) + 1
 
 
 @pytest.mark.parametrize("step", [TRAJECTORY_BLOCK - 1, TRAJECTORY_BLOCK, TRAJECTORY_BLOCK + 1])
@@ -349,7 +391,7 @@ def test_a_first_step_error_at_the_block_edge_matches_a_step_by_step_loop(step):
     # steps' estimates fails first at the second
     space = PhaseSpace.canonical(1)
     W = MultiVectorField(space, 2, {(0, 1): Num(1.0)})
-    h, x0, cfg = parse("-10*q1*p1", space), (1.0, 1.0), CheckConfig(t_end=0.3, dt=1e-3)
+    h, x0, cfg = parse("-10*q1*p1", space), (1.0, 1.0), LONG_CFG
 
     def growth(z):
         return 1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24
@@ -411,10 +453,10 @@ def test_random_fields_match_a_step_by_step_loop(field, x0, max_step_error, requ
 @example(NAN_SIGN_FIELD, [1.0, 0.0, 0.0, 2.84e-182], None, False)
 def test_random_fields_over_two_blocks_match_a_step_by_step_loop(field, x0, max_step_error,
                                                                  require_regular):
-    # 300 steps: the deferred estimate and regularity test span two blocks
+    # LATE steps: the deferred estimate and regularity test span two blocks
     W, h = field
-    assert_flow_matches_the_oracle(W, h, x0, CheckConfig(t_end=0.3, dt=1e-3), max_step_error,
-                                   require_regular)
+    assert_flow_matches_the_oracle(W, h, x0, CheckConfig(t_end=LATE * 1e-3, dt=1e-3),
+                                   max_step_error, require_regular)
 
 
 def test_one_compile_per_field_text():

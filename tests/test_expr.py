@@ -24,6 +24,7 @@ from binoether.expr import (
     evaluate,
     evaluate_batch,
     evaluate_jet,
+    in_state_order,
     parse,
     substitute,
 )
@@ -540,3 +541,54 @@ def test_binary_nodes_keep_their_identity_and_printing(node, sym, printed, swapp
     assert all(e != other(a, b) for other in (Add, Sub, Mul, Div) if other is not node)
     assert repr(e) == f"((Var(q1) + Var(p1)) {sym} sin(Var(p1)))"
     assert str(e) == printed and str(node(b, a)) == swapped
+
+
+@st.composite
+def raising_passes(draw):
+    """(start, end, errors at states, spurious states, which state a raising
+    pass names) for a pass of fn over states [start, end)."""
+    size = draw(st.integers(1, 1100) | st.sampled_from([1, 2, 3, 1023, 1024, 1025]))
+    start = draw(st.integers(0, 5))
+    states = st.integers(start, start + size - 1)
+    kinds = st.sampled_from([ValueError, ZeroDivisionError, OverflowError])
+    failing = draw(st.dictionaries(states, kinds, max_size=4))
+    spurious = draw(st.sets(states, max_size=3))
+    return start, start + size, failing, spurious, draw(st.sampled_from([min, max]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raising_passes())
+@example((0, 1024, {1023: ValueError}, set(), min))
+@example((3, 1027, {}, {3, 1026}, max))
+def test_in_state_order_equals_a_state_by_state_loop(case):
+    # fn's rows depend on each state alone; a state in failing raises on every
+    # pass that holds it, and a pass of several states names one of them (the
+    # first or the last).  A spurious state raises only on a pass of several
+    # states, as a batch error that no state meets alone would
+    start, end, failing, spurious, named = case
+    calls = []
+
+    def fn(a, b):
+        calls.append((a, b))
+        if b - a > 1 and spurious & set(range(a, b)):
+            raise ArithmeticError("spurious batch error")
+        hit = [j for j in failing if a <= j < b]
+        if hit:
+            j = named(hit)
+            raise failing[j](f"at state {j}")
+        j = np.arange(a, b, dtype=float)
+        return np.column_stack([j, np.sqrt(j) / 3.0]), -j
+
+    def loop():  # fn(j, j + 1) for each state j in order
+        rows = [fn(j, j + 1) for j in range(start, end)]
+        return np.column_stack(tuple(map(np.concatenate, zip(*rows))))
+
+    want = outcome(loop)
+    calls.clear()
+    got = outcome(lambda: np.column_stack(
+        in_state_order(fn, start, end, (ArithmeticError, ValueError))))
+    assert got == want
+    # no pass twice: at most the 2B - 1 passes of the halving tree
+    assert len(set(calls)) == len(calls) <= 2 * (end - start) - 1
+    if not spurious:
+        assert len(calls) <= 2 * math.ceil(math.log2(end - start)) + 1
