@@ -6,7 +6,8 @@ Expressions are immutable trees over decimal literals, coordinate names,
 partial derivatives; `evaluate_jet` is the value and the gradient from
 the two.  `evaluate_batch` evaluates a list of expressions at many points
 at once, and `compile_kernel` turns a list of expressions into one
-straight-line Python function of the coordinates, both with the same
+straight-line Python function of the coordinates (geometry's point
+queries run it, and the flow's loop pastes its code), both with the same
 floating-point results and errors as evaluating point by point.  The four
 binary nodes share one base: each names its Python operator, which
 batched evaluation and `substitute` apply, and its printed symbol,
@@ -727,51 +728,68 @@ def evaluate_batch(exprs, states) -> list[np.ndarray]:
 
 def emit_kernel(exprs):
     """`compile_kernel`'s code as (body lines, output expressions, env, the
-    coordinates read), coordinate i written ``{x}i`` and the k-th temporary in
-    visit order ``{t}k`` for `str.format`, so that equal trees give equal text;
-    the env holds each Div and each power's or function's ``_apply``."""
+    coordinates read), coordinate i written ``{x}i`` and temporary k ``{t}k``
+    for `str.format`, so that equal trees give equal text; the env holds each
+    Div and each ``_apply``.  A subtree used once is inline, in the parentheses
+    its precedence needs; a temporary holds each shared subtree, output,
+    denominator, subtree nested 16 deep and call of ``_apply`` (which may raise)."""
     body: list[str] = []
     env: dict = {"EvalDomainError": EvalDomainError}
-    names: dict = {}  # id of each subtree emitted -> its value's name or literal
+    names: dict = {}  # id of each subtree stored -> its temporary
     reads: dict = {}  # index of each coordinate read -> its name
+    uses: dict = {}  # id of each subtree -> its users, outputs included
 
-    def emit(node) -> str:
-        key = id(node)
-        if key in names:
-            return names[key]
-        if isinstance(node, Num):
-            names[key] = repr(node.value)
-        elif isinstance(node, Var):
-            names[key] = reads[node.index] = f"{{x}}{node.index}"
+    def count(node):
+        uses[id(node)] = uses.get(id(node), 0) + 1
+        if uses[id(node)] == 1:
+            for name in ("a", "b", "arg"):  # the operands (never `vars(node)`, which gives it a dict)
+                if hasattr(node, name):
+                    count(getattr(node, name))
+
+    def store(text) -> str:
+        body.append(f"{{t}}{len(body)} = {text}")
+        return f"{{t}}{len(body) - 1}"
+
+    def emit(node, prec=0) -> tuple[str, int]:  # (text, nesting depth), in parentheses below prec
+        if id(node) in names:
+            return names[id(node)], 0
+        if isinstance(node, Num):  # in Python a negative literal needs no parentheses either
+            return repr(node.value), 0
+        if isinstance(node, Var):
+            return reads.setdefault(node.index, f"{{x}}{node.index}"), 0
+        if isinstance(node, Div):  # the denominator is tested before the numerator is computed
+            b, depth = emit(node.b)
+            b, ref = store(b) if depth else b, f"n{len(env)}"
+            env[ref] = node
+            body.append(f"if {b} == 0.0: raise EvalDomainError('division by zero', {ref})")
+            a, depth = emit(node.a, _PREC_MUL)
+            text = f"{a} / {b}"
+        elif isinstance(node, _Unary):
+            (arg, depth), ref = emit(node.arg), f"f{len(env)}"
+            env[ref] = node._apply
+            text = f"{ref}({arg})"
+        elif isinstance(node, Neg):
+            a, depth = emit(node.a, _PREC_NEG)
+            text = f"-{a}"
         else:
-            if isinstance(node, Div):
-                b, ref = emit(node.b), f"n{len(env)}"
-                env[ref] = node
-                body.append(f"if {b} == 0.0: raise EvalDomainError('division by zero', {ref})")
-                value = f"{emit(node.a)} / {b}"
-            elif isinstance(node, _Unary):
-                arg, ref = emit(node.arg), f"f{len(env)}"
-                env[ref] = node._apply
-                value = f"{ref}({arg})"
-            elif isinstance(node, Neg):
-                value = f"-{emit(node.a)}"
-            else:
-                value = f"{emit(node.a)} {node._sym} {emit(node.b)}"
-            names[key] = f"{{t}}{len(names)}"
-            body.append(f"{names[key]} = {value}")
-        return names[key]
+            (a, depth), (b, depth_b) = emit(node.a, node._prec), emit(node.b, node._prec + 1)
+            text, depth = f"{a} {node._sym} {b}", max(depth, depth_b)
+        if uses[id(node)] > 1 or depth >= 16 or isinstance(node, _Unary):
+            names[id(node)] = store(text)
+            return names[id(node)], 0
+        return (f"({text})" if node._prec < prec else text), depth + 1
 
-    outputs = [emit(e) for e in exprs]
-    return body, outputs, env, tuple(sorted(reads))
+    for e in exprs:
+        count(e)
+        uses[id(e)] += 1  # so that a temporary holds each output
+    return body, [emit(e)[0] for e in exprs], env, tuple(sorted(reads))
 
 
 def compile_kernel(exprs, dim: int):
     """Compile expressions into one straight-line function ``f(x0, ...,
-    x{dim-1}) -> tuple[float, ...]`` of float coordinates (`emit_kernel`):
-    one temporary per distinct subtree object, in `eval`'s visit order (a
-    denominator is tested before its numerator is computed; powers and
-    functions call the node's ``_apply``), so the values and the first error
-    are `eval`'s, bit for bit."""
+    x{dim-1}) -> tuple[float, ...]`` of float coordinates (`emit_kernel`): each
+    float operation of `eval` in its order, each subtree object once, so the
+    values and the first error are `eval`'s, bit for bit."""
     body, outputs, env, _ = emit_kernel(exprs)
     text = "\n    ".join([f"def kernel({', '.join(f'x{i}' for i in range(dim))}):", *body,
                          f"return ({''.join(o + ', ' for o in outputs)})"])

@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .expr import Num, PhaseSpace, ScalarExpr, _coerce
+from .expr import Num, PhaseSpace, ScalarExpr, _coerce, compile_kernel
 
 __all__ = [
     "PhasePoint",
@@ -32,6 +32,7 @@ __all__ = [
     "poisson_bracket",
     "component_diffs",
     "evaluate_mv",
+    "evaluate_mv_diffs",
 ]
 
 
@@ -91,6 +92,7 @@ class MultiVectorField:
             raise ValueError(f"degree must be non-negative, got {degree}")
         self.space = space
         self.degree = degree
+        self._kernels: dict = {}  # the point kernels, set by `_point_arrays`
         merged: dict[tuple[int, ...], ScalarExpr] = {}
         for idx, value in components.items():
             idx = tuple(int(i) for i in idx)
@@ -269,16 +271,32 @@ def component_diffs(F: MultiVectorField) -> list[dict[tuple[int, ...], ScalarExp
 
 def evaluate_mv(A: MultiVectorField, x) -> np.ndarray | float:
     """Evaluate every component at a point; returns a fully antisymmetric
-    numeric array of shape (2n,)*k (a float for degree 0)."""
+    numeric array of shape (2n,)*k (a float for degree 0), from the field's
+    kernel of its components (`_point_arrays`)."""
+    arr = _point_arrays(A, x, False)[0]
+    return float(arr) if A.degree == 0 else arr
+
+
+def evaluate_mv_diffs(A: MultiVectorField, x) -> np.ndarray:
+    """The partials d_l A at a point, a (2n,)*(k+1) array with l first (`_point_arrays`)."""
+    return _point_arrays(A, x, True)
+
+
+def _point_arrays(A: MultiVectorField, x, partials: bool) -> np.ndarray:
+    """The antisymmetric arrays of A's partials d_l A at x (`component_diffs`), or of
+    A alone as l = 0, stacked with l first, from one kernel of their expressions
+    compiled at its first use and kept on the field: `eval`'s values and first error."""
     N = A.space.dim
-    if A.degree == 0:
-        return float(A.component(()).eval(x))
-    arr = np.zeros((N,) * A.degree)
-    signs = _permutation_signs(A.degree)
-    for idx, e in A.components.items():
-        v = e.eval(x)
-        for perm, sign in signs:
-            arr[tuple(idx[p] for p in perm)] = sign * v
+    if partials not in A._kernels:
+        groups = component_diffs(A) if partials else [A.components]
+        keys = [(l, *idx) for l, group in enumerate(groups) for idx in group]
+        A._kernels[partials] = (compile_kernel([e for g in groups for e in g.values()], N),
+                                np.array(keys, dtype=int).reshape(len(keys), 1 + A.degree).T)
+    kernel, keys = A._kernels[partials]
+    values = np.array(kernel(*[float(v) for v in x]))
+    arr = np.zeros((N if partials else 1,) + (N,) * A.degree)
+    for perm, sign in _permutation_signs(A.degree):
+        arr[(keys[0], *keys[1:][list(perm)])] = sign * values
     return arr
 
 

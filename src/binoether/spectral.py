@@ -18,8 +18,9 @@ dN = W^{-1} (dW_hat - dW N) give their exact gradients, and the gradients
 of simple roots through the spectral projectors of N, for the involution
 audit.  The projectors are polynomials in N built from N's own eigenvalues
 (Sylvester's formula), not from eigenvectors of N, which may be
-ill-conditioned where N is not normal.  `recursion_operator_batch` builds N
-and dN for a stack of states from one batched evaluation.
+ill-conditioned where N is not normal.  `_operator_jet` builds N and dN:
+for a stack of states from one batched evaluation, and at one point from
+the fields' compiled kernels (`geometry.evaluate_mv`, `invariant_jets`).
 
 The secular roots are N's eigenvalues (`operator_roots`, each pair
 averaged), which stay real and semisimple at a repeated root: `secular_roots`,
@@ -41,8 +42,7 @@ One state, as the point functions pass it, runs on Python floats; several
 run on arrays, one element per state, and each state that the arrays
 cannot reproduce bit for bit runs through the body alone.  Every
 gradient comes from the recursion operator: `invariant_jets` and
-`pencil_coefficient_jets` are one-row calls of that route, and return
-(value, gradient) records, `Jet`.
+`pencil_coefficient_jets` return (value, gradient) records, `Jet`.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .geometry import (
     PhasePoint,
     component_diffs,
     evaluate_mv,
+    evaluate_mv_diffs,
     lie_derivative_mv,
 )
 
@@ -640,10 +641,10 @@ def operator_batch(W: MultiVectorField, What: MultiVectorField, states) -> np.nd
 def recursion_operator_batch(W: MultiVectorField, What: MultiVectorField, states) -> tuple:
     """(W, W_hat, N, dN) at every row of a (m, 2n) state array: W, W_hat and
     the recursion operator N = W^{-1} W_hat as (m, 2n, 2n) arrays, and its
-    partial derivatives dN_l = W^{-1} (d_l W_hat - d_l W N) as an
-    (m, 2n, 2n, 2n) array, l second.  The components of W and W_hat and
-    their first derivatives go to one `evaluate_batch` call (`_matrices`);
-    W must be regular at every state."""
+    partial derivatives dN_l as an (m, 2n, 2n, 2n) array, l second
+    (`_operator_jet`).  The components of W and W_hat and their first
+    derivatives go to one `evaluate_batch` call (`_matrices`); W must be
+    regular at every state."""
     N = W.space.dim
     diffs = [component_diffs(F) for F in (W, What)]
     # W, What, then d_l W and d_l What for each l
@@ -651,12 +652,18 @@ def recursion_operator_batch(W: MultiVectorField, What: MultiVectorField, states
                      states)
     w, what = mats[0], mats[1]
     dw, dwhat = mats[2::2].transpose(1, 0, 2, 3), mats[3::2].transpose(1, 0, 2, 3)
+    return (w, what, *_operator_jet(w, what, dw, dwhat))
+
+
+def _operator_jet(w, what, dw, dwhat) -> tuple[np.ndarray, np.ndarray]:
+    """N = W^{-1} W_hat and dN_l = W^{-1} (d_l W_hat - d_l W N) from W and
+    W_hat, (m, 2n, 2n) arrays, and their partials, (m, 2n, 2n, 2n), l second."""
     w_inv = np.linalg.inv(w)
     with np.errstate(all="ignore"):  # inf entries give inf or NaN, which fail closed
         op = w_inv @ what
         rhs = dw @ op[:, None]
         np.subtract(dwhat, rhs, out=rhs)
-        return w, what, op, w_inv[:, None] @ rhs
+        return op, w_inv[:, None] @ rhs
 
 
 def trace_invariants(op: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -743,9 +750,11 @@ def pencil_coefficient_jets(W: MultiVectorField, What: MultiVectorField, x) -> l
 
 def invariant_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:
     """Jets of Y^(1)..Y^(n) at x: values and exact gradients from the
-    recursion operator (`recursion_operator_batch`, `trace_invariants`)."""
-    _require_regular(W, x)
-    values, grads = trace_invariants(*recursion_operator_batch(W, What, [tuple(x)])[2:])
+    recursion operator (`_operator_jet`, `trace_invariants`) on the fields'
+    point kernels, W's first; RegularityError where W is degenerate."""
+    arrays = [_require_regular(W, x)[0], evaluate_mv(What, x), evaluate_mv_diffs(W, x),
+              evaluate_mv_diffs(What, x)]
+    values, grads = trace_invariants(*_operator_jet(*(np.array(a)[None] for a in arrays)))
     return [Jet(v, g) for v, g in zip(values[0].tolist(), grads[0])]
 
 

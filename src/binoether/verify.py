@@ -46,7 +46,6 @@ from .spectral import (
     regularity_margins,
     root_pair_gradients,
     roots_near,
-    secular_roots,
     trace_invariants,
     y_from_coefficients,
 )
@@ -605,7 +604,7 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     The states go in blocks of TRAJECTORY_BLOCK through one batched pass
     each (`in_state_order`, which replays a raising pass by halves).  The
     roots at every state come from `spectral.roots_near`, with the roots of
-    the first state (`secular_roots`, N's eigenvalues) as the guess: along
+    the first state (N's eigenvalues, from `operator_batch`) as the guess: along
     a conserving flow they are every state's roots up to the drift, so
     Newton's method from them converges and certifies the roots.  A state
     whose roots it cannot certify, such as one whose roots really moved or
@@ -614,7 +613,8 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     n = W.space.n
     m = len(traj)
     # state 0's roots first, so that its errors are the first ones raised
-    guess = secular_roots(W, What, traj.states[0], lambda i: f"t = {traj.times[0]:.6g}").roots
+    guess = operator_roots(operator_batch(W, What, traj.states[:1]),
+                           lambda i: f"t = {traj.times[0]:.6g}")[0]
 
     def block(a, b):  # the roots and the Y^(l) at states [a, b)
         coeffs = pencil_coefficients_batch(W, What, traj.states[a:b])

@@ -22,8 +22,8 @@ from binoether.expr import (
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
+    _permutation_signs,
     component_diffs,
-    evaluate_mv,
     hamiltonian_vf,
     lie_derivative_mv,
     schouten_bb,
@@ -220,6 +220,18 @@ def _perm_sign(base, perm):
     return tuple(order), sign
 
 
+def eval_mv(A: MultiVectorField, x) -> np.ndarray:
+    """A's antisymmetric array at x, each component by the per-node `eval`:
+    `geometry.evaluate_mv` without its compiled kernel, for the oracles,
+    which must not run the code they check (and compile nothing per example)."""
+    arr = np.zeros((A.space.dim,) * A.degree)
+    for idx, e in A.components.items():
+        v = e.eval(x)
+        for perm, sign in _permutation_signs(A.degree):
+            arr[tuple(idx[p] for p in perm)] = sign * v
+    return arr
+
+
 def max_component_at(field: MultiVectorField, pt) -> float:
     if not field.components:
         return 0.0
@@ -237,7 +249,7 @@ def reference_sample_points(W: MultiVectorField, cfg):
     while len(points) < cfg.samples and attempts < limit:
         attempts += 1
         x = rng.uniform(-cfg.box, cfg.box, size=W.space.dim)
-        if regularity_margin(evaluate_mv(W, x)) > REGULARITY_FACTOR:
+        if regularity_margin(eval_mv(W, x)) > REGULARITY_FACTOR:
             points.append(PhasePoint(tuple(x)))
     if len(points) < cfg.samples:
         raise SamplingError(
@@ -358,7 +370,7 @@ def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, 
     states[0] = np.asarray(tuple(x0), dtype=float)
     for k in range(steps):
         # a NaN margin is not regular
-        if require_regular and not regularity_margin(evaluate_mv(W, states[k])) > REGULARITY_FACTOR:
+        if require_regular and not regularity_margin(eval_mv(W, states[k])) > REGULARITY_FACTOR:
             raise FlowError(f"regularity lost at t = {k * dt:.6g}")
         full = rk4_step(states[k], dt)
         if max_step_error is not None:
@@ -400,7 +412,7 @@ def pointwise_bracket_check(check_id: str, T: MultiVectorField, A: MultiVectorFi
         return max((abs(e.eval(x)) for e in exprs), default=0.0)
 
     def scale(x):
-        Am, Bm = evaluate_mv(A, x), evaluate_mv(B, x)
+        Am, Bm = eval_mv(A, x), eval_mv(B, x)
         s = 0.0
         for l in range(A.space.dim):
             a_row = float(np.max(np.abs(Am[l])))

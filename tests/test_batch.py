@@ -12,23 +12,30 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from binoether import spectral, verify
-from binoether.expr import Call, EvalDomainError, Num, PhaseSpace, emit_kernel, parse
+from binoether.expr import (Call, EvalDomainError, Num, PhaseSpace, emit_kernel, evaluate_batch,
+                            parse)
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
+    component_diffs,
     evaluate_mv,
+    evaluate_mv_diffs,
     hamiltonian_vf,
     lie_derivative_mv,
 )
 from binoether.spectral import (
     NonRealSpectrumError,
+    invariant_jets,
+    mixed_wedge_ratios,
     operator_batch,
     operator_roots,
     pencil_coefficients,
     pencil_coefficients_batch,
+    recursion_operator_batch,
     regularity_margin,
     regularity_margins,
     secular_roots,
+    trace_invariants,
     y_from_coefficients,
 )
 from binoether.systems import SystemSpec, builtin_system, load_system, run_report
@@ -47,6 +54,7 @@ from helpers import (
     dense_frame_dissipative,
     dense_frame_fields,
     dissipative_fields,
+    eval_mv,
     reference_flow_states,
     reference_roots,
     reference_sample_points,
@@ -102,6 +110,87 @@ def test_batched_route_matches_point_route(case, m):
     assert same(
         regularity_margins(W, states), [regularity_margin(evaluate_mv(W, x)) for x in states]
     )
+
+
+def batch_row(components: dict, x) -> np.ndarray:
+    """The components' values at x from `evaluate_batch` on that one state."""
+    return np.array(evaluate_batch(list(components.values()), [x]), dtype=float).reshape(-1)
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["dense-frame-n2"])
+def test_point_kernels_match_the_batched_walk(case):
+    # each field's compiled kernels give the one-state row of `evaluate_batch`
+    # (and the per-node `eval`'s array), and the jets the batched recursion
+    # operator's, bit for bit: at 3 states of the case's flow, or at 3 sample
+    # points of the dense frame of dissipative n = 2, whose trees share subtrees
+    if case in CASES:
+        W, What, states = flow(case)
+        points = states[::TRAJECTORY_BLOCK // 2]
+    else:
+        _, W, _, E = dense_frame_fields(2, seed=7)
+        What, points = lie_derivative_mv(E, W), sample_regular_points(W, CheckConfig())[:3]
+    for x in points:
+        for F in (W, What):
+            values, diffs = evaluate_mv(F, x), evaluate_mv_diffs(F, x)
+            assert same([values[idx] for idx in F.components], batch_row(F.components, x))
+            assert same(values, eval_mv(F, x))
+            for l, group in enumerate(component_diffs(F)):
+                assert same([diffs[l][idx] for idx in group], batch_row(group, x))
+        jets = invariant_jets(W, What, x)
+        values, grads = trace_invariants(*recursion_operator_batch(W, What, [x])[2:])
+        assert same([j.value for j in jets], values[0])
+        assert same([j.gradient for j in jets], grads[0])
+
+
+def test_point_kernels_keep_signed_zeros():
+    # q1*p1 = -1 * 0.0 and -(q2*p2) = -(0.0 * 2.0) are -0.0 at x, in fields of
+    # degree 1 to 3, and so is the partial d/dp2 -(q2*p2) = -q2
+    space = PhaseSpace.canonical(2)
+    a, b = parse("q1*p1", space), parse("-(q2*p2)", space)
+    x = (-1.0, 0.0, 0.0, 2.0)
+    for degree in (1, 2, 3):
+        F = MultiVectorField(space, degree, {tuple(range(degree)): a,
+                                             tuple(range(1, degree + 1)): b})
+        values = batch_row(F.components, x)
+        assert same([evaluate_mv(F, x)[idx] for idx in F.components], values)
+        assert np.signbit(values).all() and same(evaluate_mv(F, x), eval_mv(F, x))
+        diffs = evaluate_mv_diffs(F, x)
+        assert same([diffs[2][idx] for idx in F.components], [-1.0, 0.0])
+        assert same([diffs[3][idx] for idx in F.components], [0.0, -0.0])
+
+
+def test_an_error_of_a_partial_alone_stays_in_the_jets():
+    # d/dp1 (q1/p1) = -(q1/(p1*p1)), and p1*p1 underflows to 0 at the least
+    # normal p1: W, W_hat and the roots and ratios are defined there, only
+    # the jets raise, as the batched recursion operator does
+    space = PhaseSpace.canonical(2)
+    tiny = 2.2250738585072014e-308
+    W = MultiVectorField(space, 2, {(0, 2): Num(1.0), (1, 3): parse("q1/p1", space)})
+    What = MultiVectorField(space, 2, {(0, 2): Num(2.0), (1, 3): Num(3.0)})
+    x = (tiny, 0.5, tiny, 2.0)
+    assert same(evaluate_mv(W, x), eval_mv(W, x))
+    assert secular_roots(W, What, x).roots == (2.0, 3.0)
+    assert mixed_wedge_ratios(W, What, x).values == pytest.approx((2.5, 6.0), rel=1e-14)
+    got = outcome(lambda: invariant_jets(W, What, x))
+    assert got == outcome(lambda: recursion_operator_batch(W, What, [x]))
+    assert got[0] is EvalDomainError and got[1].startswith("division by zero in ")
+
+
+@pytest.mark.parametrize("text, x", [
+    ("ln(q1)", (-1.0, 2.0)),
+    ("1/(q1 - 1) + ln(p1)", (1.0, -2.0)),  # the denominator comes first
+    ("ln(p1) + 1/(q1 - 1)", (1.0, -2.0)),  # the call comes first
+    ("exp(q1*1000)", (1.0, 2.0)),
+    ("(1e200*q1)^3", (1.0, 2.0)),
+    ("sin(q1*1e200*1e200)", (1.0, 2.0)),
+])
+def test_a_component_error_is_evals(text, x):
+    # the same type and message as the per-node `eval` of that component
+    space = PhaseSpace.canonical(1)
+    e = parse(text, space)
+    F = MultiVectorField(space, 2, {(0, 1): e})
+    want = outcome(lambda: e.eval(x))
+    assert isinstance(want, tuple) and outcome(lambda: evaluate_mv(F, x)) == want
 
 
 @pytest.mark.parametrize("case", sorted(CASES) + ["dense-frame-dissipative-n2"])
@@ -296,10 +385,35 @@ def test_a_domain_error_in_a_later_block_matches_a_step_by_step_loop(step, site)
     assert got[0] is EvalDomainError and got[1].startswith("division by zero in ")
 
 
-def test_a_loss_of_regularity_before_a_half_step_error_in_its_block_wins():
+def watch_passes(monkeypatch) -> tuple[list, list]:
+    """(rows, raised): the number of states of each batched half step
+    (`verify._rk4_batch`), and the states [a, b) of each batched pass of the
+    flow's checks that raised an error its replay catches (`in_state_order`)."""
+    rk4_batch, in_state_order, rows, raised = verify._rk4_batch, verify.in_state_order, [], []
+
+    def counted(exprs, y, dt):
+        rows.append(len(y))
+        return rk4_batch(exprs, y, dt)
+
+    def watched(fn, start, end, errors):
+        def run(a, b):
+            try:
+                return fn(a, b)
+            except errors:
+                raised.append((a, b))
+                raise
+        return in_state_order(run, start, end, errors)
+
+    monkeypatch.setattr(verify, "_rk4_batch", counted)
+    monkeypatch.setattr(verify, "in_state_order", watched)
+    return rows, raised
+
+
+def test_a_loss_of_regularity_before_a_half_step_error_in_its_block_wins(monkeypatch):
     # the half step of step 300 that divides by 0, as above, and W^q2p2 = 0
-    # at state 280, so that regularity is lost earlier in the same block:
-    # the block's batched half steps raise, and its replay meets the loss first
+    # at state 280, so that regularity is lost earlier in the same block: the
+    # block's check takes half steps only from the states before the loss, so
+    # the dividing half step never runs and no batched pass raises
     cfg = CheckConfig(t_end=0.4, dt=1e-3)
     sites, states = q1_sites(SITE_X0[0], cfg.dt, 400)
     c, lost = sites[11 * 300 + 5], states[280]
@@ -308,12 +422,16 @@ def test_a_loss_of_regularity_before_a_half_step_error_in_its_block_wins():
     W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0), (1, 3): parse(w, FLOW_SPACE)})
     got = assert_flow_matches_the_oracle(W, parse(SITE_H, FLOW_SPACE), SITE_X0, cfg, 1e-8)
     assert got == (verify.FlowError, "regularity lost at t = 0.28")
+    rows, raised = watch_passes(monkeypatch)
+    assert outcome(lambda: integrate_flow(W, parse(SITE_H, FLOW_SPACE), SITE_X0, cfg)) == got
+    assert rows == [280, 280] and raised == []
 
 
-def test_a_loss_of_regularity_before_a_half_step_error_at_its_state_wins():
+def test_a_loss_of_regularity_before_a_half_step_error_at_its_state_wins(monkeypatch):
     # W^q2p2 = 0 at state 300, and the first half step from state 300
-    # divides by 0: the block's batched pass raises, and its replay of state
-    # 300 tests the state's regularity before its half steps
+    # divides by 0: the block's check tests regularity first and takes half
+    # steps only from the states before the loss, so none runs from state 300
+    # and no batched pass raises
     cfg = CheckConfig(t_end=0.4, dt=1e-3)
     sites, states = q1_sites(SITE_X0[0], cfg.dt, 400)
     c, lost = sites[11 * 300 + 5], states[300]
@@ -325,6 +443,9 @@ def test_a_loss_of_regularity_before_a_half_step_error_at_its_state_wins():
         integrate_flow(W, h, SITE_X0, cfg, require_regular=False)
     got = assert_flow_matches_the_oracle(W, h, SITE_X0, cfg, 1e-8)
     assert got == (verify.FlowError, "regularity lost at t = 0.3")
+    rows, raised = watch_passes(monkeypatch)
+    assert outcome(lambda: integrate_flow(W, h, SITE_X0, cfg)) == got
+    assert rows == [300, 300] and raised == []
 
 
 def test_no_half_step_from_a_state_at_or_after_the_first_loss(monkeypatch):
@@ -337,17 +458,11 @@ def test_no_half_step_from_a_state_at_or_after_the_first_loss(monkeypatch):
     assert lost not in sites[:11 * LATE] and c not in states and c not in sites[:11 * LATE + 5]
     w = f"(q1 - {c!r})/(q1 - {c!r}) * (q1 - {lost!r})"
     W = MultiVectorField(FLOW_SPACE, 2, {(0, 2): Num(1.0), (1, 3): parse(w, FLOW_SPACE)})
-    rk4_batch, rows = verify._rk4_batch, []
-
-    def counted(exprs, y, dt):
-        rows.append(len(y))
-        return rk4_batch(exprs, y, dt)
-
-    monkeypatch.setattr(verify, "_rk4_batch", counted)
+    rows, raised = watch_passes(monkeypatch)
     lost_at = re.escape(f"regularity lost at t = {LATE * cfg.dt:.6g}")
     with pytest.raises(verify.FlowError, match=f"^{lost_at}$"):
         integrate_flow(W, parse(SITE_H, FLOW_SPACE), SITE_X0, cfg)
-    assert rows == [TRAJECTORY_BLOCK] * 2 + [LATE - TRAJECTORY_BLOCK] * 2
+    assert rows == [TRAJECTORY_BLOCK] * 2 + [LATE - TRAJECTORY_BLOCK] * 2 and raised == []
 
 
 def test_a_pass_failing_at_its_last_state_replays_by_halves(monkeypatch):

@@ -262,6 +262,16 @@ class TestCompileKernel:
             e = e + e
         assert compile_kernel([e, Num(0.5)], S1.dim)(1.5, 0.0) == (1.5 * 2.0**200, 0.5)
 
+    def test_deep_trees_compile(self):
+        # 500 levels of p1 - (...), which inline would nest 500 parentheses
+        # deep, and as many of (...) + p1*q1: a temporary every 16 levels
+        q, p = parse("q1", S1), parse("p1", S1)
+        right, left = q, q
+        for _ in range(500):
+            right, left = p - right, left + p * q
+        point = (0.5, 0.25)
+        assert compile_kernel([right, left], S1.dim)(*point) == (right.eval(point), left.eval(point))
+
     def test_denominator_before_numerator(self):
         # both operands leave the domain at (0, -1): eval tests q1 first
         e = parse("ln(p1) / q1", S1)

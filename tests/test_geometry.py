@@ -1,12 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from binoether import geometry
 from binoether.expr import Num, PhaseSpace, Var, parse
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
     component_diffs,
     evaluate_mv,
+    evaluate_mv_diffs,
     hamiltonian_vf,
     lie_derivative_mv,
     poisson_bracket,
@@ -61,6 +66,27 @@ class TestMultiVectorField:
         diffs = component_diffs(W)
         assert component_diffs(W) is diffs
         assert diffs == [{}, {}, {(0, 2): Num(-1.0)}, {(1, 3): Num(-1.0)}]
+
+    def test_point_kernels_are_built_once_and_die_with_the_field(self, monkeypatch):
+        # one kernel of the components and one of their partials per field,
+        # each compiled at its first use and held by the field alone
+        _, W, _, _ = dissipative_fields(2)
+        compile_kernel, compiled = geometry.compile_kernel, []
+
+        def counted(exprs, dim):
+            compiled.append(compile_kernel(exprs, dim))
+            return compiled[-1]
+
+        monkeypatch.setattr(geometry, "compile_kernel", counted)
+        x = (0.1, 0.2, 0.5, -0.5)
+        for _ in range(3):
+            assert np.array_equal(evaluate_mv(W, x), [[0, 0, -0.5, 0], [0, 0, 0, 0.5],
+                                                      [0.5, 0, 0, 0], [0, -0.5, 0, 0]])
+            assert np.array_equal(evaluate_mv_diffs(W, x)[2:, 0, 2], [-1.0, 0.0])
+        refs = [weakref.ref(kernel) for kernel in compiled]
+        del W, compiled
+        gc.collect()
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
 
     def test_phase_point_validation(self):
         with pytest.raises(ValueError):

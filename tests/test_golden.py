@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from binoether import geometry
 from binoether.geometry import MultiVectorField
 from binoether.systems import SystemSpec, builtin_system, load_system, run_report
 from binoether.verify import CheckConfig
@@ -100,6 +101,17 @@ def report_text(stem: str) -> str:
 def test_report_matches_golden(stem):
     expected = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert report_text(stem) == expected
+
+
+@pytest.mark.parametrize("stem", ["dense-frame-n2", "dissipative-n3"])
+def test_a_report_compiles_no_point_kernel(monkeypatch, stem):
+    # a report takes every value on batched routes: its fields are new in each
+    # report, so a point kernel compiled there would serve one use
+    def refuse(exprs, dim):
+        raise AssertionError("a report compiled a point kernel")
+
+    monkeypatch.setattr(geometry, "compile_kernel", refuse)
+    assert report_text(stem) == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
 
 
 def moved_values(old, new, path="$"):
