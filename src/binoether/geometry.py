@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .expr import Num, PhaseSpace, ScalarExpr, _coerce, compile_kernel
+from .expr import Num, PhaseSpace, ScalarExpr, _coerce, compile_kernel, evaluate_batch
 
 __all__ = [
     "PhasePoint",
@@ -32,7 +32,6 @@ __all__ = [
     "poisson_bracket",
     "component_diffs",
     "evaluate_mv",
-    "evaluate_mv_diffs",
 ]
 
 
@@ -83,6 +82,7 @@ class MultiVectorField:
     """
 
     _diffs = None  # the components' partial derivatives, set by `component_diffs`
+    _points = None  # each point route's index array and kernel, set by `_point_arrays`
 
     def __init__(self, space: PhaseSpace, degree: int, components: dict):
         # degree > dim is allowed but forces the zero field (no strictly
@@ -92,7 +92,6 @@ class MultiVectorField:
             raise ValueError(f"degree must be non-negative, got {degree}")
         self.space = space
         self.degree = degree
-        self._kernels: dict = {}  # the point kernels, set by `_point_arrays`
         merged: dict[tuple[int, ...], ScalarExpr] = {}
         for idx, value in components.items():
             idx = tuple(int(i) for i in idx)
@@ -271,29 +270,35 @@ def component_diffs(F: MultiVectorField) -> list[dict[tuple[int, ...], ScalarExp
 
 def evaluate_mv(A: MultiVectorField, x) -> np.ndarray | float:
     """Evaluate every component at a point; returns a fully antisymmetric
-    numeric array of shape (2n,)*k (a float for degree 0), from the field's
-    kernel of its components (`_point_arrays`)."""
+    numeric array of shape (2n,)*k (a float for degree 0) (`_point_arrays`).
+    From its second call on, the field holds a compiled kernel of its
+    components: 0.3 MB for W_hat of the dense n = 6 system, whose compile
+    peaks at 9 MB (tracemalloc), and a second one once its partials are
+    asked for twice."""
     arr = _point_arrays(A, x, False)[0]
     return float(arr) if A.degree == 0 else arr
 
 
-def evaluate_mv_diffs(A: MultiVectorField, x) -> np.ndarray:
-    """The partials d_l A at a point, a (2n,)*(k+1) array with l first (`_point_arrays`)."""
-    return _point_arrays(A, x, True)
-
-
 def _point_arrays(A: MultiVectorField, x, partials: bool) -> np.ndarray:
     """The antisymmetric arrays of A's partials d_l A at x (`component_diffs`), or of
-    A alone as l = 0, stacked with l first, from one kernel of their expressions
-    compiled at its first use and kept on the field: `eval`'s values and first error."""
+    A alone as l = 0, stacked with l first: `eval`'s values and first error.  A route's
+    first query on a field walks the trees once (`evaluate_batch` at one state); the
+    second compiles them into one kernel (`compile_kernel`), which the field keeps for
+    later queries, so that a field queried once holds no code."""
     N = A.space.dim
-    if partials not in A._kernels:
-        groups = component_diffs(A) if partials else [A.components]
-        keys = [(l, *idx) for l, group in enumerate(groups) for idx in group]
-        A._kernels[partials] = (compile_kernel([e for g in groups for e in g.values()], N),
-                                np.array(keys, dtype=int).reshape(len(keys), 1 + A.degree).T)
-    kernel, keys = A._kernels[partials]
-    values = np.array(kernel(*[float(v) for v in x]))
+    groups = component_diffs(A) if partials else [A.components]
+    exprs, x = [e for g in groups for e in g.values()], [float(v) for v in x]
+    if A._points is None:
+        A._points = {}
+    if partials not in A._points:
+        keys = np.array([(l, *idx) for l, g in enumerate(groups) for idx in g], dtype=int)
+        A._points[partials] = [keys.reshape(len(exprs), 1 + A.degree).T, None]
+        values = np.array(evaluate_batch(exprs, [x])).reshape(-1)
+    else:
+        if A._points[partials][1] is None:
+            A._points[partials][1] = compile_kernel(exprs, N)
+        values = np.array(A._points[partials][1](*x))
+    keys = A._points[partials][0]
     arr = np.zeros((N if partials else 1,) + (N,) * A.degree)
     for perm, sign in _permutation_signs(A.degree):
         arr[(keys[0], *keys[1:][list(perm)])] = sign * values

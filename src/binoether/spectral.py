@@ -20,7 +20,7 @@ audit.  The projectors are polynomials in N built from N's own eigenvalues
 (Sylvester's formula), not from eigenvectors of N, which may be
 ill-conditioned where N is not normal.  `_operator_jet` builds N and dN:
 for a stack of states from one batched evaluation, and at one point from
-the fields' compiled kernels (`geometry.evaluate_mv`, `invariant_jets`).
+the fields' point routes (`geometry.evaluate_mv`, `invariant_jets`).
 
 The secular roots are N's eigenvalues (`operator_roots`, each pair
 averaged), which stay real and semisimple at a repeated root: `secular_roots`,
@@ -60,9 +60,9 @@ from .expr import evaluate_jet  # noqa: F401
 from .geometry import (
     MultiVectorField,
     PhasePoint,
+    _point_arrays,
     component_diffs,
     evaluate_mv,
-    evaluate_mv_diffs,
     lie_derivative_mv,
 )
 
@@ -751,9 +751,9 @@ def pencil_coefficient_jets(W: MultiVectorField, What: MultiVectorField, x) -> l
 def invariant_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:
     """Jets of Y^(1)..Y^(n) at x: values and exact gradients from the
     recursion operator (`_operator_jet`, `trace_invariants`) on the fields'
-    point kernels, W's first; RegularityError where W is degenerate."""
-    arrays = [_require_regular(W, x)[0], evaluate_mv(What, x), evaluate_mv_diffs(W, x),
-              evaluate_mv_diffs(What, x)]
+    point routes, W's first; RegularityError where W is degenerate."""
+    arrays = [_require_regular(W, x)[0], evaluate_mv(What, x), _point_arrays(W, x, True),
+              _point_arrays(What, x, True)]
     values, grads = trace_invariants(*_operator_jet(*(np.array(a)[None] for a in arrays)))
     return [Jet(v, g) for v, g in zip(values[0].tolist(), grads[0])]
 

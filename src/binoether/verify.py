@@ -37,6 +37,7 @@ from .geometry import (
 )
 from .spectral import (
     REGULARITY_FACTOR,
+    RegularityError,
     SpectralError,
     multiple_root_flags,
     operator_batch,
@@ -604,15 +605,17 @@ def trajectory_drift(W: MultiVectorField, What: MultiVectorField, traj: Trajecto
     The states go in blocks of TRAJECTORY_BLOCK through one batched pass
     each (`in_state_order`, which replays a raising pass by halves).  The
     roots at every state come from `spectral.roots_near`, with the roots of
-    the first state (N's eigenvalues, from `operator_batch`) as the guess: along
-    a conserving flow they are every state's roots up to the drift, so
-    Newton's method from them converges and certifies the roots.  A state
+    the first state (N's eigenvalues, from `operator_batch`; RegularityError
+    where W is degenerate) as the guess: along a conserving flow they are
+    every state's roots up to the drift, so Newton's method from them converges and certifies the roots.  A state
     whose roots it cannot certify, such as one whose roots really moved or
     repeat, takes N's eigenvalues at that state, with their errors.  The
     Y^(l) come from the pencil coefficients."""
     n = W.space.n
     m = len(traj)
     # state 0's roots first, so that its errors are the first ones raised
+    if not regularity_margins(W, traj.states[:1])[0] > REGULARITY_FACTOR:  # as `secular_roots`
+        raise RegularityError(f"bivector is numerically degenerate at {tuple(traj.states[0])}")
     guess = operator_roots(operator_batch(W, What, traj.states[:1]),
                            lambda i: f"t = {traj.times[0]:.6g}")[0]
 

@@ -17,14 +17,15 @@ from binoether.expr import (Call, EvalDomainError, Num, PhaseSpace, emit_kernel,
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
+    _point_arrays,
     component_diffs,
     evaluate_mv,
-    evaluate_mv_diffs,
     hamiltonian_vf,
     lie_derivative_mv,
 )
 from binoether.spectral import (
     NonRealSpectrumError,
+    RegularityError,
     invariant_jets,
     mixed_wedge_ratios,
     operator_batch,
@@ -119,10 +120,11 @@ def batch_row(components: dict, x) -> np.ndarray:
 
 @pytest.mark.parametrize("case", sorted(CASES) + ["dense-frame-n2"])
 def test_point_kernels_match_the_batched_walk(case):
-    # each field's compiled kernels give the one-state row of `evaluate_batch`
-    # (and the per-node `eval`'s array), and the jets the batched recursion
-    # operator's, bit for bit: at 3 states of the case's flow, or at 3 sample
-    # points of the dense frame of dissipative n = 2, whose trees share subtrees
+    # each field's point routes, the walk of its first query and the compiled
+    # kernel of later ones, give the one-state row of `evaluate_batch` (and the
+    # per-node `eval`'s array), and the jets the batched recursion operator's,
+    # bit for bit: at 3 states of the case's flow, or at 3 sample points of the
+    # dense frame of dissipative n = 2, whose trees share subtrees
     if case in CASES:
         W, What, states = flow(case)
         points = states[::TRAJECTORY_BLOCK // 2]
@@ -130,21 +132,23 @@ def test_point_kernels_match_the_batched_walk(case):
         _, W, _, E = dense_frame_fields(2, seed=7)
         What, points = lie_derivative_mv(E, W), sample_regular_points(W, CheckConfig())[:3]
     for x in points:
-        for F in (W, What):
-            values, diffs = evaluate_mv(F, x), evaluate_mv_diffs(F, x)
-            assert same([values[idx] for idx in F.components], batch_row(F.components, x))
-            assert same(values, eval_mv(F, x))
-            for l, group in enumerate(component_diffs(F)):
-                assert same([diffs[l][idx] for idx in group], batch_row(group, x))
-        jets = invariant_jets(W, What, x)
         values, grads = trace_invariants(*recursion_operator_batch(W, What, [x])[2:])
-        assert same([j.value for j in jets], values[0])
-        assert same([j.gradient for j in jets], grads[0])
+        for _ in range(2):  # at the first point, the jets' queries are each route's first
+            jets = invariant_jets(W, What, x)
+            assert same([j.value for j in jets], values[0])
+            assert same([j.gradient for j in jets], grads[0])
+            for F in (W, What):
+                mv, diffs = evaluate_mv(F, x), _point_arrays(F, x, True)
+                assert same([mv[idx] for idx in F.components], batch_row(F.components, x))
+                assert same(mv, eval_mv(F, x))
+                for l, group in enumerate(component_diffs(F)):
+                    assert same([diffs[l][idx] for idx in group], batch_row(group, x))
 
 
 def test_point_kernels_keep_signed_zeros():
     # q1*p1 = -1 * 0.0 and -(q2*p2) = -(0.0 * 2.0) are -0.0 at x, in fields of
-    # degree 1 to 3, and so is the partial d/dp2 -(q2*p2) = -q2
+    # degree 1 to 3, and so is the partial d/dp2 -(q2*p2) = -q2, on the walk
+    # of each route's first query and on the kernel of its second
     space = PhaseSpace.canonical(2)
     a, b = parse("q1*p1", space), parse("-(q2*p2)", space)
     x = (-1.0, 0.0, 0.0, 2.0)
@@ -154,15 +158,16 @@ def test_point_kernels_keep_signed_zeros():
         values = batch_row(F.components, x)
         assert same([evaluate_mv(F, x)[idx] for idx in F.components], values)
         assert np.signbit(values).all() and same(evaluate_mv(F, x), eval_mv(F, x))
-        diffs = evaluate_mv_diffs(F, x)
-        assert same([diffs[2][idx] for idx in F.components], [-1.0, 0.0])
-        assert same([diffs[3][idx] for idx in F.components], [0.0, -0.0])
+        for diffs in (_point_arrays(F, x, True), _point_arrays(F, x, True)):
+            assert same([diffs[2][idx] for idx in F.components], [-1.0, 0.0])
+            assert same([diffs[3][idx] for idx in F.components], [0.0, -0.0])
 
 
 def test_an_error_of_a_partial_alone_stays_in_the_jets():
     # d/dp1 (q1/p1) = -(q1/(p1*p1)), and p1*p1 underflows to 0 at the least
     # normal p1: W, W_hat and the roots and ratios are defined there, only
-    # the jets raise, as the batched recursion operator does
+    # the jets raise, as the batched recursion operator does, on the walk of
+    # the partials' first query and on their kernel at the second
     space = PhaseSpace.canonical(2)
     tiny = 2.2250738585072014e-308
     W = MultiVectorField(space, 2, {(0, 2): Num(1.0), (1, 3): parse("q1/p1", space)})
@@ -173,6 +178,7 @@ def test_an_error_of_a_partial_alone_stays_in_the_jets():
     assert mixed_wedge_ratios(W, What, x).values == pytest.approx((2.5, 6.0), rel=1e-14)
     got = outcome(lambda: invariant_jets(W, What, x))
     assert got == outcome(lambda: recursion_operator_batch(W, What, [x]))
+    assert outcome(lambda: invariant_jets(W, What, x)) == got
     assert got[0] is EvalDomainError and got[1].startswith("division by zero in ")
 
 
@@ -185,12 +191,27 @@ def test_an_error_of_a_partial_alone_stays_in_the_jets():
     ("sin(q1*1e200*1e200)", (1.0, 2.0)),
 ])
 def test_a_component_error_is_evals(text, x):
-    # the same type and message as the per-node `eval` of that component
+    # the same type and message as the per-node `eval` of that component, on
+    # the walk of the first query and on the kernel of the second
     space = PhaseSpace.canonical(1)
     e = parse(text, space)
     F = MultiVectorField(space, 2, {(0, 1): e})
     want = outcome(lambda: e.eval(x))
-    assert isinstance(want, tuple) and outcome(lambda: evaluate_mv(F, x)) == want
+    assert isinstance(want, tuple)
+    assert [outcome(lambda: evaluate_mv(F, x)) for _ in range(2)] == [want, want]
+
+
+@pytest.mark.parametrize("p1", [0.0, 1e-300])
+def test_the_drift_audit_raises_at_a_degenerate_first_state(p1):
+    # W = -p1 dq1^dp1 - p2 dq2^dp2 is degenerate at p1 = 0 and numerically so
+    # at p1 = 1e-300, p2 = 1; a flow that does not require regularity starts
+    # there, and the drift audit raises as `secular_roots` does at its first state
+    _, W, h, E = dissipative_fields(2)
+    What, cfg = lie_derivative_mv(E, W), CheckConfig(t_end=0.01, dt=1e-3)
+    traj = integrate_flow(W, h, (0.5, 0.5, p1, 1.0), cfg, require_regular=False)
+    want = outcome(lambda: secular_roots(W, What, traj.states[0]))
+    assert want == (RegularityError, f"bivector is numerically degenerate at {tuple(traj.states[0])}")
+    assert outcome(lambda: verify.trajectory_drift(W, What, traj, cfg)) == want
 
 
 @pytest.mark.parametrize("case", sorted(CASES) + ["dense-frame-dissipative-n2"])

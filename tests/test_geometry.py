@@ -9,9 +9,9 @@ from binoether.expr import Num, PhaseSpace, Var, parse
 from binoether.geometry import (
     MultiVectorField,
     PhasePoint,
+    _point_arrays,
     component_diffs,
     evaluate_mv,
-    evaluate_mv_diffs,
     hamiltonian_vf,
     lie_derivative_mv,
     poisson_bracket,
@@ -69,7 +69,8 @@ class TestMultiVectorField:
 
     def test_point_kernels_are_built_once_and_die_with_the_field(self, monkeypatch):
         # one kernel of the components and one of their partials per field,
-        # each compiled at its first use and held by the field alone
+        # each compiled at its route's second query (a first query walks the
+        # trees and compiles nothing) and held by the field alone
         _, W, _, _ = dissipative_fields(2)
         compile_kernel, compiled = geometry.compile_kernel, []
 
@@ -79,10 +80,11 @@ class TestMultiVectorField:
 
         monkeypatch.setattr(geometry, "compile_kernel", counted)
         x = (0.1, 0.2, 0.5, -0.5)
-        for _ in range(3):
+        for k in range(3):
             assert np.array_equal(evaluate_mv(W, x), [[0, 0, -0.5, 0], [0, 0, 0, 0.5],
                                                       [0.5, 0, 0, 0], [0, -0.5, 0, 0]])
-            assert np.array_equal(evaluate_mv_diffs(W, x)[2:, 0, 2], [-1.0, 0.0])
+            assert np.array_equal(_point_arrays(W, x, True)[2:, 0, 2], [-1.0, 0.0])
+            assert len(compiled) == (0 if k == 0 else 2)
         refs = [weakref.ref(kernel) for kernel in compiled]
         del W, compiled
         gc.collect()
