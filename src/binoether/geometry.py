@@ -31,6 +31,7 @@ __all__ = [
     "hamiltonian_vf",
     "poisson_bracket",
     "component_diffs",
+    "field_arrays",
     "evaluate_mv",
 ]
 
@@ -266,6 +267,25 @@ def component_diffs(F: MultiVectorField) -> list[dict[tuple[int, ...], ScalarExp
             out.append({idx: d for idx, d in ds.items() if not d.is_zero()})
         F._diffs = out
     return F._diffs
+
+
+def field_arrays(fields, states, partials: bool = True) -> list[np.ndarray]:
+    """Each vector field or bivector F at every row of an (m, 2n) state array: F, then with
+    partials each d_l F (`component_diffs`), as one (1 [+ 2n], m) + (2n,)*degree array,
+    antisymmetric for bivectors.  One `evaluate_batch` call, fields in turn and components
+    before partials, so that its error is the first met at the first failing state."""
+    groups = [[F.components, *(component_diffs(F) if partials else ())] for F in fields]
+    values = iter(evaluate_batch([e for gs in groups for g in gs for e in g.values()], states))
+    out = []
+    for F, gs in zip(fields, groups):
+        keys = np.array([(g, *idx) for g, group in enumerate(gs) for idx in group], dtype=int)
+        keys = tuple(keys.reshape(-1, 1 + F.degree).T)
+        arr = np.zeros((len(gs),) + (F.space.dim,) * F.degree + (len(states),))
+        arr[keys] = np.reshape([next(values) for _ in keys[0]], (-1, len(states)))
+        if F.degree == 2:
+            arr[keys[0], keys[2], keys[1]] = -arr[keys]
+        out.append(np.moveaxis(arr, -1, 1))
+    return out
 
 
 def evaluate_mv(A: MultiVectorField, x) -> np.ndarray | float:

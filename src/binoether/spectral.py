@@ -18,7 +18,7 @@ dN = W^{-1} (dW_hat - dW N) give their exact gradients, and the gradients
 of simple roots through the spectral projectors of N, for the involution
 audit.  The projectors are polynomials in N built from N's own eigenvalues
 (Sylvester's formula), not from eigenvectors of N, which may be
-ill-conditioned where N is not normal.  `_operator_jet` builds N and dN:
+ill-conditioned where N is not normal.  `operator_jet` builds N and dN:
 for a stack of states from one batched evaluation, and at one point from
 the fields' point routes (`geometry.evaluate_mv`, `invariant_jets`).
 
@@ -61,8 +61,8 @@ from .geometry import (
     MultiVectorField,
     PhasePoint,
     _point_arrays,
-    component_diffs,
     evaluate_mv,
+    field_arrays,
     lie_derivative_mv,
 )
 
@@ -84,6 +84,7 @@ __all__ = [
     "y_from_roots",
     "operator_batch",
     "recursion_operator_batch",
+    "operator_jet",
     "trace_invariants",
     "operator_roots",
     "root_pair_gradients",
@@ -263,12 +264,14 @@ def _interpolation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, np.vander(u, n + 1, increasing=True)
 
 
-def _batch_rows(fields: list[MultiVectorField], states: np.ndarray) -> list[list[list]]:
+def _batch_rows(fields: list[MultiVectorField], states: np.ndarray, values=None) -> list[list[list]]:
     """Each field's matrix rows at the states: one state's floats, or for
     several an array over them per component and the float 0.0 where the
-    field has none (see _absent).  One `evaluate_batch` call, so its error is
-    the one met first at the first failing state, each field in turn."""
-    values = evaluate_batch([e for V in fields for e in V.components.values()], states)
+    field has none (see _absent).  The components' values, field by field, are
+    ``values`` or one `evaluate_batch` call's, whose error is the first met at
+    the first failing state."""
+    if values is None:
+        values = evaluate_batch([e for V in fields for e in V.components.values()], states)
     values = iter([v.item() for v in values] if len(states) == 1 else values)
     out = []
     for V in fields:
@@ -408,11 +411,11 @@ def regularity_margin(w_matrix: np.ndarray) -> float:
     return float(_margins(np.asarray(w_matrix, dtype=float).tolist(), 1)[0])
 
 
-def regularity_margins(W: MultiVectorField, states) -> np.ndarray:
-    """regularity_margin(evaluate_mv(W, x)) at every row x of a (m, 2n)
-    state array, bit for bit: one `_margins` pass over the states."""
+def regularity_margins(W: MultiVectorField, states, values=None) -> np.ndarray:
+    """regularity_margin(evaluate_mv(W, x)) at every row x of a (m, 2n) state array, bit
+    for bit: one `_margins` pass over the states (``values``: see `_batch_rows`)."""
     states = np.asarray(states, dtype=float)
-    return _margins(*_batch_rows([W], states), len(states))
+    return _margins(*_batch_rows([W], states, values), len(states))
 
 
 def is_regular(W: MultiVectorField, x) -> bool:
@@ -575,13 +578,14 @@ def y_from_root_values(roots) -> tuple[float, ...]:
     return tuple(float(e[l]) / math.comb(n, l) for l in range(1, n + 1))
 
 
-def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, states) -> np.ndarray:
+def pencil_coefficients_batch(W: MultiVectorField, What: MultiVectorField, states,
+                              values=None) -> np.ndarray:
     """pencil_coefficients(W, What, x) at every row x of a (m, 2n) state
     array, as an (m, n+1) array, bit for bit: one `_pencil` pass over the
     states, whose Pfaffian kernels run on arrays over them and whose
-    interpolation systems go to one stacked solve."""
+    interpolation systems go to one stacked solve (``values``: see `_batch_rows`)."""
     states = np.asarray(states, dtype=float)
-    return _pencil(*_batch_rows([W, What], states), len(states))
+    return _pencil(*_batch_rows([W, What], states, values), len(states))
 
 
 def mixed_wedge_ratios(W: MultiVectorField, What: MultiVectorField, x) -> InvariantVector:
@@ -615,55 +619,32 @@ def y_from_roots(spectrum: SecularSpectrum) -> InvariantVector:
 # Recursion operator
 # ---------------------------------------------------------------------------
 
-def _matrices(groups, states) -> np.ndarray:
-    """The antisymmetric matrices of component groups ({(i, j): expr}, i < j)
-    at every row of a (m, 2n) state array, as a (groups, m, 2n, 2n) array,
-    from one `evaluate_batch` call."""
-    states = np.asarray(states, dtype=float)
-    m, N = states.shape
-    slots = [(g, i, j) for g, group in enumerate(groups) for i, j in group]
-    g, i, j = np.array(slots, dtype=int).reshape(-1, 3).T
-    mats = np.zeros((len(groups), N, N, m))
-    mats[g, i, j] = evaluate_batch([e for group in groups for e in group.values()], states)
-    mats[g, j, i] = -mats[g, i, j]
-    return mats.transpose(0, 3, 1, 2)
-
-
 def operator_batch(W: MultiVectorField, What: MultiVectorField, states) -> np.ndarray:
     """N = W^{-1} W_hat at every row of a (m, 2n) state array, (m, 2n, 2n):
     `recursion_operator_batch`'s N without evaluating dN.  W must be
     regular at every state."""
-    w, what = _matrices([W.components, What.components], states)
+    w, what = (a[0] for a in field_arrays([W, What], states, partials=False))
     with np.errstate(all="ignore"):  # inf entries give inf or NaN, which fail closed
         return np.linalg.inv(w) @ what
 
 
 def recursion_operator_batch(W: MultiVectorField, What: MultiVectorField, states) -> tuple:
-    """(W, W_hat, N, dN) at every row of a (m, 2n) state array: W, W_hat and
-    the recursion operator N = W^{-1} W_hat as (m, 2n, 2n) arrays, and its
-    partial derivatives dN_l as an (m, 2n, 2n, 2n) array, l second
-    (`_operator_jet`).  The components of W and W_hat and their first
-    derivatives go to one `evaluate_batch` call (`_matrices`); W must be
-    regular at every state."""
-    N = W.space.dim
-    diffs = [component_diffs(F) for F in (W, What)]
-    # W, What, then d_l W and d_l What for each l
-    mats = _matrices([W.components, What.components] + [d[l] for l in range(N) for d in diffs],
-                     states)
-    w, what = mats[0], mats[1]
-    dw, dwhat = mats[2::2].transpose(1, 0, 2, 3), mats[3::2].transpose(1, 0, 2, 3)
-    return (w, what, *_operator_jet(w, what, dw, dwhat))
+    """`operator_jet` at every row of a (m, 2n) state array, from one `field_arrays`
+    call over W and W_hat with their partials; W must be regular at every state."""
+    return operator_jet(*field_arrays([W, What], states))
 
 
-def _operator_jet(w, what, dw, dwhat) -> tuple[np.ndarray, np.ndarray]:
-    """N = W^{-1} W_hat and dN_l = W^{-1} (d_l W_hat - d_l W N) from W and
-    W_hat, (m, 2n, 2n) arrays, and their partials, (m, 2n, 2n, 2n), l second."""
+def operator_jet(w: np.ndarray, what: np.ndarray) -> tuple:
+    """(W, W_hat, N, dN) from W's and W_hat's arrays at m states with partials
+    (`field_arrays`): W, W_hat and N = W^{-1} W_hat as (m, 2n, 2n) arrays, and
+    dN_l = W^{-1} (d_l W_hat - d_l W N) as an (m, 2n, 2n, 2n) array, l second."""
+    w, what, dw, dwhat = w[0], what[0], w[1:].swapaxes(0, 1), what[1:].swapaxes(0, 1)
     w_inv = np.linalg.inv(w)
     with np.errstate(all="ignore"):  # inf entries give inf or NaN, which fail closed
         op = w_inv @ what
         rhs = dw @ op[:, None]
         np.subtract(dwhat, rhs, out=rhs)
-        return op, w_inv[:, None] @ rhs
+        return w, what, op, w_inv[:, None] @ rhs
 
 
 def trace_invariants(op: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -750,11 +731,12 @@ def pencil_coefficient_jets(W: MultiVectorField, What: MultiVectorField, x) -> l
 
 def invariant_jets(W: MultiVectorField, What: MultiVectorField, x) -> list[Jet]:
     """Jets of Y^(1)..Y^(n) at x: values and exact gradients from the
-    recursion operator (`_operator_jet`, `trace_invariants`) on the fields'
-    point routes, W's first; RegularityError where W is degenerate."""
-    arrays = [_require_regular(W, x)[0], evaluate_mv(What, x), _point_arrays(W, x, True),
-              _point_arrays(What, x, True)]
-    values, grads = trace_invariants(*_operator_jet(*(np.array(a)[None] for a in arrays)))
+    recursion operator (`operator_jet`, `trace_invariants`) on the fields'
+    point routes: W, W_hat, then their partials; RegularityError where W is degenerate."""
+    matrices = [_require_regular(W, x)[0], evaluate_mv(What, x)]
+    w, what = (np.concatenate([[v], _point_arrays(F, x, True)])[:, None]
+               for F, v in zip((W, What), matrices))
+    values, grads = trace_invariants(*operator_jet(w, what)[2:])
     return [Jet(v, g) for v, g in zip(values[0].tolist(), grads[0])]
 
 

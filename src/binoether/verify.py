@@ -2,11 +2,11 @@
 regular points, flow integration with a conservation audit, and involution
 audits under both Poisson structures.
 
-Each identity check evaluates its bracket, and the terms of its scale, over
-all sampled points in one `evaluate_batch` call; where no value is NaN, its
-record equals the point-by-point one bit for bit.  The spectral routes, the
-drift audit and the flow's checks take their states in batched passes that
-raise the error a state-by-state loop meets first (`expr.in_state_order`).
+A report evaluates each field it audits (W, W_hat, E, W(h), L_E L_E W) once at the
+samples, with its first partials (`Audit.arrays`); each identity check contracts its
+bracket and scale from those arrays, building no trivector.  The spectral routes, the
+drift audit and the flow's checks take their states in batched passes that raise the
+error a state-by-state loop meets first (`expr.in_state_order`).
 
 Residuals are reported raw together with the scale used to relativize them:
 a check passes when residual <= tol * scale, where scale is the largest
@@ -23,24 +23,20 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
+from itertools import combinations
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .expr import ExprError, ScalarExpr, emit_kernel, evaluate_batch, in_state_order
-from .geometry import (
-    MultiVectorField,
-    PhasePoint,
-    component_diffs,
-    hamiltonian_vf,
-    lie_derivative_mv,
-    schouten_bb,
-)
+from .geometry import MultiVectorField, PhasePoint, field_arrays, hamiltonian_vf, lie_derivative_mv
 from .spectral import (
     REGULARITY_FACTOR,
     RegularityError,
     SpectralError,
     multiple_root_flags,
     operator_batch,
+    operator_jet,
     operator_roots,
     pencil_coefficients_batch,
     recursion_operator_batch,
@@ -53,7 +49,7 @@ from .spectral import (
 
 # not called here: perfbench/tracing.py's WRAPS resolves these names in this
 # module, and a missing name fails the traced smoke job
-from .geometry import evaluate_mv  # noqa: F401
+from .geometry import evaluate_mv, schouten_bb  # noqa: F401
 from .spectral import pencil_coefficient_jets, regularity_margin, root_gradients  # noqa: F401
 
 __all__ = [
@@ -266,23 +262,38 @@ def sample_regular_points(W: MultiVectorField, cfg: CheckConfig) -> list[PhasePo
 
 class Audit:
     """What one report's checks share, each built on first use and kept: the samples,
-    W_hat = L_E W (or ``what`` as given), `recursion_operator_batch` at the samples, N's
-    roots there (`operator_roots`) and the Y^(l) with gradients (`trace_invariants`).  A
-    build that raises is not kept.  It reads as its config: ``audit.tol`` is ``cfg.tol``."""
+    W_hat = L_E W (or ``what`` as given), each field's arrays at the samples (`arrays`),
+    W, W_hat, N and dN from them (`operator_jet`), N's roots (`operator_roots`) and the
+    Y^(l) with gradients (`trace_invariants`).  A build that raises is not kept.  It reads
+    as its config: ``audit.tol`` is ``cfg.tol``."""
 
     def __init__(self, cfg: CheckConfig, W: MultiVectorField, E=None, **given):
-        vars(self).update(vars(cfg), cfg=cfg, W=W, E=E, **given)  # given: kept as if built
+        # given: kept as if built; kept: field -> its arrays, while the field lives
+        vars(self).update(vars(cfg), cfg=cfg, W=W, E=E, kept=WeakKeyDictionary(), **given)
 
     points = cached_property(lambda self: sample_regular_points(self.W, self.cfg))
     what = cached_property(lambda self: lie_derivative_mv(self.E, self.W))
-    operator = cached_property(  # W, W_hat, N and dN
-        lambda self: recursion_operator_batch(self.W, self.what, [x.coords for x in self.points]))
+    operator = cached_property(lambda self: operator_jet(*self.arrays(self.W, self.what)))
     roots = cached_property(lambda self: operator_roots(self.operator[2], self.where))
     invariants = cached_property(lambda self: trace_invariants(*self.operator[2:]))
 
     def where(self, j: int) -> str:  # sample point j in errors, as `invariants --at` names it
         return "sample point " + ",".join(
             f"{k}={v!r}" for k, v in zip(self.W.space.names, self.points[j]))
+
+    def arrays(self, *fields) -> list[np.ndarray]:
+        """The fields' arrays at the samples with their partials (`field_arrays`), kept while
+        each field lives.  Those not kept yet go to one call, in the order given, so that its
+        error is the first a point-by-point pass meets; a call that raises keeps nothing."""
+        new = list(dict.fromkeys(F for F in fields if F not in self.kept))
+        if new:
+            self.kept.update(zip(new, field_arrays(new, [x.coords for x in self.points])))
+        return [self.kept[F] for F in fields]
+
+    def values(self, bivectors, a: int = 0, b: int | None = None) -> list | None:
+        """The bivectors' kept components at samples [a, b) (`_batch_rows`), or None."""
+        if all(V in self.kept for V in bivectors):
+            return [self.kept[V][0][a:b, i, j] for V in bivectors for i, j in V.components]
 
 
 def _audit(cfg, W, E=None, **given) -> Audit:  # cfg, or a new Audit for one check
@@ -314,44 +325,47 @@ def _record(check_id: str, rel: float, raw: float, scale: float, tol: float, poi
     return CheckRecord(check_id, PAPER_ANCHORS[check_id], raw, scale, rel <= tol, points, notes)
 
 
-def _bracket_check(
-    check_id: str,
-    T: MultiVectorField,
-    A: MultiVectorField,
-    B: MultiVectorField,
-    points,
-    tol: float,
-) -> CheckRecord:
-    """Worst relative |T(x)| over the points, T being a bracket of A and B.
+def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] at each sample, an (m, components) array, from the arrays of two
+    vector fields or of two bivectors (`field_arrays`):
+
+        [A, B]^j     = sum_l (A^l d_l B^j - B^l d_l A^j),
+        [A, B]^{ijk} = (S^{ijk} + S^{jki}) + S^{kij}   for i < j < k,
+        S^{abc}      = sum_l (A^{la} d_l B^{bc} + B^{la} d_l A^{bc}),
+
+    each sum taken elementwise from 0.0 over l = 0, 1, ... in turn, an order that,
+    unlike a matmul's or an einsum's, is the same on every machine."""
+    (A, *dA), (B, *dB) = a, b
+    N = A.shape[1]
+    with np.errstate(all="ignore"):  # inf * 0 gives NaN, which fails closed
+        if A.ndim == 2:
+            return sum((A[:, l, None] * dB[l] - B[:, l, None] * dA[l] for l in range(N)), 0.0)
+        x = np.array(list(combinations(range(N), 3)), dtype=int).reshape(-1, 3).T  # i, j, k
+        y, z = x[[1, 2, 0]], x[[2, 0, 1]]  # S^{xyz} for xyz = ijk, jki, kij
+        S = sum((A[:, l, x] * dB[l][:, y, z] + B[:, l, x] * dA[l][:, y, z] for l in range(N)), 0.0)
+        return (S[:, 0] + S[:, 1]) + S[:, 2]
+
+
+def _bracket_check(check_id: str, A: MultiVectorField, B: MultiVectorField, audit: Audit,
+                   bracket: MultiVectorField | None = None) -> CheckRecord:
+    """Worst relative |T(x)| over the samples, T = [A, B] contracted from the audit's
+    arrays of A and B (`_bracket`), or the values of ``bracket`` where given
+    (non_noether's W_hat = [E, W]), all asked for in one `Audit.arrays` call, bracket
+    first, so that an evaluation error is the first met point by point.
 
     At each point the residual is max |T^I(x)| and the scale is the largest
-    |A^{l.}(x)| |d_l B(x)| (and the symmetric term) over the products in the
-    bracket.  Every expression is evaluated over all points in one
-    `evaluate_batch` call, in the order a point-by-point pass would meet
-    them (T, A, B, then d_l B and d_l A for each l), so an evaluation error
-    is the one met first at the first offending point.  A NaN anywhere in a
-    maximum makes it NaN, so the check fails closed."""
-    dim, m = A.space.dim, len(points)
-    dA, dB = component_diffs(A), component_diffs(B)
-    groups = [list(F.components.values()) for F in (T, A, B)]
-    groups += [list(d[l].values()) for l in range(dim) for d in (dB, dA)]
-    values = iter(evaluate_batch([e for g in groups for e in g], [x.coords for x in points]))
-    # |values| of each group under a row of zeros, so an empty group reads 0
-    t_abs, a_abs, b_abs, *d_abs = [np.abs([np.zeros(m), *(next(values) for _ in g)])
-                                   for g in groups]
-
-    def row_max(F, F_abs, l):
-        # max |F^{l.}(x)| per point: row l of the antisymmetric array F(x)
-        return np.max(F_abs[[0] + [k for k, idx in enumerate(F.components, 1) if l in idx]], axis=0)
-
-    terms = []
+    |A^{l.}(x)| |d_l B(x)| or |B^{l.}(x)| |d_l A(x)|: row l of A (A^l for a vector field)
+    and every entry of d_l B.  A NaN anywhere in a maximum makes it NaN: it fails closed."""
+    *given, a, b = audit.arrays(*([] if bracket is None else [bracket]), A, B)
+    m, N = a.shape[1:3]
+    T = given[0][0].reshape(m, -1) if given else _bracket(a, b)
+    (rows_a, d_a), (rows_b, d_b) = ((np.abs(F[0].reshape(m, N, -1)).max(axis=2),
+                                     np.abs(F[1:].reshape(N, m, -1)).max(axis=2).T) for F in (a, b))
     with np.errstate(all="ignore"):  # inf * 0 gives NaN, which fails closed
-        for l in range(dim):
-            terms += [row_max(A, a_abs, l) * np.max(d_abs[2 * l], axis=0),
-                      row_max(B, b_abs, l) * np.max(d_abs[2 * l + 1], axis=0)]
-    residuals, scales = np.max(t_abs, axis=0), np.max(terms, axis=0)
-    rel, raw, scale, _ = _worst_case(zip(residuals.tolist(), scales.tolist(), points))
-    return _record(check_id, rel, raw, scale, tol, m)
+        scales = np.max([rows_a * d_b, rows_b * d_a], axis=(0, 2))
+    residuals = np.max(np.abs(T), axis=1, initial=0.0)
+    rel, raw, scale, _ = _worst_case(zip(residuals.tolist(), scales.tolist(), audit.points))
+    return _record(check_id, rel, raw, scale, audit.tol, m)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +374,14 @@ def _bracket_check(
 
 def check_jacobi(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """[W, W] = 0: the bracket induced by W satisfies the Jacobi identity."""
-    points = _audit(cfg, W).points
-    return _bracket_check("jacobi", schouten_bb(W, W), W, W, points, cfg.tol)
+    return _bracket_check("jacobi", W, W, _audit(cfg, W))
 
 
 def check_regularity(W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
     """W^n != 0 on the sampled box: minimum scale-free Pfaffian margin."""
-    points = _audit(cfg, W).points
-    margin = float(np.min(regularity_margins(W, [x.coords for x in points])))
+    audit = _audit(cfg, W)
+    points = audit.points
+    margin = float(np.min(regularity_margins(W, [x.coords for x in points], audit.values([W]))))
     return CheckRecord(
         "regularity",
         PAPER_ANCHORS["regularity"],
@@ -383,9 +397,7 @@ def check_symmetry(
     E: MultiVectorField, W: MultiVectorField, h: ScalarExpr, cfg: CheckConfig
 ) -> CheckRecord:
     """[E, W(h)] = 0: the generator commutes with the evolution operator."""
-    X = hamiltonian_vf(W, h)
-    points = _audit(cfg, W).points
-    return _bracket_check("symmetry", lie_derivative_mv(E, X), E, X, points, cfg.tol)
+    return _bracket_check("symmetry", E, hamiltonian_vf(W, h), _audit(cfg, W))
 
 
 def check_non_noether(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
@@ -393,8 +405,7 @@ def check_non_noether(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig
     otherwise.  Informational - the record passes unless a non-finite
     residual or scale leaves the symmetry unclassified."""
     audit = _audit(cfg, W, E)
-    points = audit.points
-    probe = _bracket_check("non_noether", audit.what, E, W, points, cfg.tol)
+    probe = _bracket_check("non_noether", E, W, audit, bracket=audit.what)
     if not (math.isfinite(probe.residual) and math.isfinite(probe.scale)):
         return replace(probe, passed=False,
                        notes="cannot be classified: the residual or its scale is not finite")
@@ -407,11 +418,10 @@ def check_non_noether(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig
 
 
 def check_yang_baxter(E: MultiVectorField, W: MultiVectorField, cfg: CheckConfig) -> CheckRecord:
-    """[[E,[E,W]],W] = 0, realized as schouten_bb(L_E L_E W, W)."""
+    """[[E,[E,W]],W] = 0, realized as the bracket [L_E L_E W, W], contracted at the
+    samples from the arrays of L_E L_E W and W (`_bracket`)."""
     audit = _audit(cfg, W, E)
-    LLW = lie_derivative_mv(E, audit.what)
-    points = audit.points
-    return _bracket_check("yang_baxter", schouten_bb(LLW, W), LLW, W, points, cfg.tol)
+    return _bracket_check("yang_baxter", lie_derivative_mv(E, audit.what), W, audit)
 
 
 def check_compatibility(
@@ -419,12 +429,9 @@ def check_compatibility(
 ) -> tuple[CheckRecord, CheckRecord]:
     """[W_hat, W] = 0 (compatible pair) and [W_hat, W_hat] = 0 (the deformed
     bivector is itself Poisson)."""
-    points = _audit(cfg, W).points
-    mixed = _bracket_check("compat_mixed", schouten_bb(What, W), What, W, points, cfg.tol)
-    deformed = _bracket_check(
-        "compat_deformed", schouten_bb(What, What), What, What, points, cfg.tol
-    )
-    return mixed, deformed
+    audit = _audit(cfg, W)
+    return (_bracket_check("compat_mixed", What, W, audit),
+            _bracket_check("compat_deformed", What, What, audit))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +453,8 @@ def check_spectral_routes(
 
     def routes(a, b):  # all the samples, or sample a alone
         at = states[a:b]
-        direct = np.column_stack(y_from_coefficients(pencil_coefficients_batch(W, What, at).T))
+        coeffs = pencil_coefficients_batch(W, What, at, audit.values([W, What], a, b))
+        direct = np.column_stack(y_from_coefficients(coeffs.T))
         if b - a == len(points):
             return direct, audit.roots, audit.invariants[0]
         op, grad = recursion_operator_batch(W, What, at)[2:]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -385,42 +386,88 @@ def reference_flow_states(W: MultiVectorField, h: ScalarExpr, x0, t_end: float, 
 
 
 def bracket_checks(W: MultiVectorField, h: ScalarExpr, E: MultiVectorField):
-    """(check id, T, A, B) of every identity check of a system, T being the
-    bracket of A and B that the check evaluates."""
+    """(check id, A, B, T) of every identity check of a system, T being the
+    bracket of A and B as a tree: `schouten_bb` or `lie_derivative_mv`, the
+    independent oracle of the contraction, or for non_noether W_hat = [E, W],
+    which the check reads as its bracket."""
     X = hamiltonian_vf(W, h)
     What = lie_derivative_mv(E, W)
     LLW = lie_derivative_mv(E, What)
     return [
-        ("jacobi", schouten_bb(W, W), W, W),
-        ("symmetry", lie_derivative_mv(E, X), E, X),
-        ("non_noether", What, E, W),
-        ("yang_baxter", schouten_bb(LLW, W), LLW, W),
-        ("compat_mixed", schouten_bb(What, W), What, W),
-        ("compat_deformed", schouten_bb(What, What), What, What),
+        ("jacobi", W, W, schouten_bb(W, W)),
+        ("symmetry", E, X, lie_derivative_mv(E, X)),
+        ("non_noether", E, W, What),
+        ("yang_baxter", LLW, W, schouten_bb(LLW, W)),
+        ("compat_mixed", What, W, schouten_bb(What, W)),
+        ("compat_deformed", What, What, schouten_bb(What, What)),
     ]
 
 
-def pointwise_bracket_check(check_id: str, T: MultiVectorField, A: MultiVectorField,
-                            B: MultiVectorField, points, tol: float):
-    """An identity check evaluated point by point, tree by tree: the oracle
-    that the batched `verify._bracket_check` must match record for record
-    wherever no value is NaN (Python's max drops a NaN that follows a
-    finite value, so this oracle can pass a NaN residual)."""
+def eval_partials(A: MultiVectorField, x) -> list[np.ndarray]:
+    """A's partials d_l A at x, one antisymmetric array per l, each component
+    by the per-node `eval`."""
+    return [eval_mv(MultiVectorField(A.space, A.degree, group), x) for group in component_diffs(A)]
+
+
+def contracted_bracket(A: MultiVectorField, B: MultiVectorField, x) -> list[float]:
+    """[A, B] at x of two vector fields or two bivectors, on floats, in the
+    order of summation that `verify._bracket` fixes: the components j, or the
+    triples i < j < k, in turn, each sum from 0.0 over l = 0, 1, ...:
+    [A, B]^j = sum_l (A^l d_l B^j - B^l d_l A^j), and [A, B]^{ijk} =
+    (S^{ijk} + S^{jki}) + S^{kij} with S^{abc} = sum_l (A^{la} d_l B^{bc} +
+    B^{la} d_l A^{bc})."""
+    N = A.space.dim
+    a, b = eval_mv(A, x).tolist(), eval_mv(B, x).tolist()
+    da, db = ([d.tolist() for d in eval_partials(F, x)] for F in (A, B))
+    out = []
+    if A.degree == 1:
+        for j in range(N):
+            total = 0.0
+            for l in range(N):
+                total = total + (a[l] * db[l][j] - b[l] * da[l][j])
+            out.append(total)
+        return out
+    for i, j, k in combinations(range(N), 3):
+        parts = []
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            total = 0.0
+            for l in range(N):
+                total = total + (a[l][p] * db[l][q][r] + b[l][p] * da[l][q][r])
+            parts.append(total)
+        out.append((parts[0] + parts[1]) + parts[2])
+    return out
+
+
+def _max_abs_eval(exprs, x) -> float:
+    return max((abs(e.eval(x)) for e in exprs), default=0.0)
+
+
+def bracket_scale(A: MultiVectorField, B: MultiVectorField, x) -> float:
+    """The scale of the bracket [A, B] at x, on floats: the largest
+    |A^{l.}(x)| |d_l B(x)| or |B^{l.}(x)| |d_l A(x)| over l."""
+    Am, Bm = eval_mv(A, x), eval_mv(B, x)
     dA, dB = component_diffs(A), component_diffs(B)
+    s = 0.0
+    for l in range(A.space.dim):
+        a_row = float(np.max(np.abs(Am[l])))
+        b_row = float(np.max(np.abs(Bm[l])))
+        s = max(s, a_row * _max_abs_eval(dB[l].values(), x), b_row * _max_abs_eval(dA[l].values(), x))
+    return s
 
-    def max_eval(exprs, x):
-        return max((abs(e.eval(x)) for e in exprs), default=0.0)
 
-    def scale(x):
-        Am, Bm = eval_mv(A, x), eval_mv(B, x)
-        s = 0.0
-        for l in range(A.space.dim):
-            a_row = float(np.max(np.abs(Am[l])))
-            b_row = float(np.max(np.abs(Bm[l])))
-            s = max(s, a_row * max_eval(dB[l].values(), x), b_row * max_eval(dA[l].values(), x))
-        return s
+def pointwise_bracket_check(check_id: str, A: MultiVectorField, B: MultiVectorField, points,
+                            tol: float, bracket: MultiVectorField | None = None):
+    """An identity check evaluated point by point, tree by tree, on floats,
+    its bracket contracted as `contracted_bracket` does (or the values of
+    ``bracket`` where given): the oracle that the batched
+    `verify._bracket_check` must match record for record wherever no value
+    is NaN (Python's max drops a NaN that follows a finite value, so this
+    oracle can pass a NaN residual)."""
+    def residual(x):
+        if bracket is not None:
+            return _max_abs_eval(bracket.components.values(), x)
+        return max((abs(t) for t in contracted_bracket(A, B, x)), default=0.0)
 
-    rel, raw, scale_at_worst, _ = _worst_case(
-        (max_eval(T.components.values(), x), scale(x), x) for x in points
-    )
+    rel, raw, scale_at_worst, _ = _worst_case((residual(x), bracket_scale(A, B, x), x)
+                                              for x in points)
     return _record(check_id, rel, raw, scale_at_worst, tol, len(points))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from binoether import geometry
+from binoether import expr, geometry, spectral, verify
 from binoether.geometry import MultiVectorField
 from binoether.systems import SystemSpec, builtin_system, load_system, run_report
 from binoether.verify import CheckConfig
@@ -112,6 +112,67 @@ def test_a_report_compiles_no_point_kernel(monkeypatch, stem):
 
     monkeypatch.setattr(geometry, "compile_kernel", refuse)
     assert report_text(stem) == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("stem", ["dense-frame-n2", "dissipative-n3"])
+def test_a_report_builds_no_bracket_tree_and_evaluates_each_field_once(monkeypatch, stem):
+    # the brackets are contracted from each field's arrays at the samples: no
+    # report builds a Schouten trivector or the tree of [E, X], and outside
+    # the sampling, evaluate_batch runs at the samples only for the fields'
+    # arrays, each field in exactly one call
+    def refuse(*fields):
+        raise AssertionError("a report built a bracket tree")
+
+    def lie_derivative(E, A):
+        if A.degree == 1:
+            refuse()
+        fields.append(geometry.lie_derivative_mv(E, A))
+        return fields[-1]
+
+    def hamiltonian(V, f):
+        fields.append(geometry.hamiltonian_vf(V, f))
+        return fields[-1]
+
+    def sampled(W, cfg, sample=verify.sample_regular_points):
+        nonlocal sampling
+        sampling = True
+        try:
+            return sample(W, cfg)
+        finally:
+            sampling = False
+
+    def at_the_samples(states):
+        return not sampling and len(states) == CheckConfig().samples
+
+    def counted(exprs, states):
+        if at_the_samples(states):
+            calls.append("evaluate_batch")
+        return expr.evaluate_batch(exprs, states)
+
+    def arrays(evaluated, states, partials=True):
+        if at_the_samples(states):
+            calls.append(list(evaluated))
+        return geometry.field_arrays(evaluated, states, partials)
+
+    spec = CASES[stem]()
+    fields, calls, sampling = [spec.W, spec.E], [], False
+    for module in (geometry, verify):
+        monkeypatch.setattr(module, "schouten_bb", refuse)
+    monkeypatch.setattr(verify, "lie_derivative_mv", lie_derivative)
+    monkeypatch.setattr(verify, "hamiltonian_vf", hamiltonian)
+    monkeypatch.setattr(verify, "sample_regular_points", sampled)
+    for module in (geometry, spectral, verify):
+        monkeypatch.setattr(module, "evaluate_batch", counted)
+    monkeypatch.setattr(verify, "field_arrays", arrays)
+    report = run_report(spec, CheckConfig()).to_json() + "\n"
+    assert report == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+    # one field_arrays call, and in it one evaluate_batch call, per check
+    # that meets new fields: jacobi, symmetry, non_noether and yang_baxter
+    evaluated = [F for call in calls[::2] for F in call]
+    assert calls[1::2] == ["evaluate_batch"] * 4 and len(calls) == 8
+    # W, E, then as built: the symmetry check's X = W(h), W_hat, L_E L_E W,
+    # and the flow's own X, which it evaluates along the trajectory alone
+    assert [sum(F is G for G in evaluated) for F in fields] == [1, 1, 1, 1, 1, 0]
 
 
 def moved_values(old, new, path="$"):

@@ -1,5 +1,6 @@
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +42,10 @@ from binoether.verify import (
     sample_regular_points,
 )
 from binoether.systems import SystemSpec, builtin_system, load_system, run_report
-from binoether.verify import _bracket_check, _worst_case
+from binoether.verify import Audit, _bracket, _bracket_check, _worst_case
 from helpers import (
     bracket_checks,
+    bracket_scale,
     coupled_system,
     dense_frame_fields,
     dissipative_fields,
@@ -290,20 +292,37 @@ BRACKET_SYSTEMS = {
 
 
 class TestBatchedBracketCheck:
-    """Each identity check evaluates its bracket and scale over all sample
-    points in one batched pass, record for record equal to the point route."""
+    """Each identity check contracts its bracket and scale at all sample
+    points from the fields' arrays, record for record equal to the point
+    route, and within rounding of the bracket's trees."""
 
     @pytest.mark.parametrize("case", sorted(BRACKET_SYSTEMS))
     def test_records_equal_the_pointwise_oracle(self, case):
         spec = BRACKET_SYSTEMS[case]()
-        points = sample_regular_points(spec.W, CFG)
-        if case == "dense-frame-n2":
-            # the oracle walks the 1.2e6-node Yang-Baxter trivector at each
-            # point (0.25 s); the golden report covers all 32 samples
-            points = points[:4]
-        for check_id, T, A, B in bracket_checks(spec.W, spec.h, spec.E):
-            batched = _bracket_check(check_id, T, A, B, points, CFG.tol)
-            assert batched == pointwise_bracket_check(check_id, T, A, B, points, CFG.tol)
+        audit = Audit(CFG, spec.W, spec.E)
+        for check_id, A, B, T in bracket_checks(spec.W, spec.h, spec.E):
+            bracket = T if check_id == "non_noether" else None
+            batched = _bracket_check(check_id, A, B, audit, bracket)
+            assert batched == pointwise_bracket_check(check_id, A, B, audit.points, CFG.tol,
+                                                      bracket)
+
+    @pytest.mark.parametrize("case", sorted(BRACKET_SYSTEMS))
+    def test_the_contraction_is_the_trees_bracket(self, case):
+        # `schouten_bb` and `lie_derivative_mv` build the bracket as trees,
+        # which sum in another order: the two agree to rounding at every sample
+        spec = BRACKET_SYSTEMS[case]()
+        audit = Audit(CFG, spec.W, spec.E)
+        states = [x.coords for x in audit.points]
+        for check_id, A, B, T in bracket_checks(spec.W, spec.h, spec.E):
+            if check_id == "non_noether":
+                continue
+            a, b = audit.arrays(A, B)
+            keys = list(combinations(range(spec.space.dim), T.degree))
+            trees = np.zeros((len(states), len(keys)))
+            for idx, values in zip(T.components, evaluate_batch(T.components.values(), states)):
+                trees[:, keys.index(idx)] = values
+            bound = [1e-12 * max(1.0, bracket_scale(A, B, x)) for x in states]
+            assert np.all(np.abs(_bracket(a, b) - trees).max(axis=1, initial=0.0) <= bound), check_id
 
     @staticmethod
     def _nan_field(space, nan_first: bool):
@@ -315,30 +334,35 @@ class TestBatchedBracketCheck:
 
     @pytest.mark.parametrize("nan_first", [False, True])
     def test_a_nan_residual_fails_in_either_component_order(self, nan_first):
-        # Python's max keeps a finite value met before a NaN, so the point
-        # route passed the zero-first order with residual 0.0
-        space, W, _, _ = dissipative_fields(1)
-        points = sample_regular_points(W, CFG)
-        record = _bracket_check("symmetry", self._nan_field(space, nan_first), W, W, points,
-                                CFG.tol)
-        assert not record.passed
-        assert math.isnan(record.residual)
+        # Python's max keeps a finite value met before a NaN, so a point route
+        # passed the zero-first order with residual 0.0: as the bracket read
+        # from a field, and as [E, X] contracted with a NaN in E
+        space, W, h, _ = dissipative_fields(1)
+        E = self._nan_field(space, nan_first)
+        given = _bracket_check("symmetry", W, W, Audit(CFG, W), bracket=E)
+        for record in (given, check_symmetry(E, W, h, CFG)):
+            assert not record.passed
+            assert math.isnan(record.residual)
 
     @pytest.mark.parametrize("nan_first", [False, True])
     def test_a_nan_scale_fails_in_either_component_order(self, nan_first):
         # one component of A and its derivatives are 0, the other's are
-        # inf - inf = NaN; the point route's max(0.0, nan, ...) kept 0.0
+        # inf - inf = NaN; the point route's max(0.0, nan, ...) kept 0.0.  The
+        # bracket read from a field is 0; contracted, it is NaN as well
         space, W, _, _ = dissipative_fields(1)
         q1, p1 = var(space, "q1"), var(space, "p1")
         big = parse("q1*p1*1e200*1e200 - q1*p1*1e200*1e200", space)
         A = MultiVectorField(space, 1, {(0,): p1 * (q1 - q1), (1,): p1 + big} if nan_first
                              else {(0,): p1 + big, (1,): p1 * (q1 - q1)})
         T = MultiVectorField(space, 1, {(0,): q1 - q1})
-        points = sample_regular_points(W, CFG)
-        record = _bracket_check("symmetry", T, A, A, points, CFG.tol)
+        audit = Audit(CFG, W)
+        record = _bracket_check("symmetry", A, A, audit, bracket=T)
         assert record.residual == 0.0
         assert not record.passed
         assert math.isnan(record.scale)
+        record = _bracket_check("symmetry", A, A, audit)
+        assert not record.passed
+        assert math.isnan(record.residual) and math.isnan(record.scale)
 
     def test_the_first_error_met_point_by_point_is_raised(self):
         # at the first sample (q1 = 0.548, p1 = -0.921) ln(0.5 - q1) in E,
@@ -354,6 +378,23 @@ class TestBatchedBracketCheck:
         record = run_report(SystemSpec(space, W, h, E, "ln-generator"), CFG).record("symmetry")
         assert record.notes == "error: ln of a non-positive value in 'ln(0.5 - q1)'"
         assert not record.passed
+
+    def test_the_second_fields_earlier_error_is_raised(self):
+        # E is out of its domain at the second sample (p1 = -1.934), and
+        # X = W(h), whose d/dq1 h holds ln(0.5 - q1), at the first (q1 = 0.548):
+        # both fields go to one pass, so the first sample's error wins, though
+        # X comes after E
+        space, W, _, _ = dissipative_fields(1)
+        h = parse("p1 + q1 + (0.5 - q1)*ln(0.5 - q1)", space)
+        E = MultiVectorField(space, 1, {(0,): parse("ln(p1 + 1.5)", space)})
+        points = [x.coords for x in sample_regular_points(W, CFG)]
+        X = hamiltonian_vf(W, h)
+        evaluate_batch(E.components.values(), points[:1])
+        for F, at in ((E, 1), (X, 0)):
+            with pytest.raises(EvalDomainError):
+                evaluate_batch(F.components.values(), points[at:at + 1])
+        with pytest.raises(EvalDomainError, match=r"in 'ln\(0.5 - q1\)'"):
+            check_symmetry(E, W, h, CFG)
 
 
 class TestIntegrateFlow:
